@@ -154,11 +154,33 @@ impl<D: EdgeStore<UserId>> Engine<D> {
             self.stats.firing_events.incr();
             self.stats.candidates.add(emitted as u64);
         }
+        self.tick(event.created_at);
+    }
 
+    /// The wheel-expiry cadence: one tick per event, an advance every
+    /// [`ADVANCE_EVERY`] ticks.
+    fn tick(&mut self, now: Timestamp) {
         self.since_advance += 1;
         if self.since_advance >= ADVANCE_EVERY {
-            self.store.advance(event.created_at);
+            self.store.advance(now);
             self.since_advance = 0;
+        }
+    }
+
+    /// Applies a micro-batch's `D` mutations without running detection —
+    /// the apply-only path of a replica that does not serve the batch.
+    ///
+    /// Makes the same per-event `D` insert/remove calls as
+    /// [`Engine::on_events_into`] and ticks the wheel-expiry cadence the
+    /// same way, so `D` (and the cadence position) ends up identical to
+    /// the detecting path; only candidate emission and the detection
+    /// stats are skipped. Detection's witness query cannot change `D`
+    /// here: it trims the touched list at the very cutoff the insert
+    /// just applied.
+    pub fn apply_events(&mut self, events: &[EdgeEvent]) {
+        for &event in events {
+            self.apply_to_store(event);
+            self.tick(event.created_at);
         }
     }
 
@@ -473,6 +495,68 @@ mod tests {
         );
         assert_eq!(single.store().stats(), batched.store().stats());
         assert!(batched.store().resident_targets() < 200, "advance must run");
+    }
+
+    fn sorted_entries(engine: &Engine) -> Vec<(UserId, UserId, Timestamp)> {
+        let mut entries = Vec::new();
+        engine.store().export_entries(&mut entries);
+        // Targets come out in map order; lists within a target are
+        // already in stored order, which a stable sort keeps.
+        entries.sort_by_key(|&(dst, _, _)| dst);
+        entries
+    }
+
+    #[test]
+    fn apply_events_leaves_the_same_d_as_detection() {
+        // Unfollows, same-target repeats, events far enough apart that
+        // the wheel expires targets, and batches straddling the
+        // ADVANCE_EVERY boundary.
+        let trace: Vec<EdgeEvent> = (0..(3 * ADVANCE_EVERY + 117))
+            .map(|i| {
+                let dst = u(900 + i % 11);
+                if i % 23 == 0 {
+                    EdgeEvent::unfollow(u(11 + i % 3), dst, ts(10 + i))
+                } else {
+                    EdgeEvent::follow(u(11 + i % 3), dst, ts(10 + i))
+                }
+            })
+            .collect();
+        let mut detecting = Engine::new(small_graph(), DetectorConfig::example()).unwrap();
+        let mut applying = Engine::new(small_graph(), DetectorConfig::example()).unwrap();
+        let mut fired = Vec::new();
+        let mut checked = 0;
+        for chunk in trace.chunks(301) {
+            detecting.on_events_into(chunk, &mut fired);
+            applying.apply_events(chunk);
+            assert_eq!(sorted_entries(&applying), sorted_entries(&detecting));
+            assert_eq!(applying.since_advance, detecting.since_advance);
+            checked += 1;
+        }
+        assert!(checked > 3 && !fired.is_empty(), "trace must fire");
+        assert_eq!(applying.store().stats(), detecting.store().stats());
+        assert_eq!(applying.stats().events.get(), 0, "nothing was detected");
+    }
+
+    #[test]
+    fn apply_events_crosses_advance_boundary_like_detection() {
+        // Spread out in time so each mid-batch advance reclaims targets:
+        // a missed or extra advance shows up as different resident sets.
+        let trace: Vec<EdgeEvent> = (0..(2 * ADVANCE_EVERY + 52))
+            .map(|i| EdgeEvent::follow(u(11), u(10_000 + i), ts(i * 10)))
+            .collect();
+        let mut detecting = Engine::new(small_graph(), DetectorConfig::example()).unwrap();
+        let mut applying = Engine::new(small_graph(), DetectorConfig::example()).unwrap();
+        let (head, tail) = trace.split_at(ADVANCE_EVERY as usize - 1);
+        for part in [head, tail] {
+            detecting.on_events(part);
+            applying.apply_events(part);
+        }
+        assert_eq!(sorted_entries(&applying), sorted_entries(&detecting));
+        assert_eq!(applying.store().stats(), detecting.store().stats());
+        assert!(
+            applying.store().resident_targets() < 200,
+            "advance must run"
+        );
     }
 
     #[test]

@@ -458,11 +458,29 @@ impl PersistentEngine {
     ) -> Result<usize> {
         self.wal.append_batch(events)?;
         let emitted = self.engine.on_events_into(events, out);
-        self.since_checkpoint += events.len() as u64;
+        self.count_toward_checkpoint(events.len())?;
+        Ok(emitted)
+    }
+
+    /// Appends a micro-batch shipped from another replica's WAL without
+    /// running detection: the same group commit and checkpoint cadence
+    /// as [`PersistentEngine::on_events_into`], with `D` maintained by
+    /// [`Engine::apply_events`]. A follower's `D`, sequence and on-disk
+    /// log therefore stay identical to the leader's, which is what lets
+    /// it be promoted at its durable sequence.
+    pub fn apply_shipped(&mut self, events: &[EdgeEvent]) -> Result<()> {
+        self.wal.append_batch(events)?;
+        self.engine.apply_events(events);
+        self.count_toward_checkpoint(events.len())
+    }
+
+    /// Checkpoint cadence, counted in events.
+    fn count_toward_checkpoint(&mut self, events: usize) -> Result<()> {
+        self.since_checkpoint += events as u64;
         if self.checkpoint_every > 0 && self.since_checkpoint >= self.checkpoint_every {
             self.checkpoint()?;
         }
-        Ok(emitted)
+        Ok(())
     }
 
     /// [`PersistentEngine::on_events_into`] collecting into a fresh

@@ -88,4 +88,4 @@ pub use client::RoutedClient;
 pub use config::{ClusterMap, NodeSpec, PartitionSpec};
 pub use coordinator::Coordinator;
 pub use metrics::{replica_metrics, ReplicaMetrics};
-pub use node::{fixture_graph, Node, NodeConfig, NodeHandle, WAL_PREFIX};
+pub use node::{fixture_graph, Node, NodeConfig, NodeHandle, UnitState, WAL_PREFIX};

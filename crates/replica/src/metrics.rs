@@ -9,7 +9,7 @@
 //! | `replica_refused_writes` | counter | `WrongLeader` refusals sent |
 //! | `replica_ingest_batches` | counter | ingest batches applied as leader |
 //! | `replica_dup_batches` | counter | re-sent batches absorbed by seq dedup |
-//! | `replica_tail_rounds` | counter | follower catalog/fetch poll rounds |
+//! | `replica_tail_rounds` | counter | follower long-poll + fetch rounds |
 //! | `replica_bootstrap_files` | counter | state files shipped for rebalance |
 //! | `replica_lag_events` | gauge | leader durable − local applied (events) |
 
@@ -28,7 +28,7 @@ pub struct ReplicaMetrics {
     pub ingest_batches: Counter,
     /// Re-sent batches fully absorbed by the seq dedup window.
     pub dup_batches: Counter,
-    /// Follower tail-loop rounds (catalog poll + fetch sweep).
+    /// Follower tail-loop rounds (catalog long-poll + fetch sweep).
     pub tail_rounds: Counter,
     /// State files shipped while bootstrapping a rebalance target.
     pub bootstrap_files: Counter,

@@ -11,11 +11,20 @@
 //!   connections, and acknowledged with `IngestAck{durable, replicated}`;
 //! * **following** — the gate refuses writes with a typed
 //!   `WrongLeader`, while a tail thread (see [`crate::tail`]) ships the
-//!   leader's WAL segments into the local engine.
+//!   leader's WAL segments into the local engine. A follower is
+//!   **apply-only**: shipped batches go through
+//!   [`PersistentEngine::apply_shipped`] (the same group commit,
+//!   checkpoint cadence and `D` mutations as the leader, no detection),
+//!   because detection is a read-only pass over `S` and `D` and only the
+//!   leader delivers. Its `D` stays identical to the leader's, so a
+//!   promotion resumes detection where the leader left off.
 //!
 //! Both roles serve the read-only shipping plane (`SegmentsReq` /
 //! `SegmentFetch` / `StateListReq` / `StateFetch`), so a rebalance
 //! target can bootstrap from whichever replica is cheapest.
+//! `SegmentsReq` is a long-poll: when the unit holds nothing past the
+//! requested sequence, the reply waits until the next batch is durable
+//! or [`NodeConfig::poll_interval`] expires.
 //!
 //! ## The demote fence
 //!
@@ -30,7 +39,8 @@
 //!
 //! ## Promotion
 //!
-//! `RoleChange{leader: true}` stops the tail thread, flips the gate,
+//! `RoleChange{leader: true}` stops the tail thread (shutting its socket
+//! down, so a parked long-poll does not delay it), flips the gate,
 //! bumps `replica_promotions`, records a [`TraceKind::Promote`] event,
 //! and writes the flight-recorder ring to `promote-<epoch>.trace` in
 //! the unit's directory — crash forensics name the promotion even if
@@ -38,12 +48,12 @@
 
 use std::collections::HashMap;
 use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use magicrecs_cluster::EpochGate;
 use magicrecs_gen::{GraphGen, GraphGenConfig};
@@ -52,7 +62,7 @@ use magicrecs_obs::recorder;
 use magicrecs_obs::TraceKind;
 use magicrecs_persist::{segment_catalog, FsyncPolicy, PersistOptions, PersistentEngine};
 use magicrecs_server::wire::{decode, encode, Frame, ReplStatus, WireErrorCode, MAX_CHUNK_LEN};
-use magicrecs_types::{DetectorConfig, Error, Result};
+use magicrecs_types::{DetectorConfig, Error, Result, Timestamp, UserId};
 
 use crate::config::ClusterMap;
 use crate::metrics::{replica_metrics, ReplicaMetrics};
@@ -77,7 +87,11 @@ pub struct NodeConfig {
     pub segment_bytes: u64,
     /// Auto-checkpoint cadence in events (0 = only on `CheckpointReq`).
     pub checkpoint_every: u64,
-    /// Follower tail poll interval when caught up.
+    /// Bound on a caught-up `SegmentsReq` long-poll: the longest this
+    /// node holds the reply while it has nothing past the requested
+    /// sequence. A new durable batch answers it at once, so this only
+    /// sets how often an idle follower re-polls (and re-reports its
+    /// progress).
     pub poll_interval: Duration,
     /// Spawn tail threads at start for partitions the map says this
     /// node follows. Tests that drive `FollowReq` by hand turn this off.
@@ -86,7 +100,7 @@ pub struct NodeConfig {
 
 impl NodeConfig {
     /// Sensible defaults for loopback clusters: 64 KiB segments,
-    /// manual checkpoints, 2 ms tail poll, auto-follow on.
+    /// manual checkpoints, 50 ms long-poll bound, auto-follow on.
     pub fn new(node_id: u32, map: ClusterMap, data_dir: PathBuf) -> NodeConfig {
         NodeConfig {
             node_id,
@@ -95,7 +109,7 @@ impl NodeConfig {
             detector: DetectorConfig::default(),
             segment_bytes: 64 << 10,
             checkpoint_every: 0,
-            poll_interval: Duration::from_millis(2),
+            poll_interval: Duration::from_millis(50),
             auto_follow: true,
         }
     }
@@ -130,18 +144,75 @@ pub(crate) struct Unit {
     pub(crate) dir: PathBuf,
     pub(crate) gate: EpochGate,
     pub(crate) engine: Mutex<PersistentEngine>,
-    /// Mirror of `engine.next_seq()`, readable without the lock.
-    pub(crate) durable: AtomicU64,
+    /// Mirror of `engine.next_seq()`, readable without the lock. Moved
+    /// only through [`Unit::publish_durable`].
+    durable: AtomicU64,
     /// Highest `from_seq` any follower has reported via `SegmentsReq` —
     /// the leader's view of the replicated watermark.
     pub(crate) replicated: AtomicU64,
     pub(crate) tail: Mutex<Option<TailHandle>>,
+    /// Long-polls parked until `durable` moves (see
+    /// [`Unit::wait_past`]); the mutex only orders the check against
+    /// the notify.
+    wake_lock: Mutex<()>,
+    wake: Condvar,
 }
 
 impl Unit {
+    pub(crate) fn new(
+        partition: u32,
+        dir: PathBuf,
+        gate: EpochGate,
+        engine: PersistentEngine,
+    ) -> Unit {
+        let durable = engine.next_seq();
+        Unit {
+            partition,
+            dir,
+            gate,
+            engine: Mutex::new(engine),
+            durable: AtomicU64::new(durable),
+            replicated: AtomicU64::new(0),
+            tail: Mutex::new(None),
+            wake_lock: Mutex::new(()),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// The durable watermark (the engine's next sequence).
+    pub(crate) fn durable(&self) -> u64 {
+        self.durable.load(Ordering::Acquire)
+    }
+
+    /// Publishes a new durable watermark and wakes every long-poll
+    /// parked on this unit.
+    pub(crate) fn publish_durable(&self, durable: u64) {
+        self.durable.store(durable, Ordering::Release);
+        self.wake();
+    }
+
+    fn wake(&self) {
+        let _guard = self.wake_lock.lock().unwrap();
+        self.wake.notify_all();
+    }
+
+    /// Blocks until the durable watermark passes `seq` (the unit holds a
+    /// record at `seq`), `bound` elapses, or `stop` is set.
+    fn wait_past(&self, seq: u64, bound: Duration, stop: &AtomicBool) {
+        let deadline = Instant::now() + bound;
+        let mut guard = self.wake_lock.lock().unwrap();
+        while self.durable() <= seq && !stop.load(Ordering::Acquire) {
+            let now = Instant::now();
+            if now >= deadline {
+                return;
+            }
+            guard = self.wake.wait_timeout(guard, deadline - now).unwrap().0;
+        }
+    }
+
     fn status(&self, _node: u32) -> ReplStatus {
         let (epoch, leading, _hint) = self.gate.current();
-        let durable = self.durable.load(Ordering::Acquire);
+        let durable = self.durable();
         ReplStatus {
             partition: self.partition,
             leading,
@@ -158,6 +229,9 @@ pub(crate) struct NodeInner {
     pub(crate) units: Mutex<HashMap<u32, Arc<Unit>>>,
     pub(crate) metrics: ReplicaMetrics,
     shutdown: AtomicBool,
+    /// A handle on every live connection's socket, keyed by accept
+    /// order, so shutdown can sever them.
+    conns: Mutex<HashMap<u64, TcpStream>>,
 }
 
 /// A running node: the acceptor thread plus its shared state. Obtained
@@ -167,6 +241,18 @@ pub struct NodeHandle {
     inner: Arc<NodeInner>,
     addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
+}
+
+/// What [`NodeHandle::d_state`] reads from a unit. Two replicas that
+/// applied the same log hold equal values.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UnitState {
+    /// The WAL sequence the next event will receive.
+    pub next_seq: u64,
+    /// Every resident `D` entry as `(target, source, created_at)`,
+    /// grouped by target in ascending order, each target's entries in
+    /// stored order.
+    pub entries: Vec<(UserId, UserId, Timestamp)>,
 }
 
 /// Namespace for starting replica nodes.
@@ -191,6 +277,7 @@ impl Node {
             units: Mutex::new(units),
             metrics: replica_metrics(),
             shutdown: AtomicBool::new(false),
+            conns: Mutex::new(HashMap::new()),
             cfg,
         });
         let listener =
@@ -220,14 +307,19 @@ impl Node {
         }
         let acc_inner = Arc::clone(&inner);
         let acceptor = std::thread::spawn(move || {
-            for stream in listener.incoming() {
+            for (id, stream) in (0u64..).zip(listener.incoming()) {
                 if acc_inner.shutdown.load(Ordering::Acquire) {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
+                let Ok(handle) = stream.try_clone() else {
+                    continue;
+                };
+                acc_inner.conns.lock().unwrap().insert(id, handle);
                 let conn_inner = Arc::clone(&acc_inner);
                 std::thread::spawn(move || {
                     let _ = serve_conn(&conn_inner, stream);
+                    conn_inner.conns.lock().unwrap().remove(&id);
                 });
             }
         });
@@ -247,20 +339,30 @@ impl NodeHandle {
 
     /// Durable watermark of one hosted partition (tests/diagnostics).
     pub fn durable(&self, partition: u32) -> Option<u64> {
-        self.inner
-            .units
-            .lock()
-            .unwrap()
-            .get(&partition)
-            .map(|u| u.durable.load(Ordering::Acquire))
+        get_unit(&self.inner, partition).map(|u| u.durable())
     }
 
-    /// Stops tail threads and the acceptor. Connection threads exit
-    /// when their peers hang up.
+    /// One hosted partition's replicated state, read under its engine
+    /// lock (tests/diagnostics).
+    pub fn d_state(&self, partition: u32) -> Option<UnitState> {
+        let unit = get_unit(&self.inner, partition)?;
+        let engine = unit.engine.lock().unwrap();
+        let mut entries = Vec::new();
+        engine.engine().store().export_entries(&mut entries);
+        entries.sort_by_key(|&(target, _, _)| target);
+        Some(UnitState {
+            next_seq: engine.next_seq(),
+            entries,
+        })
+    }
+
+    /// Stops tail threads, the acceptor and every live connection, and
+    /// returns once no connection thread is left — as a process exit
+    /// would, so the same directories can be reopened right after.
     pub fn shutdown(mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
         let units: Vec<Arc<Unit>> = self.inner.units.lock().unwrap().values().cloned().collect();
-        for unit in units {
+        for unit in &units {
             if let Some(handle) = unit.tail.lock().unwrap().take() {
                 handle.stop();
             }
@@ -269,6 +371,17 @@ impl NodeHandle {
         let _ = TcpStream::connect(self.addr);
         if let Some(j) = self.acceptor.take() {
             let _ = j.join();
+        }
+        // Sever every connection and release parked long-polls; each
+        // connection thread then fails its next read or write and exits.
+        for stream in self.inner.conns.lock().unwrap().values() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        for unit in &units {
+            unit.wake();
+        }
+        while !self.inner.conns.lock().unwrap().is_empty() {
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 }
@@ -283,12 +396,8 @@ fn open_unit(cfg: &NodeConfig, partition: u32, graph: FollowGraph) -> Result<Uni
         .next()
         .is_some();
     let engine = if has_state {
-        let (pe, _report) = PersistentEngine::open(
-            &dir,
-            cfg.detector,
-            CapStrategy::None,
-            cfg.persist_opts(),
-        )?;
+        let (pe, _report) =
+            PersistentEngine::open(&dir, cfg.detector, CapStrategy::None, cfg.persist_opts())?;
         pe
     } else {
         PersistentEngine::create(&dir, graph, 0, cfg.detector, cfg.persist_opts())?
@@ -298,16 +407,8 @@ fn open_unit(cfg: &NodeConfig, partition: u32, graph: FollowGraph) -> Result<Uni
         .partition(partition)
         .ok_or(Error::UnknownPartition(partition))?;
     let leading = spec.leader == cfg.node_id;
-    let durable = engine.next_seq();
-    Ok(Unit {
-        partition,
-        dir,
-        gate: EpochGate::new(partition, 0, leading, spec.leader),
-        engine: Mutex::new(engine),
-        durable: AtomicU64::new(durable),
-        replicated: AtomicU64::new(0),
-        tail: Mutex::new(None),
-    })
+    let gate = EpochGate::new(partition, 0, leading, spec.leader);
+    Ok(Unit::new(partition, dir, gate, engine))
 }
 
 fn get_unit(inner: &Arc<NodeInner>, partition: u32) -> Option<Arc<Unit>> {
@@ -503,7 +604,7 @@ fn handle_frame(
                 }
             } else {
                 engine.on_events_into(&events[skip..], &mut candidates)?;
-                unit.durable.store(engine.next_seq(), Ordering::Release);
+                unit.publish_durable(engine.next_seq());
                 inner.metrics.ingest_batches.incr();
             }
             let durable = engine.next_seq();
@@ -536,6 +637,9 @@ fn handle_frame(
             // The follower's requested floor doubles as its durable
             // progress report: everything below is replicated.
             unit.replicated.fetch_max(from_seq, Ordering::AcqRel);
+            // Long-poll: a caught-up follower gets its reply when the
+            // next batch is durable, not on its next timer tick.
+            unit.wait_past(from_seq, inner.cfg.poll_interval, &inner.shutdown);
             let catalog = segment_catalog(&unit.dir, WAL_PREFIX)?;
             let segments = catalog.iter().map(|s| (s.first_seq, s.bytes)).collect();
             send(
@@ -721,7 +825,7 @@ fn promote(inner: &Arc<NodeInner>, unit: &Arc<Unit>, epoch: u64, hint: u32) -> R
     }
     let engine = unit.engine.lock().unwrap();
     let durable = engine.next_seq();
-    unit.durable.store(durable, Ordering::Release);
+    unit.publish_durable(durable);
     unit.gate.set_role(epoch, true, hint);
     drop(engine);
     inner.metrics.promotions.incr();
@@ -744,7 +848,7 @@ fn demote(inner: &Arc<NodeInner>, unit: &Arc<Unit>, epoch: u64, hint: u32) -> u6
     let engine = unit.engine.lock().unwrap();
     unit.gate.set_role(epoch, false, hint);
     let durable = engine.next_seq();
-    unit.durable.store(durable, Ordering::Release);
+    unit.publish_durable(durable);
     drop(engine);
     inner.metrics.demotions.incr();
     durable

@@ -157,6 +157,13 @@ impl ClientConn {
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 
+    /// A second handle on this connection's socket: another thread can
+    /// [`TcpStream::shutdown`] it to break a blocking
+    /// [`ClientConn::recv`] with an error.
+    pub fn socket_handle(&self) -> Result<TcpStream> {
+        self.stream.try_clone().map_err(io_err)
+    }
+
     /// Splits into independently-owned read and write handles (clones
     /// of one socket) plus any bytes already buffered on the read side
     /// — for callers (the load generator) that pump reads and writes
