@@ -33,6 +33,11 @@
 //!   synthetic celebrity workload, per threshold arm, plus the
 //!   `dense_witness` replay arm (dense-keyed `D` feeding
 //!   `detect_dense_into`, no per-witness interner probe).
+//! * `d_*` — the dynamic store `D` on its own: ingest per pruning
+//!   strategy (B3), hot and cold witness fetches, the Fx-vs-SipHash
+//!   hasher ablation (B4), one wheel advance, and a sparse upsert arm
+//!   shaped like the served steady-sparse trace whose bytes per resident
+//!   entry are hard-asserted (`--d-only` runs just these arms for CI).
 //! * `concurrent_*` — thread-scaling curve of `ConcurrentEngine` (one
 //!   shared `S` + sharded `D`, stream hash-routed by target) on the
 //!   celebrity workload, events/sec at 1→N workers. `bench_cores` records
@@ -143,6 +148,9 @@ struct Args {
     /// <10%-at-1%-dirty guard) and skip the JSON rewrite — the
     /// bench-smoke CI job's checkpoint-chain guard.
     ckpt_only: bool,
+    /// Run only the `D` arms (with the bytes-per-entry guard) and skip
+    /// the JSON rewrite.
+    d_only: bool,
     /// Run only the instrumentation-overhead arm (with the ≤3% guard)
     /// and skip the JSON rewrite — the obs-smoke CI job.
     obs_only: bool,
@@ -161,6 +169,7 @@ fn parse_args() -> Args {
         wal_only: false,
         ckpt_only: false,
         obs_only: false,
+        d_only: false,
         out: None,
     };
     let mut it = std::env::args().skip(1);
@@ -173,6 +182,7 @@ fn parse_args() -> Args {
             "--wal-only" => args.wal_only = true,
             "--ckpt-only" => args.ckpt_only = true,
             "--obs-only" => args.obs_only = true,
+            "--d-only" => args.d_only = true,
             "--threads" => {
                 args.max_threads = it
                     .next()
@@ -216,6 +226,17 @@ fn parse_args() -> Args {
                 || args.no_persist
                 || args.no_concurrent)),
         "--obs-only runs exactly the instrumentation-overhead arm; other selectors conflict"
+    );
+    assert!(
+        !(args.d_only
+            && (args.obs_only
+                || args.ckpt_only
+                || args.wal_only
+                || args.persist_only
+                || args.concurrent_only
+                || args.no_persist
+                || args.no_concurrent)),
+        "--d-only runs exactly the D arms; other selectors conflict"
     );
     args
 }
@@ -757,6 +778,209 @@ fn run_obs_guard(json: &mut Json) {
     );
 }
 
+/// Bytes-per-entry ceiling for `D` on the sparse upsert arm. Inline
+/// single-entry lists and append-only wheel buckets put it near 61; a
+/// layout that gives every target a heap `VecDeque` and hashes every
+/// touch into a bucket set reads about 118.
+const D_BYTES_PER_ENTRY_MAX: f64 = 80.0;
+
+/// The `D` arms (ablations B3/B4 and the sparse upsert cross-check).
+///
+/// * `d_ingest_b3_ns_per_event` — a Zipf steady trace ingested under each
+///   pruning strategy (wheel advancing every 1024 inserts).
+/// * `d_witness_query_ns` — witness fetch on the hottest target of a
+///   pre-loaded store and on an absent one.
+/// * `d_hasher_b4_ns_per_key` — insert + lookup of 100k `UserId` keys,
+///   Fx vs the default SipHash.
+/// * `d_advance_wheel_1k_targets_ns` — one wheel advance reclaiming 1,000
+///   expired single-entry targets.
+/// * `d_upsert_sparse_ns_per_event` — the isolated cross-check for the
+///   served ledger's `temporal.upsert_ns_per_event`: steady-sparse-shaped
+///   follows (Zipf(0.5) over 500k ranks, each rank spread over 40 ids)
+///   into a 16-shard store with the production entry cap, each insert
+///   followed by the witness fetch the engine makes. Nothing expires, as
+///   in the served run. `d_bytes_per_entry_sparse` is the store's
+///   capacity-based `memory_bytes` over its resident entries at the end —
+///   deterministic, and **hard-asserted** ≤ [`D_BYTES_PER_ENTRY_MAX`].
+fn run_d(json: &mut Json) {
+    use magicrecs_gen::Zipf;
+    use magicrecs_temporal::ShardedTemporalStore;
+    use magicrecs_types::Duration;
+    use std::collections::HashMap;
+
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!("# D ingest per pruning strategy (B3)");
+    let trace = bench_trace(5_000, 2_000.0, 20, 0xB3);
+    let strategies = [
+        ("eager", PruneStrategy::Eager),
+        ("wheel", PruneStrategy::Wheel),
+        (
+            "sweep_10k",
+            PruneStrategy::Sweep {
+                sweep_every: 10_000,
+            },
+        ),
+    ];
+    let medians = interleaved_medians(strategies.len(), |_, ai| {
+        let strategy = strategies[ai].1;
+        let start = Instant::now();
+        let mut d = TemporalEdgeStore::new(Duration::from_secs(120), strategy);
+        for e in trace.events() {
+            d.insert(e.src, e.dst, e.created_at);
+            if strategy == PruneStrategy::Wheel && d.stats().inserted.is_multiple_of(1024) {
+                d.advance(e.created_at);
+            }
+        }
+        black_box(d.resident_entries());
+        start.elapsed().as_secs_f64() * 1e9 / trace.len() as f64
+    });
+    let fields: Vec<(&str, f64)> = strategies
+        .iter()
+        .map(|&(name, _)| name)
+        .zip(medians)
+        .collect();
+    for (name, ns) in &fields {
+        println!("  {name} {ns:.0} ns/event");
+    }
+    json.obj("d_ingest_b3_ns_per_event", &fields);
+
+    println!("# D witness query");
+    let trace = bench_trace(5_000, 2_000.0, 20, 0xB3B);
+    let mut d = TemporalEdgeStore::with_window(Duration::from_secs(600));
+    let mut counts: FxHashMap<UserId, usize> = FxHashMap::default();
+    for e in trace.events() {
+        d.insert(e.src, e.dst, e.created_at);
+        *counts.entry(e.dst).or_default() += 1;
+    }
+    let hottest = counts
+        .iter()
+        .max_by_key(|&(&dst, &n)| (n, dst))
+        .map(|(&dst, _)| dst)
+        .expect("trace is non-empty");
+    let now = trace.end().expect("trace is non-empty");
+    let mut out = Vec::with_capacity(1_024);
+    let mut query = |dst: UserId| {
+        time_ns(4_096, 5, || {
+            out.clear();
+            d.witnesses_into(black_box(dst), now, &mut out);
+            black_box(out.len());
+        })
+    };
+    let (hot, cold) = (query(hottest), query(UserId(u64::MAX - 1)));
+    println!("  hot target {hot:.0} ns, cold target {cold:.0} ns");
+    json.obj(
+        "d_witness_query_ns",
+        &[("hot_target", hot), ("cold_target", cold)],
+    );
+
+    println!("# D hasher (B4), 100k UserId keys");
+    let keys: Vec<UserId> = (0..100_000u64)
+        .map(|i| UserId(i.wrapping_mul(0x9E37)))
+        .collect();
+    fn insert_lookup<M: Default>(
+        keys: &[UserId],
+        insert: impl Fn(&mut M, UserId, u64),
+        get: impl Fn(&M, UserId) -> u64,
+    ) -> f64 {
+        time_ns(1, 7, || {
+            let mut m = M::default();
+            for (i, &k) in keys.iter().enumerate() {
+                insert(&mut m, k, i as u64);
+            }
+            let acc = keys
+                .iter()
+                .fold(0u64, |acc, &k| acc.wrapping_add(get(&m, k)));
+            black_box(acc);
+        }) / keys.len() as f64
+    }
+    let fx = insert_lookup::<FxHashMap<UserId, u64>>(
+        &keys,
+        |m, k, v| {
+            m.insert(k, v);
+        },
+        |m, k| m[&k],
+    );
+    let sip = insert_lookup::<HashMap<UserId, u64>>(
+        &keys,
+        |m, k, v| {
+            m.insert(k, v);
+        },
+        |m, k| m[&k],
+    );
+    println!("  fx {fx:.1} ns/key, siphash {sip:.1} ns/key");
+    json.obj("d_hasher_b4_ns_per_key", &[("fx", fx), ("siphash", sip)]);
+
+    println!("# D wheel advance, 1k expired targets");
+    let mut samples: Vec<f64> = (0..21)
+        .map(|_| {
+            let mut d = TemporalEdgeStore::with_window(Duration::from_secs(60));
+            for i in 0..1_000u64 {
+                d.insert(UserId(i), UserId(10_000 + i), Timestamp::from_secs(1));
+            }
+            let start = Instant::now();
+            d.advance(Timestamp::from_secs(10_000));
+            let ns = start.elapsed().as_secs_f64() * 1e9;
+            assert_eq!(d.resident_targets(), 0, "advance reclaims every target");
+            ns
+        })
+        .collect();
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+    let advance = samples[samples.len() / 2];
+    println!("  {advance:.0} ns per advance");
+    json.num("d_advance_wheel_1k_targets_ns", advance);
+
+    // Same shape as the served steady-sparse trace: targets rank-Zipf,
+    // then spread over `FAN` ids per rank; sources uniform; timestamps
+    // spread over 530 s, inside τ, so nothing expires.
+    const RANKS: usize = 500_000;
+    const FAN: u64 = 40;
+    const EVENTS: usize = 2_000_000;
+    const SPAN_US: u64 = 530_000_000;
+    println!("# D sparse upsert ({EVENTS} events, 16 shards)");
+    let config = DetectorConfig::production();
+    // The engine's cap for the production witness cap: 16x headroom,
+    // floor 1024 (`magicrecs_core`'s `entry_cap_for`).
+    let entry_cap = config.max_witnesses.map(|w| (w * 16).max(1024));
+    let zipf = Zipf::new(RANKS, 0.5);
+    let mut rng = StdRng::seed_from_u64(0xD5);
+    let start_us = 12 * 3600 * 1_000_000u64;
+    let events: Vec<(UserId, UserId, Timestamp)> = (0..EVENTS)
+        .map(|i| {
+            let rank = zipf.sample(&mut rng) as u64;
+            let dst = UserId(rank + RANKS as u64 * rng.random_range(0..FAN));
+            let src = UserId(rng.random_range(0..RANKS as u64));
+            let at = start_us + SPAN_US * i as u64 / EVENTS as u64;
+            (src, dst, Timestamp::from_micros(at))
+        })
+        .collect();
+    let d =
+        ShardedTemporalStore::new(config.tau, PruneStrategy::Wheel, 16).with_entry_cap(entry_cap);
+    let mut out = Vec::new();
+    let start = Instant::now();
+    for &(src, dst, at) in &events {
+        d.insert(src, dst, at);
+        out.clear();
+        d.witnesses_into(dst, at, &mut out);
+        black_box(out.len());
+    }
+    let ns = start.elapsed().as_secs_f64() * 1e9 / EVENTS as f64;
+    let resident = d.resident_entries();
+    assert_eq!(resident, EVENTS as u64, "nothing expires inside τ");
+    let bytes_per_entry = d.memory_bytes() as f64 / resident as f64;
+    println!(
+        "  {ns:.0} ns/event, {resident} entries in {} targets, {bytes_per_entry:.1} bytes/entry",
+        d.resident_targets()
+    );
+    json.num("d_upsert_sparse_ns_per_event", ns);
+    json.num("d_bytes_per_entry_sparse", bytes_per_entry);
+    json.int("d_bench_cores", cores as u64);
+    assert!(
+        bytes_per_entry <= D_BYTES_PER_ENTRY_MAX,
+        "D holds {bytes_per_entry:.1} bytes per resident entry on the sparse upsert arm, \
+         above the {D_BYTES_PER_ENTRY_MAX} guard"
+    );
+}
+
 /// Persistence arms: snapshot refresh (full rebuild vs delta apply on a
 /// ~1%-changed graph), WAL single-vs-group-commit append cost, and
 /// crash-recovery replay rate. Keys are merge-recorded like everything
@@ -923,6 +1147,13 @@ fn main() {
         // JSON rewrite.
         let mut json = Json::new();
         run_obs_guard(&mut json);
+        return;
+    }
+    if args.d_only {
+        // CI build-test: the `D` arms and their bytes-per-entry guard, no
+        // JSON rewrite.
+        let mut json = Json::new();
+        run_d(&mut json);
         return;
     }
 
@@ -1245,6 +1476,9 @@ fn main() {
     let e2e_speedup = seed_e2e / new_e2e;
     json.num("speedup_detector_celebrity_seed_over_new", e2e_speedup);
     println!("  end-to-end speedup vs seed adaptive: {e2e_speedup:.1}x");
+
+    // ---- D: ingest, witness fetch, hasher, wheel, sparse upsert ---------
+    run_d(&mut json);
 
     // ---- concurrent engine scaling --------------------------------------
     if !args.no_concurrent {

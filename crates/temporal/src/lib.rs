@@ -19,6 +19,22 @@
 //! * **Sweep** — a full scan of all lists every N inserts; simplest, with
 //!   periodic latency spikes.
 //!
+//! `D` is laid out for the sparse firehose, where most targets ever hold
+//! a single entry:
+//!
+//! * **Inline single-entry lists.** A [`TargetList`] stores its first
+//!   entry inline and moves to a heap `VecDeque` only on its second, in
+//!   the same 32 bytes (the deque's capacity niche holds the tag). A
+//!   one-entry target costs its map slot and nothing else.
+//! * **Append-only wheel buckets.** An [`EpochWheel`] bucket is a `Vec`
+//!   of targets; a touch is a push, skipped when it repeats the bucket's
+//!   last push. Expiry unions the expired buckets into a set, so each
+//!   target is still reported once per advance.
+//! * **Touch skipping.** [`TemporalEdgeStore::insert`] skips the wheel
+//!   touch when the list's previous newest entry falls in the same bucket
+//!   as the new one and that bucket is not behind the horizon: that entry
+//!   already indexed the target there.
+//!
 //! [`sharded::ShardedTemporalStore`] wraps the store in hash-sharded
 //! `RwLock`s for the multi-threaded ingest path used by the live pipeline
 //! and by `magicrecs_core`'s `ConcurrentEngine`.

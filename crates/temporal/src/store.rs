@@ -119,6 +119,7 @@ impl<K: VertexKey> TemporalEdgeStore<K> {
     pub fn insert(&mut self, src: K, dst: K, at: Timestamp) {
         let cutoff = at.saturating_sub(self.window);
         let list = self.lists.entry(dst).or_default();
+        let prev_newest = list.newest();
         list.insert(src, at);
         let mut dropped = list.trim_before(cutoff) as u64;
         if let Some(cap) = self.entry_cap {
@@ -131,7 +132,11 @@ impl<K: VertexKey> TemporalEdgeStore<K> {
         self.stats.peak_entries = self.stats.peak_entries.max(self.resident);
 
         if let Some(wheel) = &mut self.wheel {
-            wheel.touch(dst, at);
+            // The list's previous newest entry already indexed `dst` in
+            // `at`'s bucket when that bucket is still live.
+            if !prev_newest.is_some_and(|prev| wheel.already_indexed(prev, at)) {
+                wheel.touch(dst, at);
+            }
         }
         if let PruneStrategy::Sweep { sweep_every } = self.strategy {
             self.since_sweep += 1;
@@ -379,10 +384,12 @@ impl<K: VertexKey> TemporalEdgeStore<K> {
         self.stats
     }
 
-    /// Approximate heap bytes (lists + wheel + map overhead).
+    /// Approximate heap bytes (lists + wheel + map overhead). The map is
+    /// sized by its capacity: its table is allocated whether or not the
+    /// slots are occupied.
     pub fn memory_bytes(&self) -> usize {
-        let map_entry = std::mem::size_of::<(K, TargetList<K>)>() + 1;
-        let map_bytes = (self.lists.len() as f64 * map_entry as f64 * 8.0 / 7.0) as usize;
+        let map_slot = std::mem::size_of::<(K, TargetList<K>)>() + 1;
+        let map_bytes = self.lists.capacity() * map_slot * 8 / 7;
         let list_bytes: usize = self.lists.values().map(|l| l.memory_bytes()).sum();
         let wheel_bytes = self.wheel.as_ref().map_or(0, |w| w.memory_bytes());
         map_bytes + list_bytes + wheel_bytes
@@ -664,5 +671,82 @@ mod tests {
         let mut got = d.witnesses(u(7), ts(30));
         got.sort_by_key(|&(s, _)| s);
         assert_eq!(got, vec![(u(1), ts(10)), (u(2), ts(20))]);
+    }
+
+    #[test]
+    fn single_entry_targets_own_no_list_heap() {
+        let mut d = TemporalEdgeStore::with_window(w(600));
+        for i in 0..1_000 {
+            d.insert(u(i), u(10_000 + i), ts(1));
+        }
+        let list_heap: usize = d.lists.values().map(TargetList::memory_bytes).sum();
+        assert_eq!(list_heap, 0);
+        let map_and_wheel = d.memory_bytes();
+        d.insert(u(1), u(10_000), ts(2)); // a second entry moves one list to the heap
+        assert!(d.memory_bytes() > map_and_wheel);
+    }
+
+    #[test]
+    fn touch_skipped_for_repeat_target_in_live_bucket() {
+        // window 160 s → 10 s buckets.
+        let mut d = TemporalEdgeStore::with_window(w(160));
+        d.insert(u(1), u(7), ts(1));
+        d.insert(u(2), u(7), ts(5)); // same bucket: no second push
+        let wheel = d.wheel.as_ref().expect("wheel strategy");
+        assert_eq!(wheel.indexed_touches(), 1);
+        d.insert(u(3), u(7), ts(15)); // next bucket: pushed
+        assert_eq!(d.wheel.as_ref().expect("wheel").indexed_touches(), 2);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// The wheel never loses a resident entry, whatever the arrival
+        /// order. Every resident entry's target is indexed in a live
+        /// bucket between the entry's own bucket and the horizon (the
+        /// clamp for late arrivals) — so after `advance(now)` no entry
+        /// older than the cutoff sits in a bucket before the cutoff's —
+        /// and a far-future advance reclaims everything.
+        #[test]
+        fn wheel_index_never_leaks(
+            ops in proptest::collection::vec((0u64..8, 0u64..6, 0u64..6, 0u64..500), 1..160),
+        ) {
+            const WINDOW: u64 = 160;
+            let mut d = TemporalEdgeStore::with_window(w(WINDOW)).with_entry_cap(Some(3));
+            let mut clock = 0u64;
+            for &(kind, src, dst, r) in &ops {
+                match kind {
+                    // In order, a little ahead of the clock.
+                    0..=2 => {
+                        clock += r % 7;
+                        d.insert(u(src), u(dst), ts(clock));
+                    }
+                    // Out of order, within a couple of buckets.
+                    3 => d.insert(u(src), u(dst), ts(clock.saturating_sub(r % 25))),
+                    // Far behind: lands before the horizon.
+                    4 => d.insert(u(src), u(dst), ts(clock.saturating_sub(r))),
+                    5 => d.remove(u(src), u(dst)),
+                    _ => {
+                        clock += r % 40;
+                        d.advance(ts(clock));
+                    }
+                }
+                let wheel = d.wheel.as_ref().expect("wheel strategy");
+                let mut resident = Vec::new();
+                d.export_entries(&mut resident);
+                for &(dst, src, at) in &resident {
+                    let (own, horizon) = wheel.bucket_and_horizon(at);
+                    let held = wheel.buckets_holding(dst);
+                    proptest::prop_assert!(
+                        held.iter().any(|&b| b >= own && b <= own.max(horizon)),
+                        "entry {:?} -> {:?} at {:?} (bucket {}, horizon {}) indexed only in {:?}",
+                        src, dst, at, own, horizon, held
+                    );
+                }
+            }
+            d.advance(ts(clock + 10 * WINDOW));
+            proptest::prop_assert_eq!(d.resident_entries(), 0);
+            proptest::prop_assert_eq!(d.resident_targets(), 0);
+        }
     }
 }

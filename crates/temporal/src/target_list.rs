@@ -9,6 +9,15 @@
 //! author twice); [`TargetList::distinct_sources_since`] deduplicates at
 //! query time, which is what the motif semantics need ("more than k *of
 //! them*" — distinct followings).
+//!
+//! **Inline layout.** On a sparse firehose most targets ever hold exactly
+//! one entry, so a list is `Empty`, `One` (the entry stored inline, no
+//! heap) or `Many` (a `VecDeque`). A list moves to `Many` on its second
+//! entry and stays there until the store reclaims it. The enum is no
+//! larger than the `VecDeque` alone — its capacity niche holds the tag —
+//! so the store's map slot does not grow. Every read goes through one
+//! `(&[_], &[_])` slice pair, so all variants share one read path and the
+//! iteration (checkpoint export) order is the same in each.
 
 use magicrecs_types::{Timestamp, UserId, VertexKey};
 use std::collections::VecDeque;
@@ -20,13 +29,24 @@ use std::collections::VecDeque;
 #[derive(Debug, Clone)]
 pub struct TargetList<K = UserId> {
     /// `(source, created_at)` ordered by `created_at` ascending.
-    entries: VecDeque<(K, Timestamp)>,
+    entries: Entries<K>,
 }
+
+/// Storage for a [`TargetList`]: inline while it holds at most one entry.
+#[derive(Debug, Clone)]
+enum Entries<K> {
+    Empty,
+    One([(K, Timestamp); 1]),
+    Many(VecDeque<(K, Timestamp)>),
+}
+
+/// A list's entries in time order, as two consecutive slices.
+type Slices<'a, K> = (&'a [(K, Timestamp)], &'a [(K, Timestamp)]);
 
 impl<K> Default for TargetList<K> {
     fn default() -> Self {
         TargetList {
-            entries: VecDeque::new(),
+            entries: Entries::Empty,
         }
     }
 }
@@ -37,55 +57,98 @@ impl<K: VertexKey> TargetList<K> {
         TargetList::default()
     }
 
+    /// The entries in time order.
+    #[inline]
+    fn as_slices(&self) -> Slices<'_, K> {
+        match &self.entries {
+            Entries::Empty => (&[], &[]),
+            Entries::One(one) => (one, &[]),
+            Entries::Many(many) => many.as_slices(),
+        }
+    }
+
+    /// The entries from index `start` on.
+    #[inline]
+    fn slices_from(&self, start: usize) -> Slices<'_, K> {
+        let (a, b) = self.as_slices();
+        match a.get(start..) {
+            Some(a) => (a, b),
+            None => (&[], &b[start - a.len()..]),
+        }
+    }
+
     /// Inserts an edge, keeping timestamp order (stable for ties).
     pub fn insert(&mut self, src: K, at: Timestamp) {
-        // Fast path: in-order arrival.
-        if self.entries.back().is_none_or(|&(_, t)| t <= at) {
-            self.entries.push_back((src, at));
-            return;
+        let entry = (src, at);
+        match &mut self.entries {
+            Entries::Empty => self.entries = Entries::One([entry]),
+            Entries::One([first]) => {
+                let first = *first;
+                let pair = if first.1 <= at {
+                    [first, entry]
+                } else {
+                    [entry, first]
+                };
+                self.entries = Entries::Many(VecDeque::from(pair));
+            }
+            Entries::Many(many) => {
+                // Fast path: in-order arrival.
+                if many.back().is_none_or(|&(_, t)| t <= at) {
+                    many.push_back(entry);
+                    return;
+                }
+                // Out-of-order: walk back to the insertion point.
+                let mut idx = many.len();
+                while idx > 0 && many[idx - 1].1 > at {
+                    idx -= 1;
+                }
+                many.insert(idx, entry);
+            }
         }
-        // Out-of-order: walk back to the insertion point.
-        let mut idx = self.entries.len();
-        while idx > 0 && self.entries[idx - 1].1 > at {
-            idx -= 1;
-        }
-        self.entries.insert(idx, (src, at));
     }
 
     /// Removes all entries from `src` (unfollow semantics). Returns how many
     /// entries were removed.
     pub fn remove_source(&mut self, src: K) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|&(s, _)| s != src);
-        before - self.entries.len()
+        let before = self.len();
+        match &mut self.entries {
+            Entries::One([(s, _)]) if *s == src => self.entries = Entries::Empty,
+            Entries::Many(many) => many.retain(|&(s, _)| s != src),
+            _ => {}
+        }
+        before - self.len()
+    }
+
+    /// Drops the `n` oldest entries (`n ≤ len`). Returns `n`.
+    fn drop_front(&mut self, n: usize) -> usize {
+        if n > 0 {
+            match &mut self.entries {
+                Entries::Many(many) => {
+                    many.drain(..n);
+                }
+                // `n ≤ len ≤ 1`: the whole list goes.
+                _ => self.entries = Entries::Empty,
+            }
+        }
+        n
     }
 
     /// Drops entries strictly older than `cutoff`. Returns how many were
     /// dropped.
     pub fn trim_before(&mut self, cutoff: Timestamp) -> usize {
-        let mut dropped = 0;
-        while let Some(&(_, t)) = self.entries.front() {
-            if t < cutoff {
-                self.entries.pop_front();
-                dropped += 1;
-            } else {
-                break;
-            }
-        }
-        dropped
+        self.drop_front(self.partition_point(cutoff))
     }
 
     /// Iterates entries with `created_at ≥ cutoff` in time order
     /// (duplicates included).
     pub fn entries_since(&self, cutoff: Timestamp) -> impl Iterator<Item = (K, Timestamp)> + '_ {
-        // Binary search for the first in-window index over the two slices.
-        let start = self.partition_point(cutoff);
-        self.entries.iter().skip(start).copied()
+        let (a, b) = self.slices_from(self.partition_point(cutoff));
+        a.iter().chain(b).copied()
     }
 
     /// Index of the first entry with `created_at >= cutoff`.
     fn partition_point(&self, cutoff: Timestamp) -> usize {
-        let (a, b) = self.entries.as_slices();
+        let (a, b) = self.as_slices();
         if let Some(&(_, t)) = a.last() {
             if t >= cutoff {
                 return a.partition_point(|&(_, ts)| ts < cutoff);
@@ -104,11 +167,11 @@ impl<K: VertexKey> TargetList<K> {
     /// in-window entries and a quadratic scan would dominate event cost.
     pub fn distinct_sources_since(&self, cutoff: Timestamp, out: &mut Vec<(K, Timestamp)>) {
         const LINEAR_DEDUP_MAX: usize = 64;
-        let start = self.partition_point(cutoff);
-        let in_window = self.entries.len() - start;
+        let (a, b) = self.slices_from(self.partition_point(cutoff));
+        let in_window = a.len() + b.len();
         let base = out.len();
         if in_window <= LINEAR_DEDUP_MAX {
-            for (src, at) in self.entries.iter().skip(start).copied() {
+            for &(src, at) in a.iter().chain(b) {
                 // Time order means later entries overwrite earlier ones.
                 match out[base..].iter_mut().find(|(s, _)| *s == src) {
                     Some(slot) => slot.1 = at,
@@ -119,7 +182,7 @@ impl<K: VertexKey> TargetList<K> {
             let mut seen: magicrecs_types::FxHashMap<K, usize> =
                 magicrecs_types::FxHashMap::default();
             seen.reserve(in_window);
-            for (src, at) in self.entries.iter().skip(start).copied() {
+            for &(src, at) in a.iter().chain(b) {
                 match seen.entry(src) {
                     std::collections::hash_map::Entry::Occupied(e) => {
                         out[*e.get()].1 = at;
@@ -138,24 +201,23 @@ impl<K: VertexKey> TargetList<K> {
     /// "pruning the D data structure to only retain the most recent
     /// edges."
     pub fn enforce_cap(&mut self, cap: usize) -> usize {
-        let mut dropped = 0;
-        while self.entries.len() > cap {
-            self.entries.pop_front();
-            dropped += 1;
-        }
-        dropped
+        self.drop_front(self.len().saturating_sub(cap))
     }
 
     /// Number of stored entries (including expired ones not yet trimmed).
     #[inline]
     pub fn len(&self) -> usize {
-        self.entries.len()
+        match &self.entries {
+            Entries::Empty => 0,
+            Entries::One(_) => 1,
+            Entries::Many(many) => many.len(),
+        }
     }
 
     /// Whether the list holds no entries.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Iterates every stored entry in time order (duplicates and
@@ -163,22 +225,28 @@ impl<K: VertexKey> TargetList<K> {
     /// serializer's view: re-inserting these in order reproduces the list
     /// byte for byte.
     pub fn iter(&self) -> impl Iterator<Item = (K, Timestamp)> + '_ {
-        self.entries.iter().copied()
+        let (a, b) = self.as_slices();
+        a.iter().chain(b).copied()
     }
 
     /// Timestamp of the most recent entry.
     pub fn newest(&self) -> Option<Timestamp> {
-        self.entries.back().map(|&(_, t)| t)
+        let (a, b) = self.as_slices();
+        b.last().or(a.last()).map(|&(_, t)| t)
     }
 
     /// Timestamp of the oldest entry.
     pub fn oldest(&self) -> Option<Timestamp> {
-        self.entries.front().map(|&(_, t)| t)
+        let (a, b) = self.as_slices();
+        a.first().or(b.first()).map(|&(_, t)| t)
     }
 
-    /// Approximate heap bytes held by this list.
+    /// Approximate heap bytes held by this list (0 while it is inline).
     pub fn memory_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<(K, Timestamp)>()
+        match &self.entries {
+            Entries::Many(many) => many.capacity() * std::mem::size_of::<(K, Timestamp)>(),
+            _ => 0,
+        }
     }
 }
 
@@ -305,5 +373,28 @@ mod tests {
         assert_eq!(l.newest(), None);
         assert_eq!(l.oldest(), None);
         assert!(collect_since(&l, ts(0)).is_empty());
+    }
+
+    #[test]
+    fn inline_layout_fits_the_deque_slot() {
+        use magicrecs_types::DenseId;
+        let deque = std::mem::size_of::<VecDeque<(UserId, Timestamp)>>();
+        assert_eq!(std::mem::size_of::<TargetList<UserId>>(), deque);
+        assert_eq!(std::mem::size_of::<TargetList<DenseId>>(), deque);
+    }
+
+    #[test]
+    fn second_entry_moves_to_heap_keeping_tie_order() {
+        let mut l = TargetList::new();
+        l.insert(u(1), ts(5));
+        assert_eq!(l.memory_bytes(), 0, "one entry stays inline");
+        l.insert(u(2), ts(5)); // tie: goes after the inline entry
+        assert!(l.memory_bytes() > 0);
+        assert_eq!(collect_since(&l, ts(0)), vec![(u(1), ts(5)), (u(2), ts(5))]);
+
+        let mut l = TargetList::new();
+        l.insert(u(1), ts(5));
+        l.insert(u(2), ts(4)); // older second entry goes in front
+        assert_eq!(collect_since(&l, ts(0)), vec![(u(2), ts(4)), (u(1), ts(5))]);
     }
 }

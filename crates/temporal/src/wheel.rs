@@ -3,10 +3,18 @@
 //!
 //! Trimming a [`crate::TargetList`] is cheap, but a store holding millions
 //! of targets cannot afford to visit every list just to discover most have
-//! nothing to drop. The wheel records, per coarse time bucket, the set of
-//! targets that received an edge in that bucket. Advancing the window visits
-//! only the targets in expired buckets — each of which plausibly has
-//! something to trim.
+//! nothing to drop. The wheel records, per coarse time bucket, the targets
+//! that received an edge in that bucket. Advancing the window visits only
+//! the targets in expired buckets — each of which plausibly has something
+//! to trim.
+//!
+//! **Append-only buckets.** A bucket is a plain `Vec` of targets: a touch
+//! is a push, skipped only when it repeats the bucket's last push, so a
+//! target can appear in a bucket more than once. Deduplication happens
+//! once per expiry, when [`EpochWheel::expire_before`] unions the expired
+//! buckets into a set. The store avoids most repeats up front: it skips
+//! the touch when the target's previous newest entry already placed it in
+//! the same live bucket (see [`EpochWheel::already_indexed`]).
 
 use magicrecs_types::{Duration, FxHashMap, FxHashSet, Timestamp, UserId, VertexKey};
 
@@ -16,8 +24,9 @@ use magicrecs_types::{Duration, FxHashMap, FxHashSet, Timestamp, UserId, VertexK
 pub struct EpochWheel<K = UserId> {
     /// Bucket width in microseconds.
     bucket_us: u64,
-    /// bucket index → targets touched during that bucket.
-    buckets: FxHashMap<u64, FxHashSet<K>>,
+    /// bucket index → targets touched during that bucket (append-only,
+    /// repeats possible).
+    buckets: FxHashMap<u64, Vec<K>>,
     /// First bucket index not yet expired.
     horizon: u64,
 }
@@ -25,7 +34,7 @@ pub struct EpochWheel<K = UserId> {
 impl<K: VertexKey> EpochWheel<K> {
     /// Creates a wheel with the given bucket width. A good width is
     /// `window / 16`: fine enough that expiry lag is small, coarse enough
-    /// that the per-bucket sets amortize.
+    /// that the per-bucket lists amortize.
     pub fn new(bucket_width: Duration) -> Self {
         let bucket_us = bucket_width.as_micros().max(1);
         EpochWheel {
@@ -52,7 +61,24 @@ impl<K: VertexKey> EpochWheel<K> {
     /// advance rather than leaking.
     pub fn touch(&mut self, target: K, at: Timestamp) {
         let b = self.bucket_of(at).max(self.horizon);
-        self.buckets.entry(b).or_default().insert(target);
+        let bucket = self.buckets.entry(b).or_default();
+        if bucket.last() != Some(&target) {
+            bucket.push(target);
+        }
+    }
+
+    /// Whether a touch at `at` is already covered by an earlier touch of
+    /// the same target at `prev`: both fall in one bucket and that bucket
+    /// is not behind the horizon, so the earlier touch landed in it
+    /// unclamped and it has not expired since.
+    ///
+    /// The store relies on this only while the `prev` entry is still
+    /// resident: expiring a bucket trims every entry in it, so a resident
+    /// entry's bucket is live.
+    #[inline]
+    pub(crate) fn already_indexed(&self, prev: Timestamp, at: Timestamp) -> bool {
+        let b = self.bucket_of(at);
+        b >= self.horizon && self.bucket_of(prev) == b
     }
 
     /// Expires every bucket strictly older than `cutoff` and returns the
@@ -72,8 +98,8 @@ impl<K: VertexKey> EpochWheel<K> {
             .filter(|&b| b < cutoff_bucket)
             .collect();
         for b in expired {
-            if let Some(set) = self.buckets.remove(&b) {
-                out.extend(set);
+            if let Some(targets) = self.buckets.remove(&b) {
+                out.extend(targets);
             }
         }
         self.horizon = cutoff_bucket;
@@ -85,19 +111,40 @@ impl<K: VertexKey> EpochWheel<K> {
         self.buckets.len()
     }
 
-    /// Total touches currently indexed (targets × buckets they appear in).
+    /// Total touches currently indexed (pushes across live buckets; a
+    /// target counts once per run of consecutive touches in a bucket).
     pub fn indexed_touches(&self) -> usize {
-        self.buckets.values().map(|s| s.len()).sum()
+        self.buckets.values().map(Vec::len).sum()
     }
 
-    /// Approximate heap bytes of the wheel.
+    /// Approximate heap bytes of the wheel (bucket `Vec` capacity plus the
+    /// bucket map).
     pub fn memory_bytes(&self) -> usize {
-        let per_entry = std::mem::size_of::<K>() + 1;
+        let map_slot = std::mem::size_of::<(u64, Vec<K>)>() + 1;
         self.buckets
             .values()
-            .map(|s| (s.capacity() as f64 * per_entry as f64 * 8.0 / 7.0) as usize)
+            .map(|v| v.capacity() * std::mem::size_of::<K>())
             .sum::<usize>()
-            + self.buckets.len() * 64
+            + self.buckets.capacity() * map_slot * 8 / 7
+    }
+
+    /// The live buckets holding `target` (test-only view of the index).
+    #[cfg(test)]
+    pub(crate) fn buckets_holding(&self, target: K) -> Vec<u64> {
+        let mut held: Vec<u64> = self
+            .buckets
+            .iter()
+            .filter(|(_, v)| v.contains(&target))
+            .map(|(&b, _)| b)
+            .collect();
+        held.sort_unstable();
+        held
+    }
+
+    /// The bucket `at` falls in and the current horizon (test-only).
+    #[cfg(test)]
+    pub(crate) fn bucket_and_horizon(&self, at: Timestamp) -> (u64, u64) {
+        (self.bucket_of(at), self.horizon)
     }
 }
 
@@ -193,5 +240,66 @@ mod tests {
             w.touch(u(i), ts(i));
         }
         assert!(w.memory_bytes() > empty);
+    }
+
+    #[test]
+    fn repeated_touch_skipped_only_when_consecutive() {
+        let mut w = EpochWheel::new(Duration::from_secs(10));
+        w.touch(u(1), ts(1));
+        w.touch(u(2), ts(2));
+        w.touch(u(1), ts(3)); // not the last push: appended again
+        assert_eq!(w.indexed_touches(), 3);
+        assert_eq!(w.expire_before(ts(100)).len(), 2, "reported once each");
+    }
+
+    #[test]
+    fn memory_counts_bucket_capacity() {
+        let mut w = EpochWheel::new(Duration::from_secs(1_000));
+        for i in 0..1000 {
+            w.touch(u(i), ts(1));
+        }
+        let targets = w.buckets.values().map(Vec::capacity).sum::<usize>();
+        assert!(targets >= 1000);
+        assert!(w.memory_bytes() >= targets * std::mem::size_of::<UserId>());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(64))]
+
+        /// `expire_before` reports exactly the targets touched in the
+        /// expired buckets (late touches clamped onto the horizon), each
+        /// once per call, against a set-per-bucket reference model.
+        #[test]
+        fn expire_reports_each_target_once(
+            ops in proptest::collection::vec((0u64..4, 0u64..12, 0u64..400), 1..200),
+        ) {
+            use std::collections::{BTreeMap, BTreeSet};
+            let mut w = EpochWheel::new(Duration::from_secs(10));
+            let mut model: BTreeMap<u64, BTreeSet<u64>> = BTreeMap::new();
+            let mut horizon = 0u64;
+            for &(kind, target, secs) in &ops {
+                if kind == 0 {
+                    let mut got = w.expire_before(ts(secs));
+                    let n = got.len();
+                    got.sort_unstable();
+                    got.dedup();
+                    proptest::prop_assert_eq!(got.len(), n, "target reported twice");
+                    let mut expect = BTreeSet::new();
+                    let cutoff_bucket = secs / 10;
+                    if cutoff_bucket > horizon {
+                        let live = model.split_off(&cutoff_bucket);
+                        for set in std::mem::replace(&mut model, live).into_values() {
+                            expect.extend(set);
+                        }
+                        horizon = cutoff_bucket;
+                    }
+                    let expect: Vec<UserId> = expect.into_iter().map(u).collect();
+                    proptest::prop_assert_eq!(got, expect);
+                } else {
+                    w.touch(u(target), ts(secs));
+                    model.entry((secs / 10).max(horizon)).or_default().insert(target);
+                }
+            }
+        }
     }
 }

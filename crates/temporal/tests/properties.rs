@@ -1,10 +1,12 @@
 //! Property tests for the dynamic store `D`: window invariants under
-//! arbitrary operation interleavings, strategy equivalence, and the
-//! sharded wrapper's agreement with the plain store.
+//! arbitrary operation interleavings, strategy equivalence, the sharded
+//! wrapper's agreement with the plain store, and the inline-or-heap
+//! `TargetList`'s agreement with a plain `VecDeque`.
 
-use magicrecs_temporal::{PruneStrategy, ShardedTemporalStore, TemporalEdgeStore};
+use magicrecs_temporal::{PruneStrategy, ShardedTemporalStore, TargetList, TemporalEdgeStore};
 use magicrecs_types::{Duration, Timestamp, UserId};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -264,6 +266,165 @@ proptest! {
             prop_assert_eq!(ps.unfollowed, ss.unfollowed);
             prop_assert_eq!(ps.pruned, ss.pruned);
             prop_assert_eq!(ps.lists_reclaimed, ss.lists_reclaimed);
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy)]
+enum ListOp {
+    /// At or after the newest entry (ties included).
+    InOrder {
+        src: u64,
+        ahead: u64,
+    },
+    /// Up to `back` seconds behind the newest entry.
+    OutOfOrder {
+        src: u64,
+        back: u64,
+    },
+    RemoveSource {
+        src: u64,
+    },
+    /// Trim at `newest − back` (saturating).
+    TrimBefore {
+        back: u64,
+    },
+    EnforceCap {
+        cap: usize,
+    },
+}
+
+fn list_op_strategy() -> impl Strategy<Value = ListOp> {
+    prop_oneof![
+        4 => (0u64..5, 0u64..3).prop_map(|(src, ahead)| ListOp::InOrder { src, ahead }),
+        2 => (0u64..5, 0u64..6).prop_map(|(src, back)| ListOp::OutOfOrder { src, back }),
+        1 => (0u64..5).prop_map(|src| ListOp::RemoveSource { src }),
+        1 => (0u64..8).prop_map(|back| ListOp::TrimBefore { back }),
+        1 => (0usize..4).prop_map(|cap| ListOp::EnforceCap { cap }),
+    ]
+}
+
+/// Reference `TargetList`: every list held in one `VecDeque`, whatever
+/// its length.
+#[derive(Default)]
+struct ListModel {
+    entries: VecDeque<(u64, u64)>,
+}
+
+impl ListModel {
+    fn insert(&mut self, src: u64, at: u64) {
+        let idx = self
+            .entries
+            .iter()
+            .rposition(|&(_, t)| t <= at)
+            .map_or(0, |i| i + 1);
+        self.entries.insert(idx, (src, at));
+    }
+    fn remove_source(&mut self, src: u64) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|&(s, _)| s != src);
+        before - self.entries.len()
+    }
+    fn drop_while(&mut self, mut pred: impl FnMut(&Self) -> bool) -> usize {
+        let mut dropped = 0;
+        while !self.entries.is_empty() && pred(self) {
+            self.entries.pop_front();
+            dropped += 1;
+        }
+        dropped
+    }
+    fn since(&self, cutoff: u64) -> Vec<(u64, u64)> {
+        self.entries
+            .iter()
+            .copied()
+            .filter(|&(_, t)| t >= cutoff)
+            .collect()
+    }
+    /// First-occurrence order, each source with its latest timestamp.
+    fn distinct_since(&self, cutoff: u64) -> Vec<(u64, u64)> {
+        let mut out: Vec<(u64, u64)> = Vec::new();
+        for (s, t) in self.since(cutoff) {
+            match out.iter_mut().find(|(w, _)| *w == s) {
+                Some(slot) => slot.1 = t,
+                None => out.push((s, t)),
+            }
+        }
+        out
+    }
+}
+
+fn raw(v: impl IntoIterator<Item = (UserId, Timestamp)>) -> Vec<(u64, u64)> {
+    v.into_iter().map(|(s, t)| (s.raw(), t.as_secs())).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The inline-or-heap `TargetList` agrees with a plain `VecDeque` after
+    /// every step: in-order, out-of-order and tied inserts, unfollows,
+    /// window trims and caps — including the move from one inline entry to
+    /// the heap and trims back down to one entry or to none.
+    #[test]
+    fn target_list_matches_deque_model(
+        ops in proptest::collection::vec(list_op_strategy(), 1..60),
+    ) {
+        let mut list: TargetList = TargetList::new();
+        let mut model = ListModel::default();
+        let mut clock = 10u64;
+        let mut grown = false;
+        for &op in &ops {
+            let newest = model.entries.back().map_or(clock, |&(_, t)| t);
+            match op {
+                ListOp::InOrder { src, ahead } => {
+                    clock = newest + ahead;
+                    list.insert(UserId(src), Timestamp::from_secs(clock));
+                    model.insert(src, clock);
+                }
+                ListOp::OutOfOrder { src, back } => {
+                    let at = newest.saturating_sub(back);
+                    list.insert(UserId(src), Timestamp::from_secs(at));
+                    model.insert(src, at);
+                }
+                ListOp::RemoveSource { src } => {
+                    prop_assert_eq!(list.remove_source(UserId(src)), model.remove_source(src));
+                }
+                ListOp::TrimBefore { back } => {
+                    let cutoff = newest.saturating_sub(back);
+                    let got = list.trim_before(Timestamp::from_secs(cutoff));
+                    prop_assert_eq!(got, model.drop_while(|m| m.entries[0].1 < cutoff));
+                }
+                ListOp::EnforceCap { cap } => {
+                    let got = list.enforce_cap(cap);
+                    prop_assert_eq!(got, model.drop_while(|m| m.entries.len() > cap));
+                }
+            }
+
+            prop_assert_eq!(list.len(), model.entries.len());
+            prop_assert_eq!(list.is_empty(), model.entries.is_empty());
+            prop_assert_eq!(raw(list.iter()), model.since(0));
+            prop_assert_eq!(
+                list.newest().map(Timestamp::as_secs),
+                model.entries.back().map(|&(_, t)| t)
+            );
+            prop_assert_eq!(
+                list.oldest().map(Timestamp::as_secs),
+                model.entries.front().map(|&(_, t)| t)
+            );
+            // A list that never held two entries owns no heap block.
+            grown |= list.len() > 1;
+            if !grown {
+                prop_assert_eq!(list.memory_bytes(), 0);
+            }
+            let newest = model.entries.back().map_or(clock, |&(_, t)| t);
+            for cutoff in [0, newest.saturating_sub(3), newest, newest + 1] {
+                let since = Timestamp::from_secs(cutoff);
+                prop_assert_eq!(raw(list.entries_since(since)), model.since(cutoff));
+                let mut got = vec![(UserId(99), Timestamp::from_secs(0))];
+                list.distinct_sources_since(since, &mut got);
+                let mut expect = vec![(99, 0)];
+                expect.extend(model.distinct_since(cutoff));
+                prop_assert_eq!(raw(got), expect);
+            }
         }
     }
 }

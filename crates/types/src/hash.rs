@@ -6,7 +6,7 @@
 //! apply, so we use the Fx algorithm (the multiply-rotate-xor scheme used
 //! inside rustc). Implemented here in ~40 lines rather than pulling the
 //! `rustc-hash` crate, keeping the workspace on the pre-approved dependency
-//! set. Ablation B4 (`benches/temporal.rs`) measures the win over SipHash.
+//! set. Ablation B4 (`hotpath`'s `d_hasher_b4_ns_per_key`) measures the win over SipHash.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
