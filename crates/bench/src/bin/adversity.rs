@@ -6,7 +6,7 @@
 //! vertex, unfollow/refollow churn storm, Zipf-exponent sweep) with a
 //! fault column (none, crash, injected fsync failure, injected torn
 //! write). The run drives a [`PersistentEngine`] through the scenario
-//! trace via the stream playback seam, injects the fault at a scheduled
+//! trace via the `gen::playback` seam, injects the fault at a scheduled
 //! event index, crash-recovers with a clean I/O backend, resumes over
 //! the tail, and checks three invariants against a fault-free twin:
 //!
@@ -60,6 +60,7 @@ use magicrecs_bench::{header, row};
 use magicrecs_cluster::SharedEngineCluster;
 use magicrecs_core::{ConcurrentEngine, Engine};
 use magicrecs_gen::adversity::{AdversitySpec, Episode};
+use magicrecs_gen::playback::{play, PlaybackControl};
 use magicrecs_graph::{CapStrategy, FollowGraph, GraphBuilder};
 use magicrecs_obs::recorder;
 use magicrecs_persist::{
@@ -70,7 +71,6 @@ use magicrecs_replica::{ClusterMap, Coordinator, Node, NodeConfig, RoutedClient}
 use magicrecs_server::{
     AdmissionConfig, ClientConn, Frame, Server, ServerConfig, ShedCode, WireStats,
 };
-use magicrecs_stream::playback::{play, PlaybackControl};
 use magicrecs_types::{Candidate, DetectorConfig, Duration, EdgeEvent, Error, Timestamp, UserId};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;

@@ -1,28 +1,24 @@
-//! The experiments harness: regenerates every table in EXPERIMENTS.md.
+//! The experiments harness: one markdown table per paper claim it measures.
 //!
 //! Usage:
 //!   cargo run -p magicrecs-bench --release --bin experiments           # all
-//!   cargo run -p magicrecs-bench --release --bin experiments -- e3 e5 # some
+//!   cargo run -p magicrecs-bench --release --bin experiments -- e2 e5 # some
 //!
 //! Each experiment prints a markdown table plus the paper's corresponding
-//! claim, so the output can be diffed against EXPERIMENTS.md.
+//! claim. Experiment numbers are stable: E3 (queue-latency model) and E4
+//! (delivery funnel) were retired.
 
 use magicrecs_baseline::{BatchOracle, CountingBloom, PollingDetector, TwoHopBloom, TwoHopExact};
 use magicrecs_bench::{
     bench_detector_config, bench_trace, fmt_bytes, fmt_rate, header, row, small_graph,
 };
-use magicrecs_cluster::{Broker, ReplicaSet, ThreadedCluster};
+use magicrecs_cluster::{Broker, ThreadedCluster};
 use magicrecs_core::Engine;
-use magicrecs_delivery::Funnel;
-use magicrecs_gen::{GraphGen, GraphGenConfig, Scenario, ScenarioConfig};
+use magicrecs_gen::{GraphGen, GraphGenConfig};
 use magicrecs_graph::{CapStrategy, GraphBuilder, GraphStats};
 use magicrecs_motif::MotifEngine;
-use magicrecs_stream::SimulatedQueue;
 use magicrecs_temporal::{PruneStrategy, TemporalEdgeStore};
-use magicrecs_types::{
-    ClusterConfig, DetectorConfig, Duration, EdgeEvent, FunnelConfig, Histogram, PartitionId,
-    Timestamp, UserId,
-};
+use magicrecs_types::{ClusterConfig, DetectorConfig, Duration, EdgeEvent, Timestamp, UserId};
 use std::time::Instant;
 
 fn main() {
@@ -36,12 +32,6 @@ fn main() {
     }
     if want("e2") {
         e2_throughput();
-    }
-    if want("e3") {
-        e3_latency();
-    }
-    if want("e4") {
-        e4_funnel();
     }
     if want("e5") {
         e5_baselines();
@@ -139,156 +129,6 @@ fn e2_throughput() {
     }
     println!("\nPaper: \"our design targets O(10⁴) edge insertions per second\"; a single");
     println!("simulated partition sustains well above that, queries \"a few ms\" at p99. ✓\n");
-}
-
-// ───────────────────────────── E3 ────────────────────────────────────────
-
-fn e3_latency() {
-    println!("## E3 — End-to-end latency decomposition (paper: median 7 s, p99 15 s)\n");
-    let users = 5_000u64;
-    let graph = small_graph(users);
-    let trace = bench_trace(users, 300.0, 120, 0xE3);
-    let mut queue = SimulatedQueue::paper_profile(0xE3);
-    queue.publish_all(trace.events().iter().copied());
-    let mut engine = Engine::new(graph, bench_detector_config()).unwrap();
-
-    let mut queue_h = Histogram::new();
-    let mut e2e_h = Histogram::new();
-    while let Some((at, event)) = queue.deliver_next() {
-        let qd = at.saturating_since(event.created_at);
-        queue_h.record_duration(qd);
-        let t0 = Instant::now();
-        let n = engine.on_event(event).len();
-        let query = Duration::from_micros(t0.elapsed().as_micros() as u64);
-        for _ in 0..n {
-            e2e_h.record_duration(qd + query);
-        }
-    }
-    let q = queue_h.snapshot();
-    let e = e2e_h.snapshot();
-    let d = engine.stats().detect_time.snapshot();
-    println!("{}", header(&["component", "median", "p99", "paper"]));
-    println!(
-        "{}",
-        row(&[
-            "queue propagation".into(),
-            format!("{:.2} s", q.p50_secs()),
-            format!("{:.2} s", q.p99_secs()),
-            "~7 s / ~15 s".into(),
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
-            "graph query".into(),
-            format!("{} µs", d.p50_us),
-            format!("{} µs", d.p99_us),
-            "\"a few milliseconds\"".into(),
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
-            "end-to-end".into(),
-            format!("{:.2} s", e.p50_secs()),
-            format!("{:.2} s", e.p99_secs()),
-            "7 s / 15 s".into(),
-        ])
-    );
-    let share = 100.0 * (1.0 - d.p50_us as f64 / e.p50_us.max(1) as f64);
-    println!("\nQueue share of end-to-end: {share:.2}% — \"nearly all the latency comes from");
-    println!("event propagation delays in various message queues\". ✓\n");
-}
-
-// ───────────────────────────── E4 ────────────────────────────────────────
-
-fn e4_funnel() {
-    println!("## E4 — Delivery funnel (paper: billions of candidates → millions of pushes)\n");
-    let users = 4_000u64;
-    let graph = small_graph(users);
-    let noon = Timestamp::from_secs(12 * 3600);
-    let trace = Scenario::mixed(
-        &graph,
-        users,
-        Duration::from_secs(60),
-        150,
-        ScenarioConfig {
-            rate_per_sec: 150.0,
-            duration: Duration::from_secs(240),
-            start: noon,
-            popularity_alpha: 1.0,
-            seed: 0xE4,
-        },
-    );
-    let mut broker =
-        Broker::new(&graph, ClusterConfig::production(), bench_detector_config()).unwrap();
-    let mut funnel = Funnel::new(FunnelConfig::production()).unwrap();
-    // A third of users live at UTC+12, where noon UTC is local midnight —
-    // inside the 23:00–08:00 quiet window.
-    for i in 0..users {
-        if i % 3 == 0 {
-            funnel.set_timezone(u(i), 12);
-        }
-    }
-    let mut delivered = 0u64;
-    for &event in trace.events() {
-        for c in broker.on_event(event) {
-            if funnel.offer(c, event.created_at).is_some() {
-                delivered += 1;
-            }
-        }
-    }
-    delivered += funnel
-        .poll_deferred(trace.end().unwrap() + Duration::from_hours(24))
-        .len() as u64;
-    let s = funnel.stats();
-    println!("{}", header(&["stage", "count", "share of raw"]));
-    let pct = |n: u64| format!("{:.2}%", 100.0 * n as f64 / s.offered.get().max(1) as f64);
-    println!(
-        "{}",
-        row(&[
-            "raw candidates".into(),
-            s.offered.get().to_string(),
-            "100%".into()
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
-            "dropped: duplicate".into(),
-            s.dedup_dropped.get().to_string(),
-            pct(s.dedup_dropped.get()),
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
-            "deferred: quiet hours".into(),
-            s.quiet_deferred.get().to_string(),
-            pct(s.quiet_deferred.get()),
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
-            "dropped: fatigue".into(),
-            s.fatigue_dropped.get().to_string(),
-            pct(s.fatigue_dropped.get()),
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
-            "delivered pushes".into(),
-            delivered.to_string(),
-            pct(delivered)
-        ])
-    );
-    println!(
-        "\nReduction factor: {:.0}× (paper: ~1000× at full scale — \"billions … yielding millions\").",
-        s.reduction_factor()
-    );
-    println!("The dominant reducer is deduplication, as re-firing motifs repeat pairs. ✓\n");
 }
 
 // ───────────────────────────── E5 ────────────────────────────────────────
@@ -414,13 +254,12 @@ fn e5_baselines() {
 // ───────────────────────────── E6 ────────────────────────────────────────
 
 fn e6_partitions() {
-    println!("## E6 — Partitioned, replicated architecture (paper: 20 partitions)\n");
+    println!("## E6 — Partitioned architecture (paper: 20 partitions)\n");
     let users = 20_000u64;
     let graph = small_graph(users);
     let trace = bench_trace(users, 2_000.0, 20, 0xE6);
     let cfg = bench_detector_config();
 
-    println!("### E6a — Throughput and memory vs partition count\n");
     println!(
         "{}",
         header(&[
@@ -462,36 +301,6 @@ fn e6_partitions() {
     println!("partition owns real hardware.) D entries grow linearly with partitions");
     println!("(every partition ingests the full stream) — the paper's acknowledged");
     println!("memory/network pressure. ✓\n");
-
-    println!("### E6b — Replication spreads detection load\n");
-    let rep_graph = small_graph(2_000);
-    let rep_trace = bench_trace(2_000, 200.0, 20, 0xE6B);
-    println!(
-        "{}",
-        header(&["replicas", "detections per replica", "spread"])
-    );
-    for n in [1u32, 2, 4] {
-        let mut rs = ReplicaSet::new(PartitionId(0), rep_graph.clone(), cfg, n).unwrap();
-        for &e in rep_trace.events() {
-            rs.on_event(e).unwrap();
-        }
-        let served = rs.served().to_vec();
-        let max = *served.iter().max().unwrap() as f64;
-        let min = *served.iter().min().unwrap() as f64;
-        println!(
-            "{}",
-            row(&[
-                n.to_string(),
-                format!("{served:?}"),
-                format!(
-                    "max/min = {:.2}",
-                    if min > 0.0 { max / min } else { f64::NAN }
-                ),
-            ])
-        );
-    }
-    println!("\nPaper: \"we can replicate the partitions for both fault tolerance and");
-    println!("increased query throughput\" — round-robin divides detection work evenly. ✓\n");
 }
 
 // ───────────────────────────── E7 ────────────────────────────────────────

@@ -17,7 +17,7 @@
 //!
 //! Covers the layers PR 1 optimized (with an emulation of the seed's data
 //! structures for an honest before/after), PR 2's shared-state engine, and
-//! PR 3's SIMD/loser-tree/dense-witness arms:
+//! the SIMD and loser-tree arms:
 //!
 //! * `s_lookup` — dense offset-array CSR `S[B]` fetch vs the seed's
 //!   Fx-hash-indexed CSR probe (emulated over the same adjacency).
@@ -30,9 +30,7 @@
 //!   `loser_tree` pivot-generation arm. A guard asserts Adaptive lands
 //!   within 1.2× of the best arm on both fixtures.
 //! * `detector_*` — end-to-end engine ns/event on a Zipf trace and on a
-//!   synthetic celebrity workload, per threshold arm, plus the
-//!   `dense_witness` replay arm (dense-keyed `D` feeding
-//!   `detect_dense_into`, no per-witness interner probe).
+//!   synthetic celebrity workload, per threshold arm.
 //! * `d_*` — the dynamic store `D` on its own: ingest per pruning
 //!   strategy (B3), hot and cold witness fetches, the Fx-vs-SipHash
 //!   hasher ablation (B4), one wheel advance, and a sparse upsert arm
@@ -79,7 +77,7 @@ use magicrecs_core::intersect::{
     intersect_merge_simd,
 };
 use magicrecs_core::threshold::{threshold_intersect, ThresholdAlgo};
-use magicrecs_core::{simd_level, DiamondDetector, Engine, InterningIngest, SimdLevel};
+use magicrecs_core::{simd_level, Engine, SimdLevel};
 use magicrecs_graph::{FollowGraph, GraphBuilder};
 use magicrecs_temporal::{PruneStrategy, TemporalEdgeStore};
 use magicrecs_types::{DenseId, DetectorConfig, EdgeEvent, FxHashMap, Timestamp, UserId};
@@ -1405,56 +1403,11 @@ fn main() {
         black_box(n);
         start.elapsed().as_secs_f64() * 1e9 / (rounds * 5) as f64
     };
-    // The dense-witness replay arm: the same celebrity trace through a
-    // dense-keyed `D` (`InterningIngest` seeded from the graph) feeding
-    // `detect_dense_into` — no per-witness interner probe, no
-    // dense→sparse→dense round trip. Adaptive algorithm, like the engine
-    // default it races.
-    let run_dense_witness = || -> f64 {
-        let config = DetectorConfig::production();
-        let store: TemporalEdgeStore<DenseId> =
-            TemporalEdgeStore::new(config.tau, PruneStrategy::Wheel);
-        let mut ingest = InterningIngest::new(&celeb_graph, store);
-        let mut det = DiamondDetector::new(config).unwrap();
-        let mut out = Vec::new();
-        let mut n = 0usize;
-        let start = Instant::now();
-        for round in 0..rounds {
-            let c = UserId(20_000_000 + round);
-            let t = Timestamp::from_secs(round * 3600);
-            for b in 0..4u64 {
-                out.clear();
-                n += ingest.on_event_detect_dense_into(
-                    &mut det,
-                    &celeb_graph,
-                    EdgeEvent::follow(UserId(1_000_000 + b), c, t),
-                    &mut out,
-                );
-            }
-            out.clear();
-            n += ingest.on_event_detect_dense_into(
-                &mut det,
-                &celeb_graph,
-                EdgeEvent::follow(celeb, c, t),
-                &mut out,
-            );
-        }
-        black_box(n);
-        start.elapsed().as_secs_f64() * 1e9 / (rounds * 5) as f64
-    };
-    // Interleaved like the other arm sets; `dense_witness` rides as a
-    // sixth arm so it shares every drift the engine arms see.
-    let medians = interleaved_medians(THRESHOLD_ARMS.len() + 1, |_, ai| match ai {
-        i if i < THRESHOLD_ARMS.len() => run_celeb(THRESHOLD_ARMS[i].1),
-        _ => run_dense_witness(),
+    let medians = interleaved_medians(THRESHOLD_ARMS.len(), |_, ai| {
+        run_celeb(THRESHOLD_ARMS[ai].1)
     });
-    let arm_names: Vec<&str> = THRESHOLD_ARMS
-        .iter()
-        .map(|&(n, _)| n)
-        .chain(["dense_witness"])
-        .collect();
     let mut fields: Vec<(&str, f64)> = Vec::new();
-    for (name, ns) in arm_names.iter().zip(medians) {
+    for (&(name, _), ns) in THRESHOLD_ARMS.iter().zip(medians) {
         println!("  {name} {ns:.0} ns/event");
         fields.push((name, ns));
     }

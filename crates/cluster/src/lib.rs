@@ -10,8 +10,8 @@
 //! * Every partition ingests the **entire** dynamic-edge stream and keeps a
 //!   complete `D` (the paper's acknowledged network/memory pressure point,
 //!   measured in E6/E7).
-//! * Replicas of each partition provide fault tolerance and extra query
-//!   throughput.
+//! * Replication (leader/follower units across OS processes, failover,
+//!   rebalance) lives in `magicrecs-replica`.
 //!
 //! Modules:
 //!
@@ -20,8 +20,6 @@
 //! * [`broker::Broker`] — sequential fan-out/gather over partitions (the
 //!   reference implementation used in correctness proofs: the union of
 //!   partition outputs must equal a single-node engine's output).
-//! * [`replica::ReplicaSet`] — replication with round-robin detection
-//!   routing and failure injection.
 //! * [`route::RouteTable`] / [`route::EpochGate`] — movable partition
 //!   ownership with routing epochs; stale writes racing a partition move
 //!   are refused typed, never silently applied.
@@ -37,13 +35,11 @@
 
 pub mod broker;
 pub mod partition;
-pub mod replica;
 pub mod route;
 pub mod threaded;
 
 pub use broker::Broker;
 pub use partition::Partition;
-pub use replica::ReplicaSet;
 pub use route::{EpochGate, RouteDecision, RouteTable};
 pub use threaded::{
     IngestControl, PersistentRunReport, SharedEngineCluster, ThreadedCluster, DEFAULT_MAX_BATCH,

@@ -44,16 +44,6 @@ impl Partition {
         self.engine.on_events_into(events, out)
     }
 
-    /// Ingests one event *without* running detection (replica in
-    /// state-maintenance mode: it keeps `D` fresh but another replica
-    /// serves the detection for this event).
-    pub fn ingest_only(&mut self, event: EdgeEvent) {
-        // State maintenance = D updates only. Reuse the engine's store
-        // through a detection pass with output discarded would double-count
-        // stats; instead apply the D mutation directly.
-        self.engine.apply_to_store(event);
-    }
-
     /// Hot-swaps this partition's static slice (periodic offline reload,
     /// full rebuild — the fallback when no delta chain is available).
     pub fn swap_graph(&mut self, local_graph: FollowGraph) {
@@ -115,24 +105,5 @@ mod tests {
         let r = p.on_event(EdgeEvent::follow(u(12), u(99), ts(2)));
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].user, u(1));
-    }
-
-    #[test]
-    fn ingest_only_updates_d_without_emitting() {
-        let mut p = Partition::new(PartitionId(0), graph(), DetectorConfig::example()).unwrap();
-        p.ingest_only(EdgeEvent::follow(u(11), u(99), ts(1)));
-        assert_eq!(p.engine().store().resident_entries(), 1);
-        assert_eq!(p.engine().stats().events.get(), 0);
-        // A later detected event still sees the ingested witness.
-        let r = p.on_event(EdgeEvent::follow(u(12), u(99), ts(2)));
-        assert_eq!(r.len(), 1);
-    }
-
-    #[test]
-    fn ingest_only_applies_unfollow() {
-        let mut p = Partition::new(PartitionId(0), graph(), DetectorConfig::example()).unwrap();
-        p.ingest_only(EdgeEvent::follow(u(11), u(99), ts(1)));
-        p.ingest_only(EdgeEvent::unfollow(u(11), u(99), ts(2)));
-        assert_eq!(p.engine().store().resident_entries(), 0);
     }
 }

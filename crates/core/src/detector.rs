@@ -20,10 +20,8 @@
 //! exposes exactly that read-only kernel, taking the witness list through a
 //! fill callback instead of touching the store itself — the seam that lets
 //! `ConcurrentEngine` run detection against an immutable `S` snapshot while
-//! other threads keep inserting, and lets alternate state layers (the
-//! dense-keyed [`crate::ingest::InterningIngest`], replayed logs) feed the
-//! same kernel. [`DiamondDetector::on_event_into`] is the assembled
-//! sequential flow, generic over any [`EdgeStore`].
+//! other threads keep inserting. [`DiamondDetector::on_event_into`] is the
+//! assembled sequential flow, generic over any [`EdgeStore`].
 //!
 //! **Dense hot path.** Steps 3–4 run entirely in dense-id space: each
 //! witness `B` is interned once (`S.dense_of`, one hash probe — the only
@@ -35,17 +33,6 @@
 //! dynamic events reference an unbounded vertex set the interner has never
 //! seen (its key type is generic for closed-world deployments; see
 //! `magicrecs_temporal`).
-//!
-//! **Dense-witness fast path.** For closed worlds where `D` itself is
-//! dense-keyed ([`crate::ingest::InterningIngest`], seeded from the same
-//! graph), even that last per-witness hash probe is deletable:
-//! [`DiamondDetector::detect_dense_into`] consumes witnesses already in
-//! dense-id space — graph-seeded ids coincide with `S`'s dense ids, so
-//! the follower lookup indexes the CSR directly and the only translation
-//! left is one array read per witness for the candidate-facing sparse id.
-//! Both kernels canonicalize into the same witness rows and share one
-//! bottom half, so their outputs are identical by construction (and
-//! test-enforced).
 
 use crate::intersect::gallop_to_simd;
 use crate::threshold::{threshold_intersect, ThresholdAlgo};
@@ -60,11 +47,9 @@ pub struct DiamondDetector {
     algo: ThresholdAlgo,
     // Scratch buffers, reused across events to avoid per-event allocation.
     witnesses: Vec<(UserId, Timestamp)>,
-    dense_witnesses: Vec<(DenseId, Timestamp)>,
-    dense_rows: Vec<(UserId, DenseId, Timestamp)>,
-    /// Canonicalized witnesses both kernels converge on: sorted ascending
-    /// by sparse id, each with its graph-dense id when the witness is a
-    /// vertex of `S` (and `None` — empty follower list — when not).
+    /// Canonicalized witnesses: sorted ascending by sparse id, each with
+    /// its graph-dense id when the witness is a vertex of `S` (and `None`
+    /// — empty follower list — when not).
     rows: Vec<(UserId, Option<DenseId>)>,
     matches: Vec<(DenseId, u32)>,
     /// Per-list frontier for witness recovery at emission: matches emit in
@@ -83,8 +68,6 @@ impl DiamondDetector {
             config,
             algo: ThresholdAlgo::Adaptive,
             witnesses: Vec::with_capacity(64),
-            dense_witnesses: Vec::with_capacity(64),
-            dense_rows: Vec::with_capacity(64),
             rows: Vec::with_capacity(64),
             matches: Vec::with_capacity(64),
             witness_cursors: Vec::with_capacity(64),
@@ -147,9 +130,7 @@ impl DiamondDetector {
     /// visitor borrow, so the kernel itself never holds store access. This
     /// is the seam `ConcurrentEngine` uses: the store lookup happens under
     /// a shard lock inside the callback, and everything after runs against
-    /// the immutable `S` snapshot only. Callers with witnesses from
-    /// elsewhere (a dense-keyed ingest adapter, a replayed log) plug in the
-    /// same way.
+    /// the immutable `S` snapshot only.
     pub fn detect_into<F>(
         &mut self,
         s: &FollowGraph,
@@ -182,8 +163,7 @@ impl DiamondDetector {
         // per-candidate witness ids, but keep everything canonical).
         self.witnesses.sort_unstable_by_key(|&(b, _)| b);
 
-        // One interner probe per witness — the sparse boundary this path
-        // pays and the dense-witness kernel deletes. Witnesses outside `S`
+        // One interner probe per witness. Witnesses outside `S`
         // (no interned followers) contribute empty lists, exactly as the
         // old id-level lookup returned empty.
         self.rows.clear();
@@ -192,72 +172,9 @@ impl DiamondDetector {
         self.finish_into(s, target, t, out)
     }
 
-    /// The dense-witness fast path: the same read-only kernel, consuming
-    /// witnesses already in dense-id space.
-    ///
-    /// A closed-world ingest adapter ([`crate::ingest::InterningIngest`])
-    /// keys `D` by dense ids *seeded from `s`'s interner*, so a witness id
-    /// below `s.num_vertices()` **is** the graph's dense id (that seeding
-    /// is the dense-witness contract) and its follower list needs no
-    /// interner probe at all; ids past the range are stream-invented
-    /// vertices with no list in `S`. `user_of` translates any witness id
-    /// back to its sparse id — an array read in the adapter, replacing the
-    /// per-witness hash probe plus the dense→sparse→dense round trip the
-    /// sparse path pays.
-    ///
-    /// Output is candidate-for-candidate identical to [`detect_into`] over
-    /// the equivalent sparse witness list (test-enforced): recency capping
-    /// and canonical ordering use the translated sparse ids, so
-    /// stream-invented vertices (whose dense order is arrival order, not
-    /// id order) cannot reorder anything.
-    ///
-    /// [`detect_into`]: DiamondDetector::detect_into
-    pub fn detect_dense_into<F, U>(
-        &mut self,
-        s: &FollowGraph,
-        target: UserId,
-        t: Timestamp,
-        fill_witnesses: F,
-        user_of: U,
-        out: &mut Vec<Candidate>,
-    ) -> usize
-    where
-        F: FnOnce(&mut Vec<(DenseId, Timestamp)>),
-        U: Fn(DenseId) -> UserId,
-    {
-        self.dense_witnesses.clear();
-        fill_witnesses(&mut self.dense_witnesses);
-        if self.dense_witnesses.len() < self.config.k {
-            return 0;
-        }
-
-        // Translate up front (array reads): the recency cap's tiebreak and
-        // the canonical order are defined on sparse ids.
-        self.dense_rows.clear();
-        let (dense_rows, dense_witnesses) = (&mut self.dense_rows, &self.dense_witnesses);
-        dense_rows.extend(dense_witnesses.iter().map(|&(d, at)| (user_of(d), d, at)));
-        if let Some(cap) = self.config.max_witnesses {
-            if self.dense_rows.len() > cap {
-                self.dense_rows
-                    .sort_unstable_by_key(|&(b, _, at)| (std::cmp::Reverse(at), b));
-                self.dense_rows.truncate(cap);
-            }
-        }
-        self.dense_rows.sort_unstable_by_key(|&(b, _, _)| b);
-
-        self.rows.clear();
-        let (rows, dense_rows) = (&mut self.rows, &self.dense_rows);
-        rows.extend(
-            dense_rows
-                .iter()
-                .map(|&(b, d, _)| (b, s.contains_dense(d).then_some(d))),
-        );
-        self.finish_into(s, target, t, out)
-    }
-
-    /// Shared bottom half: threshold-count the follower lists of the
+    /// Bottom half: threshold-count the follower lists of the
     /// canonicalized witnesses in `self.rows`, then filter and emit
-    /// candidates. Both the sparse and the dense-witness kernels end here.
+    /// candidates.
     fn finish_into(
         &mut self,
         s: &FollowGraph,

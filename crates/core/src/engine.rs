@@ -8,8 +8,7 @@
 //! probe per witness; intersection and threshold counting run on dense
 //! `u32` slices. The paper reports that "the actual graph queries take
 //! only a few milliseconds"; [`EngineStats::detect_time`] measures exactly
-//! that component (wall-clock per event), which experiment E3 combines
-//! with the simulated queue delays for the end-to-end decomposition.
+//! that component (wall-clock per event).
 
 use crate::detector::DiamondDetector;
 use crate::threshold::ThresholdAlgo;

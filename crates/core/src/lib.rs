@@ -56,9 +56,6 @@
 //!   the paper's deployment).
 //! * [`concurrent`] — [`ConcurrentEngine`]: the shared-state engine for
 //!   multi-threaded ingest + detection.
-//! * [`ingest`] — [`InterningIngest`]: dense-keyed `D` for closed-world
-//!   (replay/simulation) traffic, feeding the same kernel.
-//! * [`scoring`] — candidate ranking ([`Scorer`]).
 
 // `deny`, not `forbid`: the SIMD module carries a scoped `allow` for its
 // intrinsics and the `repr(transparent)` lane view — everything else in
@@ -69,16 +66,12 @@
 pub mod concurrent;
 pub mod detector;
 pub mod engine;
-pub mod ingest;
 pub mod intersect;
-pub mod scoring;
 pub mod simd;
 pub mod threshold;
 
 pub use concurrent::{ConcurrentEngine, ConcurrentStats};
 pub use detector::DiamondDetector;
 pub use engine::{Engine, EngineStats};
-pub use ingest::InterningIngest;
-pub use scoring::{Scorer, ScoringConfig};
 pub use simd::{simd_level, SimdElem, SimdLevel};
 pub use threshold::ThresholdAlgo;

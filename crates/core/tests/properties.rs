@@ -1,8 +1,8 @@
 //! Property tests for the detection core beyond what the unit tests and
-//! the facade's cross-implementation suites cover: scratch-buffer hygiene,
-//! scoring invariants, and algorithm-choice independence.
+//! the facade's cross-implementation suites cover: scratch-buffer hygiene
+//! and algorithm-choice independence.
 
-use magicrecs_core::{Engine, Scorer, ScoringConfig, ThresholdAlgo};
+use magicrecs_core::{Engine, ThresholdAlgo};
 use magicrecs_graph::GraphBuilder;
 use magicrecs_types::{Candidate, DetectorConfig, Duration, EdgeEvent, Timestamp, UserId};
 use proptest::prelude::*;
@@ -76,31 +76,6 @@ proptest! {
             single.extend(e2.on_event(e));
         }
         prop_assert_eq!(batch, single);
-    }
-
-    /// Scoring: strictly more witnesses never scores lower (same target,
-    /// same age); fresher never scores lower (same witnesses).
-    #[test]
-    fn scoring_monotonicity(
-        w1 in 2usize..10,
-        extra in 1usize..5,
-        age1 in 0u64..1_000,
-        dage in 1u64..1_000,
-    ) {
-        let graph = build_graph(&[(1, 50)]);
-        let scorer = Scorer::new(ScoringConfig::production());
-        let now = Timestamp::from_secs(2_000);
-        let mk = |wit: usize, age: u64| Candidate {
-            user: u(1),
-            target: u(60),
-            witnesses: (0..wit as u64).map(|i| u(100 + i)).collect(),
-            triggered_at: now.saturating_sub(Duration::from_secs(age)),
-        };
-        let base = scorer.score(&mk(w1, age1), &graph, now);
-        let more_wit = scorer.score(&mk(w1 + extra, age1), &graph, now);
-        let older = scorer.score(&mk(w1, age1 + dage), &graph, now);
-        prop_assert!(more_wit >= base, "{more_wit} < {base}");
-        prop_assert!(older <= base, "{older} > {base}");
     }
 
     /// Engine candidate output is invariant to the store's entry cap as

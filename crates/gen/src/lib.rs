@@ -21,6 +21,10 @@
 //!   scheduled flash crowds, churn storms, and rate bursts, with
 //!   engine-agnostic crash/fault injection points for robustness
 //!   experiments.
+//! * [`playback`] — the deterministic scenario-playback loop used by
+//!   robustness experiments: it feeds a trace into a fallible sink and
+//!   yields control at scheduled breakpoints (crash here, arm faults
+//!   there).
 //!
 //! Everything takes an explicit seed; identical seeds give identical
 //! workloads on every platform.
@@ -31,6 +35,7 @@
 pub mod adversity;
 pub mod arrivals;
 pub mod graph_gen;
+pub mod playback;
 pub mod scenario;
 pub mod zipf;
 

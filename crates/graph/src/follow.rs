@@ -181,21 +181,6 @@ impl FollowGraph {
         self.interner.user(d)
     }
 
-    /// Whether `d` is a vertex of this graph. Ids a closed-world ingest
-    /// assigned past the interned range (stream-invented vertices) report
-    /// `false` — they have no follower list in `S`.
-    #[inline]
-    pub fn contains_dense(&self, d: DenseId) -> bool {
-        d.index() < self.interner.len()
-    }
-
-    /// Raw id of dense vertex `d`, or `None` outside the interned range
-    /// (see [`FollowGraph::contains_dense`]).
-    #[inline]
-    pub fn user_of_checked(&self, d: DenseId) -> Option<UserId> {
-        self.interner.user_checked(d)
-    }
-
     /// The followers of dense vertex `b` as a sorted dense slice — the
     /// paper's `S` lookup, now two array reads. Ascending dense order
     /// equals ascending raw-id order (order-preserving interning).

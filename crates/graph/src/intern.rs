@@ -65,20 +65,6 @@ impl UserInterner {
         self.users[d.index()]
     }
 
-    /// The raw id of dense vertex `d`, or `None` when `d` lies outside
-    /// this interner's range.
-    ///
-    /// This is the membership test behind the dense-witness contract: a
-    /// closed-world ingest adapter seeds its id space from this interner
-    /// and assigns ids *past* the interned range to stream-invented
-    /// vertices, so an out-of-range id is a valid witness that simply has
-    /// no follower list in `S` (and must not be looked up with the
-    /// panicking [`UserInterner::user`]).
-    #[inline]
-    pub fn user_checked(&self, d: DenseId) -> Option<UserId> {
-        self.users.get(d.index()).copied()
-    }
-
     /// Number of interned vertices (== the CSR vertex-space size).
     #[inline]
     pub fn len(&self) -> usize {

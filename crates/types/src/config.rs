@@ -97,36 +97,22 @@ impl Default for DetectorConfig {
     }
 }
 
-/// Parameters of the partitioned, replicated deployment.
+/// Parameters of the partitioned deployment.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
 pub struct ClusterConfig {
     /// Number of partitions of the `A` vertex set (the paper runs 20).
     pub partitions: u32,
-    /// Replicas per partition (for fault tolerance and query throughput).
-    pub replicas: u32,
-    /// Cap on influencers (`B`s) retained per `A` when loading `S`; the
-    /// paper: "we have found it more effective to limit the number of
-    /// influencers each user can have". `None` disables the cap.
-    pub influencer_cap: Option<usize>,
 }
 
 impl ClusterConfig {
     /// The paper's deployment shape: 20 partitions.
     pub fn production() -> Self {
-        ClusterConfig {
-            partitions: 20,
-            replicas: 2,
-            influencer_cap: Some(1000),
-        }
+        ClusterConfig { partitions: 20 }
     }
 
-    /// A single-partition, single-replica config for tests.
+    /// A single-partition config for tests.
     pub fn single() -> Self {
-        ClusterConfig {
-            partitions: 1,
-            replicas: 1,
-            influencer_cap: None,
-        }
+        ClusterConfig { partitions: 1 }
     }
 
     /// Returns a copy with a different partition count.
@@ -140,11 +126,6 @@ impl ClusterConfig {
         if self.partitions == 0 {
             return Err(crate::error::Error::InvalidConfig(
                 "at least one partition required".into(),
-            ));
-        }
-        if self.replicas == 0 {
-            return Err(crate::error::Error::InvalidConfig(
-                "at least one replica required".into(),
             ));
         }
         Ok(())
@@ -255,11 +236,6 @@ mod tests {
             .with_partitions(0)
             .validate()
             .is_err());
-        let no_replicas = ClusterConfig {
-            replicas: 0,
-            ..ClusterConfig::single()
-        };
-        assert!(no_replicas.validate().is_err());
     }
 
     #[test]

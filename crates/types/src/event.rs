@@ -1,8 +1,8 @@
-//! Graph-edge events and recommendation records.
+//! Graph-edge events and detection candidates.
 //!
 //! An [`EdgeEvent`] is one element of the real-time stream the paper assumes
 //! ("a data source (e.g., message queue) that provides a stream of graph
-//! edges as they are created"). A [`Recommendation`] is the system's output:
+//! edges as they are created"). A [`Candidate`] is the system's output:
 //! push account `C` to user `A` because `k` of `A`'s followings acted on `C`
 //! within the window.
 
@@ -52,8 +52,7 @@ impl fmt::Display for EdgeKind {
 ///
 /// In the diamond-motif notation, `src` is a `B` and `dst` is a `C`. The
 /// `created_at` timestamp is assigned at the *origin* (edge creation), not at
-/// delivery; queue propagation delay is modelled separately so end-to-end
-/// latency can be decomposed (experiment E3).
+/// delivery, so end-to-end latency can be measured from the edge's creation.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
 pub struct EdgeEvent {
     /// The acting user (a `B`).

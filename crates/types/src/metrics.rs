@@ -332,7 +332,7 @@ mod tests {
 
     #[test]
     fn seven_second_median_fifteen_second_p99_shape() {
-        // Sanity-check the exact measurement we report in E3.
+        // Quantile accuracy at second scale (the paper's 7 s / 15 s shape).
         let mut h = Histogram::new();
         for _ in 0..980 {
             h.record(Duration::from_secs(7).as_micros());

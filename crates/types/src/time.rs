@@ -1,8 +1,8 @@
 //! Simulation time.
 //!
 //! The whole workspace runs on a *virtual* clock so experiments are
-//! deterministic and a simulated 7-second queue delay costs nothing to
-//! "wait" for. Time is microseconds since an arbitrary epoch, stored as
+//! deterministic and a replayed hour of traffic costs nothing to "wait"
+//! for. Time is microseconds since an arbitrary epoch, stored as
 //! `u64` — enough for ~584 000 years of simulation.
 
 use serde::{Deserialize, Serialize};

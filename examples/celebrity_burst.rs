@@ -4,14 +4,11 @@
 //! Generates a Twitter-shaped follow graph, deploys the paper's 20-partition
 //! architecture, and replays a steady background stream plus a celebrity
 //! joining — a burst of follows converging on one fresh account. The motif
-//! detector turns that temporal correlation into recommendations, which
-//! then pass through the production delivery funnel (dedup → quiet hours →
-//! fatigue).
+//! detector turns that temporal correlation into recommendations.
 //!
 //! Run with: `cargo run --release --example celebrity_burst`
 
 use magicrecs::cluster::Broker;
-use magicrecs::delivery::Funnel;
 use magicrecs::gen::{GraphGen, GraphGenConfig, Scenario, ScenarioConfig};
 use magicrecs::prelude::*;
 
@@ -40,8 +37,6 @@ fn main() {
     );
 
     // ── Workload: steady background + a celebrity joining at t=noon+60s ─
-    // Start at noon UTC so pushes land in waking hours (quiet window is
-    // 23:00–08:00 local).
     let noon = Timestamp::from_secs(12 * 3600);
     let cfg = ScenarioConfig {
         rate_per_sec: 50.0,
@@ -68,44 +63,22 @@ fn main() {
         trace.end().unwrap().as_secs_f64()
     );
 
-    // ── Replay through the cluster and the delivery funnel ──────────────
-    let mut funnel = Funnel::new(FunnelConfig::production()).expect("valid funnel");
-    let mut delivered = Vec::new();
+    // ── Replay through the cluster ──────────────────────────────────────
+    let mut candidates = 0u64;
     let mut celebrity_candidates = 0u64;
     for &event in trace.events() {
         for candidate in broker.on_event(event) {
+            candidates += 1;
             if candidate.target == celebrity {
                 celebrity_candidates += 1;
-            }
-            // Delivery happens at event time here; E3 adds queue delays.
-            if let Some(rec) = funnel.offer(candidate, event.created_at) {
-                delivered.push(rec);
             }
         }
     }
 
-    // Flush anything deferred into the next morning.
-    delivered.extend(funnel.poll_deferred(trace.end().unwrap() + Duration::from_hours(24)));
-
-    let stats = funnel.stats();
     println!("\n── Results ───────────────────────────────────────────────");
-    println!("Raw candidates:        {}", stats.offered.get());
-    println!("  of which celebrity:  {celebrity_candidates}");
-    println!("Dedup dropped:         {}", stats.dedup_dropped.get());
-    println!("Quiet-hours deferred:  {}", stats.quiet_deferred.get());
-    println!("Fatigue dropped:       {}", stats.fatigue_dropped.get());
-    println!("Delivered pushes:      {}", stats.delivered.get());
+    println!("Candidates:            {candidates}");
     println!(
-        "Funnel reduction:      {:.1}x (paper: billions -> millions ≈ 1000x at full scale)",
-        stats.reduction_factor()
-    );
-
-    let to_celebrity = delivered
-        .iter()
-        .filter(|r| r.candidate.target == celebrity)
-        .count();
-    println!(
-        "\nPushes recommending the new celebrity: {to_celebrity} \
+        "  recommending the new celebrity: {celebrity_candidates} \
          (each user's own followings vouched for it)"
     );
 
@@ -118,9 +91,5 @@ fn main() {
     assert!(
         celebrity_candidates > 0,
         "the burst should produce candidates"
-    );
-    assert!(
-        stats.delivered.get() > 0,
-        "waking-hours pushes should be delivered"
     );
 }

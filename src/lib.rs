@@ -75,13 +75,12 @@ pub use magicrecs_graph as graph;
 pub use magicrecs_motif as motif;
 pub use magicrecs_replica as replica;
 pub use magicrecs_server as server;
-pub use magicrecs_stream as stream;
 pub use magicrecs_temporal as temporal;
 pub use magicrecs_types as types;
 
 /// Commonly used items, for `use magicrecs::prelude::*`.
 pub mod prelude {
-    pub use magicrecs_core::{ConcurrentEngine, DiamondDetector, Engine, InterningIngest};
+    pub use magicrecs_core::{ConcurrentEngine, DiamondDetector, Engine};
     pub use magicrecs_graph::{FollowGraph, GraphBuilder};
     pub use magicrecs_temporal::{EdgeStore, ShardedTemporalStore, TemporalEdgeStore};
     pub use magicrecs_types::{

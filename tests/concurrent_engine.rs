@@ -1,13 +1,12 @@
 //! Integration tests for the shared-state engine: N threads driving one
 //! `ConcurrentEngine`, per-event candidate parity with the sequential
-//! `Engine`, the sharded live transport, and concurrent delivery through
+//! `Engine`, the shared cluster wrapper, and concurrent delivery through
 //! `SharedFunnel`.
 
 use magicrecs::cluster::SharedEngineCluster;
 use magicrecs::delivery::SharedFunnel;
 use magicrecs::gen::{GraphGen, GraphGenConfig, Scenario, ScenarioConfig};
 use magicrecs::prelude::*;
-use magicrecs::stream::live::run_sharded;
 use std::sync::{Arc, Mutex};
 
 fn capped_config() -> DetectorConfig {
@@ -52,28 +51,36 @@ fn four_threads_sharing_one_engine_match_sequential_per_event() {
     let expected: Vec<Vec<Candidate>> = trace.iter().map(|&e| seq.on_event(e)).collect();
 
     // Shared engine, 4 threads, routed by target so per-target order holds.
-    let engine = Arc::new(ConcurrentEngine::new(graph, config).unwrap());
-    let slots: Arc<Vec<Mutex<Option<Vec<Candidate>>>>> =
-        Arc::new(trace.iter().map(|_| Mutex::new(None)).collect());
-    let items: Vec<(usize, EdgeEvent)> = trace.iter().copied().enumerate().collect();
-    {
-        let engine = Arc::clone(&engine);
-        let slots = Arc::clone(&slots);
-        run_sharded(
-            items,
-            4,
-            |&(_, e)| e.dst.raw(),
-            move |_, (idx, event)| {
-                let got = engine.on_event(event);
-                *slots[idx].lock().unwrap() = Some(got);
-            },
-        )
-        .unwrap();
+    const WORKERS: usize = 4;
+    let engine = ConcurrentEngine::new(graph, config).unwrap();
+    let mut shards: Vec<Vec<(usize, EdgeEvent)>> = vec![Vec::new(); WORKERS];
+    for (idx, &e) in trace.iter().enumerate() {
+        shards[(e.dst.raw() % WORKERS as u64) as usize].push((idx, e));
     }
+    let mut got: Vec<Option<Vec<Candidate>>> = vec![None; trace.len()];
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = shards
+            .iter()
+            .map(|shard| {
+                let engine = &engine;
+                scope.spawn(move || {
+                    shard
+                        .iter()
+                        .map(|&(idx, e)| (idx, engine.on_event(e)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for worker in workers {
+            for (idx, candidates) in worker.join().unwrap() {
+                got[idx] = Some(candidates);
+            }
+        }
+    });
 
     let mut firing = 0usize;
     for (idx, want) in expected.iter().enumerate() {
-        let mut got = slots[idx].lock().unwrap().take().expect("event processed");
+        let mut got = got[idx].take().expect("event processed");
         // Candidate *sets* must match; order across threads is incidental
         // (the engine emits sorted per event anyway, so this is belt and
         // braces).
@@ -143,35 +150,36 @@ fn concurrent_emitters_feed_shared_funnel() {
         .collect();
     expected.sort_unstable();
 
-    // Concurrent: 3 workers share engine + funnel.
-    let engine = Arc::new(ConcurrentEngine::new(graph, config).unwrap());
-    let funnel = Arc::new(SharedFunnel::new(funnel_config).unwrap());
-    let delivered = Arc::new(Mutex::new(Vec::<(UserId, UserId)>::new()));
-    {
-        let engine = Arc::clone(&engine);
-        let funnel = Arc::clone(&funnel);
-        let delivered = Arc::clone(&delivered);
-        run_sharded(
-            trace.clone(),
-            3,
-            |e| e.dst.raw(),
-            move |_, event| {
-                let at = event.created_at;
-                let candidates = engine.on_event(event);
-                if candidates.is_empty() {
-                    return;
-                }
-                let recs = funnel.offer_batch(candidates, at);
-                delivered.lock().unwrap().extend(
-                    recs.into_iter()
-                        .map(|r| (r.candidate.user, r.candidate.target)),
-                );
-            },
-        )
-        .unwrap();
+    // Concurrent: 3 workers, routed by target, share engine + funnel.
+    const WORKERS: usize = 3;
+    let engine = ConcurrentEngine::new(graph, config).unwrap();
+    let funnel = SharedFunnel::new(funnel_config).unwrap();
+    let delivered = Mutex::new(Vec::<(UserId, UserId)>::new());
+    let mut shards: Vec<Vec<EdgeEvent>> = vec![Vec::new(); WORKERS];
+    for &e in &trace {
+        shards[(e.dst.raw() % WORKERS as u64) as usize].push(e);
     }
+    std::thread::scope(|scope| {
+        for shard in &shards {
+            let (engine, funnel, delivered) = (&engine, &funnel, &delivered);
+            scope.spawn(move || {
+                for &event in shard {
+                    let at = event.created_at;
+                    let candidates = engine.on_event(event);
+                    if candidates.is_empty() {
+                        continue;
+                    }
+                    let recs = funnel.offer_batch(candidates, at);
+                    delivered.lock().unwrap().extend(
+                        recs.into_iter()
+                            .map(|r| (r.candidate.user, r.candidate.target)),
+                    );
+                }
+            });
+        }
+    });
 
-    let mut got = delivered.lock().unwrap().clone();
+    let mut got = delivered.into_inner().unwrap();
     got.sort_unstable();
     assert!(!expected.is_empty(), "pipeline should deliver something");
     assert_eq!(got, expected);

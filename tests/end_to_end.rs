@@ -1,12 +1,10 @@
-//! End-to-end pipeline tests: generator → simulated queue → cluster →
-//! delivery funnel, plus determinism and latency-profile checks.
+//! End-to-end pipeline tests: generator → cluster → delivery funnel, plus
+//! determinism checks and engine-level stream anomalies.
 
 use magicrecs::cluster::Broker;
 use magicrecs::delivery::Funnel;
 use magicrecs::gen::{GraphGen, GraphGenConfig, Scenario, ScenarioConfig};
 use magicrecs::prelude::*;
-use magicrecs::stream::SimulatedQueue;
-use magicrecs::types::Histogram;
 
 fn capped_config() -> DetectorConfig {
     DetectorConfig {
@@ -33,9 +31,6 @@ fn run_pipeline(seed: u64) -> (u64, u64, Vec<Recommendation>) {
         },
     );
 
-    let mut queue = SimulatedQueue::paper_profile(seed);
-    queue.publish_all(trace.events().iter().copied());
-
     let mut broker = Broker::new(
         &graph,
         ClusterConfig::single().with_partitions(4),
@@ -46,7 +41,8 @@ fn run_pipeline(seed: u64) -> (u64, u64, Vec<Recommendation>) {
 
     let mut delivered = Vec::new();
     let mut candidates = 0u64;
-    while let Some((at, event)) = queue.deliver_next() {
+    for &event in trace.events() {
+        let at = event.created_at;
         for c in broker.on_event(event) {
             candidates += 1;
             if let Some(rec) = funnel.offer(c, at) {
@@ -93,26 +89,6 @@ fn different_seeds_differ() {
     // Candidate counts coinciding exactly across different workloads would
     // suggest the seed is ignored somewhere.
     assert_ne!(c1, c2, "seeds produced identical candidate counts");
-}
-
-#[test]
-fn end_to_end_latency_matches_paper_shape() {
-    let (_, _, delivered) = run_pipeline(9);
-    let mut h = Histogram::new();
-    for r in &delivered {
-        h.record_duration(r.latency());
-    }
-    let s = h.snapshot();
-    // Queue profile: median ≈ 7 s. Candidates fire on the k-th witness's
-    // *delivery*, so measured-from-origin latency ≈ queue delay; quiet-hour
-    // deferrals stretch the tail, so bound the median only from below and
-    // sanity-check p99 ordering.
-    assert!(
-        s.p50_secs() >= 5.0,
-        "median end-to-end latency {:.2}s implausibly low",
-        s.p50_secs()
-    );
-    assert!(s.p99_us >= s.p50_us, "quantiles out of order");
 }
 
 #[test]

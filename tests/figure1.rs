@@ -1,14 +1,13 @@
 //! Figure 1 of the paper, verified across every implementation in the
 //! workspace: the hand-coded engine, the sequential broker, the threaded
-//! cluster, the replica set, the batch oracle, the polling baseline, the
-//! two-hop baselines, and the declarative motif engine all agree that
-//! creating `B2 → C2` recommends `C2` to `A2` (and to no one else).
+//! cluster, the batch oracle, the polling baseline, the two-hop baselines,
+//! and the declarative motif engine all agree that creating `B2 → C2`
+//! recommends `C2` to `A2` (and to no one else).
 
 use magicrecs::baseline::{BatchOracle, PollingDetector, TwoHopBloom, TwoHopExact};
-use magicrecs::cluster::{Broker, ReplicaSet, ThreadedCluster};
+use magicrecs::cluster::{Broker, ThreadedCluster};
 use magicrecs::motif::MotifEngine;
 use magicrecs::prelude::*;
-use magicrecs::types::PartitionId;
 use std::sync::Arc;
 
 fn a(n: u64) -> UserId {
@@ -73,22 +72,6 @@ fn threaded_cluster_reproduces_figure1() {
     .unwrap();
     let report = cluster.run_trace(&events()).unwrap();
     assert_figure1(&report.candidates, "ThreadedCluster");
-}
-
-#[test]
-fn replica_set_reproduces_figure1() {
-    let mut rs = ReplicaSet::new(
-        PartitionId(0),
-        figure1_graph(),
-        DetectorConfig::example(),
-        3,
-    )
-    .unwrap();
-    let mut out = Vec::new();
-    for e in events() {
-        out.extend(rs.on_event(e).unwrap());
-    }
-    assert_figure1(&out, "ReplicaSet");
 }
 
 #[test]
