@@ -30,6 +30,15 @@ impl BatchOracle {
 
     /// Replays `events` in order, returning every candidate the online
     /// semantics should produce (same filtering rules as the detector).
+    ///
+    /// The candidate contract: after the `max_witnesses` cap, a witness
+    /// is *fresh* when its newest in-window timestamp equals the event's.
+    /// An `A` is emitted iff it passes the filters, follows at least `k`
+    /// of the capped witnesses, and at least one of those is fresh; the
+    /// per-event candidate cap applies last. "In window" here means
+    /// `[t − τ, t]`, so on a time-ordered trace the fresh set is the
+    /// triggering `B` plus any `B` that acted on the same target in the
+    /// same microsecond.
     pub fn replay(&self, graph: &FollowGraph, events: &[EdgeEvent]) -> Vec<Candidate> {
         // Live dynamic edges: (src, dst, created_at), append-only with
         // removals; deliberately unindexed.
@@ -66,6 +75,13 @@ impl BatchOracle {
                 }
             }
             witnesses.sort_by_key(|&(b, _)| b);
+            // Fresh witnesses: those whose newest in-window edge is this
+            // event's.
+            let fresh: Vec<UserId> = witnesses
+                .iter()
+                .filter(|&&(_, at)| at == t)
+                .map(|&(b, _)| b)
+                .collect();
 
             // Count, per candidate A, how many witnesses A follows —
             // membership checks against the forward adjacency, no
@@ -79,6 +95,9 @@ impl BatchOracle {
             let mut emitted = 0usize;
             for (a, wit) in counts {
                 if wit.len() < self.config.k || a == event.dst {
+                    continue;
+                }
+                if !wit.iter().any(|b| fresh.contains(b)) {
                     continue;
                 }
                 if self.config.skip_existing

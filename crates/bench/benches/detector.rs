@@ -1,10 +1,11 @@
 //! Detection benches (experiment E2's micro view): per-event cost on a
-//! Twitter-shaped graph, the witness-count scaling of a single detection,
-//! and threshold-algorithm choice at the engine level (ablation B2).
+//! Twitter-shaped graph and the witness-count scaling of a single
+//! detection. Threshold-algorithm choice (ablation B2) is measured at
+//! kernel level, in the `intersect` bench and the `hotpath` recorder.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use magicrecs_bench::{bench_detector_config, bench_trace, small_graph};
-use magicrecs_core::{Engine, ThresholdAlgo};
+use magicrecs_core::Engine;
 use magicrecs_graph::GraphBuilder;
 use magicrecs_types::{DetectorConfig, EdgeEvent, Timestamp, UserId};
 use std::hint::black_box;
@@ -83,40 +84,5 @@ fn bench_witness_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_threshold_algo_at_engine(c: &mut Criterion) {
-    let graph = small_graph(10_000);
-    let trace = bench_trace(10_000, 1_000.0, 10, 0xD3);
-    let mut group = c.benchmark_group("b2_engine_threshold_algo");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    group.throughput(Throughput::Elements(trace.len() as u64));
-    for (name, algo) in [
-        ("scan_count", ThresholdAlgo::ScanCount),
-        ("heap_merge", ThresholdAlgo::HeapMerge),
-        ("pivot_skip", ThresholdAlgo::PivotSkip),
-        ("loser_tree", ThresholdAlgo::PivotTree),
-        ("adaptive", ThresholdAlgo::Adaptive),
-    ] {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut engine =
-                    Engine::with_algo(graph.clone(), bench_detector_config(), algo).unwrap();
-                let mut n = 0usize;
-                for &e in trace.events() {
-                    n += engine.on_event(e).len();
-                }
-                black_box(n)
-            });
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_event_throughput,
-    bench_witness_scaling,
-    bench_threshold_algo_at_engine
-);
+criterion_group!(benches, bench_event_throughput, bench_witness_scaling);
 criterion_main!(benches);

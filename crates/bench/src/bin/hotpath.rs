@@ -30,7 +30,8 @@
 //!   `loser_tree` pivot-generation arm. A guard asserts Adaptive lands
 //!   within 1.2× of the best arm on both fixtures.
 //! * `detector_*` — end-to-end engine ns/event on a Zipf trace and on a
-//!   synthetic celebrity workload, per threshold arm.
+//!   synthetic celebrity workload, once with every witness fresh (one
+//!   timestamp per round) and once with only the trigger fresh.
 //! * `d_*` — the dynamic store `D` on its own: ingest per pruning
 //!   strategy (B3), hot and cold witness fetches, the Fx-vs-SipHash
 //!   hasher ablation (B4), one wheel advance, and a sparse upsert arm
@@ -1352,14 +1353,11 @@ fn main() {
     }
 
     // ---- end-to-end detector, Zipf steady trace -------------------------
-    // Like the threshold fixtures, arm samples interleave round-robin so
-    // box-level frequency drift cannot favor whichever arm ran last.
     println!("# detector on Zipf steady trace (20k users, k=3)");
     let trace = bench_trace(20_000, 2_000.0, 10, 0xD1);
     // Engine construction (graph clone, store build) stays untimed.
-    let run_zipf = |algo: ThresholdAlgo| -> f64 {
-        let mut engine =
-            Engine::with_algo(graph.clone(), DetectorConfig::production(), algo).unwrap();
+    let zipf = interleaved_medians(1, |_, _| {
+        let mut engine = Engine::new(graph.clone(), DetectorConfig::production()).unwrap();
         let mut n = 0usize;
         let start = Instant::now();
         for &e in trace.events() {
@@ -1367,68 +1365,45 @@ fn main() {
         }
         black_box(n);
         start.elapsed().as_secs_f64() * 1e9 / trace.len() as f64
-    };
-    let medians = interleaved_medians(THRESHOLD_ARMS.len(), |_, ai| run_zipf(THRESHOLD_ARMS[ai].1));
-    let mut fields: Vec<(&str, f64)> = Vec::new();
-    for (&(name, _), ns) in THRESHOLD_ARMS.iter().zip(medians) {
-        println!("  {name} {ns:.0} ns/event");
-        fields.push((name, ns));
-    }
-    json.obj("detector_zipf_20k_k3_ns_per_event", &fields);
+    })[0];
+    println!("  {zipf:.0} ns/event");
+    json.num("detector_zipf_20k_k3_ns_per_event", zipf);
 
     // ---- end-to-end detector, celebrity workload ------------------------
     // 512 As follow 4 ordinary Bs; 200k extra users follow the celebrity
     // B too. Per round, the 4 ordinary Bs act on a fresh C and then the
-    // celebrity acts, forcing a k-of-5 threshold against the 200k-follower
-    // list on every closing event.
+    // celebrity acts, counting the 512 As against the 200k-follower list.
+    // Two timings of the same rounds, interleaved: all 5 events in one
+    // microsecond (every witness fresh, so the kernel's pivot lists
+    // generate), and 1 µs apart (only the trigger fresh — the common
+    // single-fresh path, the celebrity probed rather than walked).
     println!("# detector on celebrity workload (k=3)");
     let celeb = UserId(9_000_000);
     let celeb_graph = celebrity_graph();
     let rounds = 200u64;
-    let run_celeb = |algo: ThresholdAlgo| -> f64 {
-        let mut engine =
-            Engine::with_algo(celeb_graph.clone(), DetectorConfig::production(), algo).unwrap();
+    let run_celeb = |spread: bool| -> f64 {
+        let mut engine = Engine::new(celeb_graph.clone(), DetectorConfig::production()).unwrap();
         let mut n = 0usize;
         let start = Instant::now();
         for round in 0..rounds {
             let c = UserId(20_000_000 + round);
-            let t = Timestamp::from_secs(round * 3600);
+            let t = round * 3_600_000_000;
+            let at = |i: u64| Timestamp::from_micros(if spread { t + i } else { t });
             for b in 0..4u64 {
                 n += engine
-                    .on_event(EdgeEvent::follow(UserId(1_000_000 + b), c, t))
+                    .on_event(EdgeEvent::follow(UserId(1_000_000 + b), c, at(b)))
                     .len();
             }
-            n += engine.on_event(EdgeEvent::follow(celeb, c, t)).len();
+            n += engine.on_event(EdgeEvent::follow(celeb, c, at(4))).len();
         }
         black_box(n);
         start.elapsed().as_secs_f64() * 1e9 / (rounds * 5) as f64
     };
-    let medians = interleaved_medians(THRESHOLD_ARMS.len(), |_, ai| {
-        run_celeb(THRESHOLD_ARMS[ai].1)
-    });
-    let mut fields: Vec<(&str, f64)> = Vec::new();
-    for (&(name, _), ns) in THRESHOLD_ARMS.iter().zip(medians) {
-        println!("  {name} {ns:.0} ns/event");
-        fields.push((name, ns));
-    }
-
-    // The seed's adaptive at this fan-in (5 ≤ 8 lists) was the heap.
-    let seed_e2e = fields
-        .iter()
-        .find(|(n, _)| *n == "heap_merge")
-        .expect("arm present")
-        .1;
-    let new_e2e = fields
-        .iter()
-        .find(|(n, _)| *n == "adaptive")
-        .expect("arm present")
-        .1;
-    let mut fields2 = fields.clone();
-    fields2.push(("seed_adaptive", seed_e2e));
-    json.obj("detector_celebrity_k3_ns_per_event", &fields2);
-    let e2e_speedup = seed_e2e / new_e2e;
-    json.num("speedup_detector_celebrity_seed_over_new", e2e_speedup);
-    println!("  end-to-end speedup vs seed adaptive: {e2e_speedup:.1}x");
+    let celeb_ns = interleaved_medians(2, |_, ai| run_celeb(ai == 1));
+    println!("  same microsecond {:.0} ns/event", celeb_ns[0]);
+    println!("  distinct microseconds {:.0} ns/event", celeb_ns[1]);
+    json.num("detector_celebrity_k3_ns_per_event", celeb_ns[0]);
+    json.num("detector_celebrity_fresh_k3_ns_per_event", celeb_ns[1]);
 
     // ---- D: ingest, witness fetch, hasher, wheel, sparse upsert ---------
     run_d(&mut json);

@@ -48,7 +48,6 @@
 
 use crate::detector::DiamondDetector;
 use crate::engine::{entry_cap_for, ADVANCE_EVERY};
-use crate::threshold::ThresholdAlgo;
 use magicrecs_graph::{FollowGraph, GraphDelta};
 use magicrecs_obs as obs;
 use magicrecs_obs::{MetricSnapshot, Registry};
@@ -115,7 +114,6 @@ pub struct ConcurrentEngine {
     graph: RwLock<Arc<FollowGraph>>,
     store: ShardedTemporalStore,
     config: DetectorConfig,
-    algo: ThresholdAlgo,
     /// The engine's metrics live on a per-engine [`Registry`] (not the
     /// process-global one) so several engines in one process — tests,
     /// blue/green swaps — never cross-count. [`ConcurrentEngine::scrape`]
@@ -151,18 +149,9 @@ impl ConcurrentEngine {
     /// Creates an engine over `graph` with a default-sharded wheel-pruned
     /// store (entry caps mirroring [`crate::Engine::new`]).
     pub fn new(graph: FollowGraph, config: DetectorConfig) -> Result<Self> {
-        ConcurrentEngine::with_algo(graph, config, ThresholdAlgo::Adaptive)
-    }
-
-    /// Creates an engine pinned to a threshold algorithm (ablation B2).
-    pub fn with_algo(
-        graph: FollowGraph,
-        config: DetectorConfig,
-        algo: ThresholdAlgo,
-    ) -> Result<Self> {
         let store = ShardedTemporalStore::new(config.tau, PruneStrategy::Wheel, DEFAULT_SHARDS)
             .with_entry_cap(entry_cap_for(config.max_witnesses));
-        ConcurrentEngine::with_store(graph, store, config, algo)
+        ConcurrentEngine::with_store(graph, store, config)
     }
 
     /// Creates an engine over a caller-configured sharded store, with a
@@ -171,9 +160,8 @@ impl ConcurrentEngine {
         graph: FollowGraph,
         store: ShardedTemporalStore,
         config: DetectorConfig,
-        algo: ThresholdAlgo,
     ) -> Result<Self> {
-        ConcurrentEngine::with_store_on(graph, store, config, algo, Registry::new())
+        ConcurrentEngine::with_store_on(graph, store, config, Registry::new())
     }
 
     /// Creates an engine recording onto a caller-supplied registry — a
@@ -187,16 +175,15 @@ impl ConcurrentEngine {
     ) -> Result<Self> {
         let store = ShardedTemporalStore::new(config.tau, PruneStrategy::Wheel, DEFAULT_SHARDS)
             .with_entry_cap(entry_cap_for(config.max_witnesses));
-        ConcurrentEngine::with_store_on(graph, store, config, ThresholdAlgo::Adaptive, registry)
+        ConcurrentEngine::with_store_on(graph, store, config, registry)
     }
 
-    /// The fully-explicit constructor: caller-configured store, threshold
-    /// algorithm, and metrics registry.
+    /// The fully-explicit constructor: caller-configured store and
+    /// metrics registry.
     pub fn with_store_on(
         graph: FollowGraph,
         store: ShardedTemporalStore,
         config: DetectorConfig,
-        algo: ThresholdAlgo,
         registry: Registry,
     ) -> Result<Self> {
         config.validate()?;
@@ -205,7 +192,6 @@ impl ConcurrentEngine {
             graph: RwLock::new(Arc::new(graph)),
             store,
             config,
-            algo,
             events: registry.counter("engine_events"),
             candidates: registry.counter("engine_candidates"),
             firing_events: registry.counter("engine_firing_events"),
@@ -233,7 +219,7 @@ impl ConcurrentEngine {
                     if dets.len() >= MAX_CACHED_DETECTORS {
                         dets.remove(0);
                     }
-                    let det = DiamondDetector::with_algo(self.config, self.algo)
+                    let det = DiamondDetector::new(self.config)
                         .expect("config validated at engine construction");
                     dets.push((self.id, det));
                     dets.len() - 1
@@ -582,11 +568,6 @@ impl ConcurrentEngine {
     /// The detector configuration.
     pub fn config(&self) -> &DetectorConfig {
         &self.config
-    }
-
-    /// The pinned threshold algorithm.
-    pub fn algo(&self) -> ThresholdAlgo {
-        self.algo
     }
 
     /// Approximate resident bytes: `S` (inverse index) + `D`.

@@ -7,8 +7,28 @@
 //!    "top half of the diamond";
 //! 3. if at least `k` witnesses exist, look up each witness's follower list
 //!    in `S` and find every `A` present in at least `k` of them;
-//! 4. emit a [`Candidate`] per such `A` (minus `A`s who already follow `C`
-//!    or are themselves witnesses, when `skip_existing` is set).
+//! 4. emit a [`Candidate`] per such `A` that follows at least one *fresh*
+//!    witness (minus `A`s who already follow `C` or are themselves
+//!    witnesses, when `skip_existing` is set).
+//!
+//! **The candidate contract.** After the `max_witnesses` cap, a witness is
+//! fresh when its newest in-window timestamp equals the event's `t`. An
+//! `A` is emitted iff it passes the filters above, follows at least `k`
+//! of the capped witnesses, and at least one of those is fresh;
+//! `max_candidates_per_event` then truncates. On a time-ordered stream the
+//! fresh set is the triggering `B` plus any `B` that acted on `C` in the
+//! same microsecond, so this is the paper's push "when the edge B2 → C2 is
+//! created": an `A` already at `k` is not re-announced each time another
+//! witness it does not follow arrives, and an event with no fresh witness
+//! (an out-of-order event whose `B` already has a newer entry, or whose
+//! `B` the cap cut) emits nothing. Freshness is a pure function of the
+//! witness timestamps and `t`, so [`DiamondDetector::detect_into`]'s
+//! callers need nothing new. One first emission is lost by design: an `A`
+//! that was itself a witness (and so skipped by `skip_existing`) can reach
+//! `k` on an event it does not follow once its own entry expires, and
+//! nothing fresh announces it then. It is rare: a sequential replay of the
+//! `celebrity_dense` seed-1 trace counted 42 such pairs among 121,662
+//! first emissions.
 //!
 //! Unfollow events remove the corresponding `D` entries (the static `S` is
 //! offline-maintained, exactly as in the paper: "new incoming edges are
@@ -26,16 +46,17 @@
 //! **Dense hot path.** Steps 3–4 run entirely in dense-id space: each
 //! witness `B` is interned once (`S.dense_of`, one hash probe — the only
 //! probe left per witness), its follower list is a dense `u32` slice
-//! fetched with two array reads, and the k-of-n threshold kernel counts
-//! dense ids. Because interning is order-preserving, the matches come out
-//! already sorted by raw id; conversion back to [`UserId`] happens only at
-//! the [`Candidate`] emission boundary. `D` stays keyed by sparse ids —
+//! fetched with two array reads, and the delta threshold kernel
+//! ([`threshold_fresh`]) counts dense ids. Because interning is
+//! order-preserving, the matches come out already sorted by raw id;
+//! conversion back to [`UserId`] happens only at the [`Candidate`]
+//! emission boundary. `D` stays keyed by sparse ids —
 //! dynamic events reference an unbounded vertex set the interner has never
 //! seen (its key type is generic for closed-world deployments; see
 //! `magicrecs_temporal`).
 
 use crate::intersect::gallop_to_simd;
-use crate::threshold::{threshold_intersect, ThresholdAlgo};
+use crate::threshold::{threshold_fresh, FreshScratch};
 use magicrecs_graph::FollowGraph;
 use magicrecs_temporal::EdgeStore;
 use magicrecs_types::{Candidate, DenseId, DetectorConfig, EdgeEvent, Result, Timestamp, UserId};
@@ -44,14 +65,17 @@ use magicrecs_types::{Candidate, DenseId, DetectorConfig, EdgeEvent, Result, Tim
 #[derive(Debug)]
 pub struct DiamondDetector {
     config: DetectorConfig,
-    algo: ThresholdAlgo,
     // Scratch buffers, reused across events to avoid per-event allocation.
     witnesses: Vec<(UserId, Timestamp)>,
     /// Canonicalized witnesses: sorted ascending by sparse id, each with
     /// its graph-dense id when the witness is a vertex of `S` (and `None`
     /// — empty follower list — when not).
     rows: Vec<(UserId, Option<DenseId>)>,
+    /// Per row: whether the witness is fresh (its timestamp is the
+    /// event's).
+    fresh: Vec<bool>,
     matches: Vec<(DenseId, u32)>,
+    kernel: FreshScratch<DenseId>,
     /// Per-list frontier for witness recovery at emission: matches emit in
     /// ascending dense order, so one monotone galloping cursor per list
     /// replaces the per-candidate binary searches `lists_containing` paid
@@ -66,20 +90,13 @@ impl DiamondDetector {
         config.validate()?;
         Ok(DiamondDetector {
             config,
-            algo: ThresholdAlgo::Adaptive,
             witnesses: Vec::with_capacity(64),
             rows: Vec::with_capacity(64),
+            fresh: Vec::with_capacity(64),
             matches: Vec::with_capacity(64),
+            kernel: FreshScratch::default(),
             witness_cursors: Vec::with_capacity(64),
         })
-    }
-
-    /// Creates a detector pinned to a specific threshold algorithm
-    /// (ablation B2).
-    pub fn with_algo(config: DetectorConfig, algo: ThresholdAlgo) -> Result<Self> {
-        let mut d = DiamondDetector::new(config)?;
-        d.algo = algo;
-        Ok(d)
     }
 
     /// The active configuration.
@@ -91,7 +108,8 @@ impl DiamondDetector {
     /// any candidates to `out`. Returns the number appended.
     ///
     /// Candidates are sorted by user id; each carries the subset of
-    /// witnesses that user actually follows.
+    /// witnesses that user actually follows, at least one of them fresh
+    /// (see the module docs for the full contract).
     ///
     /// Generic over the store: a single-owner [`TemporalEdgeStore`]
     /// (sequential engine), a [`ShardedTemporalStore`] by value, or a
@@ -149,15 +167,22 @@ impl DiamondDetector {
             return 0;
         }
 
-        // Cap witnesses, preferring the most recent (and therefore always
-        // retaining the triggering edge, which has the newest timestamp up
-        // to ties).
+        // Cap witnesses, preferring the most recent. On a time-ordered
+        // stream that keeps the triggering edge unless more than `cap`
+        // witnesses share its timestamp and it loses the id tie-break;
+        // out of order, the trigger may be cut and then nothing is fresh.
+        // A selection, not a sort: the kept set is all that matters, and
+        // hot targets hold hundreds of distinct witnesses.
         if let Some(cap) = self.config.max_witnesses {
             if self.witnesses.len() > cap {
                 self.witnesses
-                    .sort_unstable_by_key(|&(b, at)| (std::cmp::Reverse(at), b));
+                    .select_nth_unstable_by_key(cap - 1, |&(b, at)| (std::cmp::Reverse(at), b));
                 self.witnesses.truncate(cap);
             }
+        }
+        // No fresh witness, nothing to announce.
+        if !self.witnesses.iter().any(|&(_, at)| at == t) {
+            return 0;
         }
         // Deterministic list order (witness order affects only ordering of
         // per-candidate witness ids, but keep everything canonical).
@@ -167,14 +192,16 @@ impl DiamondDetector {
         // (no interned followers) contribute empty lists, exactly as the
         // old id-level lookup returned empty.
         self.rows.clear();
-        let (rows, witnesses) = (&mut self.rows, &self.witnesses);
+        self.fresh.clear();
+        let (rows, fresh, witnesses) = (&mut self.rows, &mut self.fresh, &self.witnesses);
         rows.extend(witnesses.iter().map(|&(b, _)| (b, s.dense_of(b))));
+        fresh.extend(witnesses.iter().map(|&(_, at)| at == t));
         self.finish_into(s, target, t, out)
     }
 
-    /// Bottom half: threshold-count the follower lists of the
-    /// canonicalized witnesses in `self.rows`, then filter and emit
-    /// candidates.
+    /// Bottom half: count the follower lists of the canonicalized
+    /// witnesses in `self.rows` for `A`s at `k` that meet a fresh witness,
+    /// then filter and emit candidates.
     fn finish_into(
         &mut self,
         s: &FollowGraph,
@@ -189,7 +216,13 @@ impl DiamondDetector {
             .map(|&(_, d)| d.map_or(&[] as &[DenseId], |db| s.followers_dense(db)))
             .collect();
         self.matches.clear();
-        threshold_intersect(self.algo, &lists, self.config.k, &mut self.matches);
+        threshold_fresh(
+            &lists,
+            &self.fresh,
+            self.config.k,
+            &mut self.kernel,
+            &mut self.matches,
+        );
         if self.matches.is_empty() {
             return 0;
         }
@@ -534,6 +567,104 @@ mod tests {
         let r = det.on_event(&s, &mut d, e2);
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].user, u(2));
+    }
+
+    /// A1 follows B11 and B12, A2 follows B12 and B13, A5 follows B14.
+    fn delta_graph() -> FollowGraph {
+        let mut g = GraphBuilder::new();
+        g.extend([
+            (u(1), u(11)),
+            (u(1), u(12)),
+            (u(2), u(12)),
+            (u(2), u(13)),
+            (u(5), u(14)),
+        ]);
+        g.build()
+    }
+
+    fn users(r: &[Candidate]) -> Vec<u64> {
+        r.iter().map(|c| c.user.raw()).collect()
+    }
+
+    #[test]
+    fn re_announcement_suppressed() {
+        let s = delta_graph();
+        let mut d = store();
+        let mut det = detector(2);
+        let c = u(99);
+        det.on_event(&s, &mut d, EdgeEvent::follow(u(11), c, ts(10)));
+        let r = det.on_event(&s, &mut d, EdgeEvent::follow(u(12), c, ts(20)));
+        assert_eq!(users(&r), vec![1]);
+        // B13 closes A2's diamond; A1 is still at k but follows no fresh
+        // witness, so it is not announced again.
+        let r = det.on_event(&s, &mut d, EdgeEvent::follow(u(13), c, ts(30)));
+        assert_eq!(users(&r), vec![2]);
+    }
+
+    #[test]
+    fn trigger_nobody_at_k_follows_emits_nothing() {
+        let s = delta_graph();
+        let mut d = store();
+        let mut det = detector(2);
+        let c = u(99);
+        det.on_event(&s, &mut d, EdgeEvent::follow(u(11), c, ts(10)));
+        det.on_event(&s, &mut d, EdgeEvent::follow(u(12), c, ts(20)));
+        let r = det.on_event(&s, &mut d, EdgeEvent::follow(u(14), c, ts(30)));
+        assert!(r.is_empty(), "{r:?}");
+    }
+
+    #[test]
+    fn same_timestamp_probe_group_still_fires() {
+        let s = delta_graph();
+        let mut d = store();
+        let mut det = detector(2);
+        let c = u(99);
+        det.on_event(&s, &mut d, EdgeEvent::follow(u(11), c, ts(10)));
+        let r = det.on_event(&s, &mut d, EdgeEvent::follow(u(12), c, ts(10)));
+        assert_eq!(users(&r), vec![1]);
+        // Same microsecond: B11 and B12 are still fresh, so A1 fires with
+        // this event too although it does not follow the trigger.
+        let r = det.on_event(&s, &mut d, EdgeEvent::follow(u(14), c, ts(10)));
+        assert_eq!(users(&r), vec![1]);
+        assert_eq!(r[0].witnesses, vec![u(11), u(12)]);
+    }
+
+    #[test]
+    fn fresh_witness_cut_by_cap_emits_nothing() {
+        let s = delta_graph();
+        let c = u(99);
+        let run = |max_witnesses| {
+            let cfg = DetectorConfig {
+                max_witnesses,
+                ..DetectorConfig::example()
+            };
+            let mut det = DiamondDetector::new(cfg).unwrap();
+            let mut d = store();
+            det.on_event(&s, &mut d, EdgeEvent::follow(u(12), c, ts(20)));
+            det.on_event(&s, &mut d, EdgeEvent::follow(u(13), c, ts(30)));
+            // Out of order: the trigger is the oldest witness.
+            det.on_event(&s, &mut d, EdgeEvent::follow(u(11), c, ts(10)))
+        };
+        // Uncapped, the trigger is fresh and closes A1's diamond.
+        assert_eq!(users(&run(None)), vec![1]);
+        // Capped at 2, the trigger is cut; A2 is at k among the kept
+        // witnesses, but neither of them is fresh.
+        assert!(run(Some(2)).is_empty());
+    }
+
+    #[test]
+    fn out_of_order_event_behind_newer_entry_emits_nothing() {
+        let s = delta_graph();
+        let mut d = store();
+        let mut det = detector(2);
+        let c = u(99);
+        det.on_event(&s, &mut d, EdgeEvent::follow(u(11), c, ts(30)));
+        let r = det.on_event(&s, &mut d, EdgeEvent::follow(u(12), c, ts(20)));
+        assert_eq!(users(&r), vec![1]);
+        // B11 already has a newer entry (30), so at t = 25 no witness is
+        // fresh.
+        let r = det.on_event(&s, &mut d, EdgeEvent::follow(u(11), c, ts(25)));
+        assert!(r.is_empty(), "{r:?}");
     }
 
     #[test]

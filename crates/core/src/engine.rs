@@ -11,7 +11,6 @@
 //! that component (wall-clock per event).
 
 use crate::detector::DiamondDetector;
-use crate::threshold::ThresholdAlgo;
 use magicrecs_graph::{FollowGraph, GraphDelta};
 use magicrecs_temporal::{EdgeStore, PruneStrategy, TemporalEdgeStore};
 use magicrecs_types::{
@@ -70,23 +69,6 @@ impl Engine {
         let store = TemporalEdgeStore::new(config.tau, PruneStrategy::Wheel)
             .with_entry_cap(entry_cap_for(config.max_witnesses));
         Engine::with_store(graph, store, config)
-    }
-
-    /// Creates an engine pinned to a threshold algorithm (ablation B2).
-    pub fn with_algo(
-        graph: FollowGraph,
-        config: DetectorConfig,
-        algo: ThresholdAlgo,
-    ) -> Result<Self> {
-        let store = TemporalEdgeStore::new(config.tau, PruneStrategy::Wheel)
-            .with_entry_cap(entry_cap_for(config.max_witnesses));
-        Ok(Engine {
-            graph,
-            store,
-            detector: DiamondDetector::with_algo(config, algo)?,
-            stats: EngineStats::default(),
-            since_advance: 0,
-        })
     }
 }
 
@@ -580,40 +562,5 @@ mod tests {
             batched.store().resident_entries()
         );
         assert_eq!(single.store().stats(), batched.store().stats());
-    }
-
-    #[test]
-    fn algo_pinned_engine_matches_default() {
-        let c = u(99);
-        let trace = vec![
-            EdgeEvent::follow(u(11), c, ts(100)),
-            EdgeEvent::follow(u(12), c, ts(105)),
-        ];
-        let mut e1 = Engine::new(small_graph(), DetectorConfig::example()).unwrap();
-        let mut e2 = Engine::with_algo(
-            small_graph(),
-            DetectorConfig::example(),
-            ThresholdAlgo::ScanCount,
-        )
-        .unwrap();
-        let mut e3 = Engine::with_algo(
-            small_graph(),
-            DetectorConfig::example(),
-            ThresholdAlgo::HeapMerge,
-        )
-        .unwrap();
-        let mut e4 = Engine::with_algo(
-            small_graph(),
-            DetectorConfig::example(),
-            ThresholdAlgo::PivotSkip,
-        )
-        .unwrap();
-        let r1 = e1.process_trace(trace.clone());
-        let r2 = e2.process_trace(trace.clone());
-        let r3 = e3.process_trace(trace.clone());
-        let r4 = e4.process_trace(trace);
-        assert_eq!(r1, r2);
-        assert_eq!(r2, r3);
-        assert_eq!(r3, r4);
     }
 }

@@ -13,6 +13,21 @@
 //! > the A's in S to compute an intersection, which is whom we're making
 //! > the recommendation to."
 //!
+//! ## The candidate contract
+//!
+//! The paper pushes `C` to `A` "when the edge B2 → C2 is created" — the
+//! moment the diamond completes. After the `max_witnesses` cap, a witness
+//! is *fresh* when its newest in-window timestamp equals the event's `t`;
+//! an `A` is emitted iff it passes the filters (not `C` itself; with
+//! `skip_existing`, neither a witness nor a follower of `C`), follows at
+//! least `k` of the capped witnesses, and at least one of those is fresh.
+//! `max_candidates_per_event` applies last. On a time-ordered stream the
+//! fresh set is the trigger `B` plus any `B` that acted on `C` in the same
+//! microsecond, so an `A` already at `k` is not re-announced by every
+//! later witness it does not follow, and an event with no fresh witness
+//! emits nothing. [`threshold::threshold_fresh`] counts exactly that set;
+//! `magicrecs_baseline::BatchOracle` checks it by brute force.
+//!
 //! ## Architecture: read-only kernel, swappable state
 //!
 //! Since PR 2 the crate is split along the paper's own seam. Detection
@@ -48,7 +63,9 @@
 //!   values appearing in at least `k` of `n` sorted lists, via scan-count,
 //!   heap merge, pivot-skipping with count-based early exit (the
 //!   celebrity-skew specialist), its loser-tree variant for high fan-in,
-//!   or an adaptive switch (ablation B2).
+//!   or an adaptive switch (ablation B2); and the delta form the detector
+//!   runs, [`threshold::threshold_fresh`], which keeps only values in a
+//!   fresh list.
 //! * [`detector`] — [`DiamondDetector`]: one event in, candidates out,
 //!   working in dense-id space from witness lookup to candidate emission;
 //!   hosts the read-only kernel.

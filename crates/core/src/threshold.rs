@@ -38,6 +38,13 @@
 //!   otherwise; see [`ThresholdAlgo::Adaptive`] for the measured
 //!   crossovers.
 //!
+//! The detector runs none of these whole-set kernels. It runs the delta
+//! form, [`threshold_fresh`]: only values that also appear in a *fresh*
+//! list (a witness whose edge is the event's own), generated from the
+//! fresh lists or from the pivot lists, whichever is shorter. The
+//! algorithms above remain the kernel-level ablation (B2) and the
+//! reference the detector's property tests recompute against.
+//!
 //! The pivot kernels advance their per-list cursors through
 //! [`gallop_to_simd`], so on dense-id lists every probe's final bracket is
 //! resolved by the vectorized count-below scan (see [`crate::simd`] for
@@ -308,6 +315,7 @@ pub fn threshold_pivot_skip<V: SimdElem + Hash>(lists: &[&[V]], k: usize, out: &
 /// generator pays per pivot. Exhausted lists hold a `None` key, which
 /// compares as +∞; ties break on the lower leaf index so the pivot
 /// sequence is deterministic.
+#[derive(Debug)]
 struct LoserTree<V> {
     /// Loser leaf index per internal node (1-based heap layout; node 0
     /// unused). Length `p2` = leaf count rounded up to a power of two.
@@ -315,39 +323,61 @@ struct LoserTree<V> {
     /// Current head value per leaf; `None` = exhausted (or virtual leaf
     /// padding up to `p2`).
     keys: Vec<Option<V>>,
+    /// Per-node winners, needed only while building; kept so a rebuild
+    /// reuses the buffer.
+    win: Vec<u32>,
     /// Leaf currently winning the whole tournament.
     winner: u32,
     /// Power-of-two leaf capacity.
     p2: usize,
 }
 
+impl<V> Default for LoserTree<V> {
+    fn default() -> Self {
+        LoserTree {
+            losers: Vec::new(),
+            keys: Vec::new(),
+            win: Vec::new(),
+            winner: 0,
+            p2: 1,
+        }
+    }
+}
+
 impl<V: Copy + Ord> LoserTree<V> {
     /// Builds the tree from per-leaf initial keys.
-    fn new(keys: Vec<Option<V>>) -> Self {
-        let g = keys.len().max(1);
-        let p2 = g.next_power_of_two();
-        let mut tree = LoserTree {
-            losers: vec![0; p2],
-            keys,
-            winner: 0,
-            p2,
-        };
-        tree.keys.resize(p2, None);
+    fn new(keys: impl IntoIterator<Item = Option<V>>) -> Self {
+        let mut tree = LoserTree::default();
+        tree.rebuild(keys);
+        tree
+    }
+
+    /// Rebuilds the tree over new per-leaf keys, reusing its buffers.
+    fn rebuild(&mut self, keys: impl IntoIterator<Item = Option<V>>) {
+        self.keys.clear();
+        self.keys.extend(keys);
+        let p2 = self.keys.len().max(1).next_power_of_two();
+        self.p2 = p2;
+        self.keys.resize(p2, None);
+        self.losers.clear();
+        self.losers.resize(p2, 0);
         // Bottom-up build: winners per node computed transiently, losers
         // stored. Node n's children are nodes 2n and 2n+1; leaf i is node
         // p2 + i.
-        let mut win: Vec<u32> = vec![0; 2 * p2];
+        let mut win = std::mem::take(&mut self.win);
+        win.clear();
+        win.resize(2 * p2, 0);
         for (i, w) in win.iter_mut().enumerate().skip(p2) {
             *w = (i - p2) as u32;
         }
         for n in (1..p2).rev() {
             let (a, b) = (win[2 * n], win[2 * n + 1]);
-            let (w, l) = if tree.beats(a, b) { (a, b) } else { (b, a) };
+            let (w, l) = if self.beats(a, b) { (a, b) } else { (b, a) };
             win[n] = w;
-            tree.losers[n] = l;
+            self.losers[n] = l;
         }
-        tree.winner = win[1];
-        tree
+        self.winner = win[1];
+        self.win = win;
     }
 
     /// Whether leaf `x` wins against leaf `y` (`None` loses to everything;
@@ -415,8 +445,7 @@ pub fn threshold_pivot_tree<V: SimdElem + Hash>(lists: &[&[V]], k: usize, out: &
     let mut tree = LoserTree::new(
         order[..generators]
             .iter()
-            .map(|&li| lists[li].first().copied())
-            .collect(),
+            .map(|&li| lists[li].first().copied()),
     );
 
     while let Some(pivot) = tree.winner_key() {
@@ -454,6 +483,198 @@ pub fn threshold_pivot_tree<V: SimdElem + Hash>(lists: &[&[V]], k: usize, out: &
     }
 }
 
+/// Marks a generated value's count once it has met a fresh list.
+const FRESH_HIT: u32 = 1 << 31;
+
+/// Reusable buffers for [`threshold_fresh`]: a caller that keeps one
+/// allocates nothing per call once the buffers have grown to its fan-in.
+#[derive(Debug)]
+pub struct FreshScratch<V> {
+    /// List indices by ascending length.
+    order: Vec<usize>,
+    /// Generator list indices, in loser-tree leaf order.
+    generators: Vec<usize>,
+    /// The other lists' indices in probe order (shortest first).
+    probes: Vec<usize>,
+    /// Per-generator cursor while the tree merges them.
+    cursors: Vec<usize>,
+    /// Generated values, ascending, and per value its hit count, with
+    /// [`FRESH_HIT`] set once a fresh list contained it.
+    values: Vec<V>,
+    counts: Vec<u32>,
+    tree: LoserTree<V>,
+}
+
+impl<V> Default for FreshScratch<V> {
+    fn default() -> Self {
+        FreshScratch {
+            order: Vec::new(),
+            generators: Vec::new(),
+            probes: Vec::new(),
+            cursors: Vec::new(),
+            values: Vec::new(),
+            counts: Vec::new(),
+            tree: LoserTree::default(),
+        }
+    }
+}
+
+/// Delta threshold: every value in at least `k` of the `n` sorted `lists`
+/// **and** in at least one list whose `fresh` flag is set, appended to
+/// `out` as `(value, count)` ascending, `count` being the exact number of
+/// lists containing it.
+///
+/// This is the k-of-n query with one witness bound to the new tuple, the
+/// delta form GenericJoin uses for a changing relation: a value whose
+/// lists are all old was already at `k` before, so only values that meet
+/// a fresh list can be new. Two generators each produce every qualifying
+/// value:
+///
+/// * the fresh lists — a qualifying value is in one by definition;
+/// * the `n − k + 1` shortest lists — a value in `k` lists is in one of
+///   them (the pivot set of [`threshold_pivot_skip`]).
+///
+/// The kernel takes whichever holds fewer entries, so a fresh celebrity
+/// list is never the generator, and merges the generator lists (through a
+/// loser tree when there are several) into one ascending run of values
+/// with their counts. It then counts that run against each other list,
+/// shortest first, with [`gallop_to_simd`] — galloping through the run
+/// when the list is the shorter side, through the list otherwise. Before
+/// a list is probed, values that can no longer reach `k` (only possible
+/// for the last `k − 1` lists) or can no longer meet a fresh list are
+/// dropped, so the longest lists are probed by survivors only. Every
+/// value that reaches the output was probed against every list, so its
+/// count is exact.
+pub fn threshold_fresh<V: SimdElem>(
+    lists: &[&[V]],
+    fresh: &[bool],
+    k: usize,
+    scratch: &mut FreshScratch<V>,
+    out: &mut Vec<(V, u32)>,
+) {
+    let n = lists.len();
+    debug_assert_eq!(fresh.len(), n, "one fresh flag per list");
+    if k == 0 || n < k || !fresh.contains(&true) {
+        return;
+    }
+    let FreshScratch {
+        order,
+        generators,
+        probes,
+        cursors,
+        values,
+        counts,
+        tree,
+    } = scratch;
+    order.clear();
+    order.extend(0..n);
+    order.sort_unstable_by_key(|&i| lists[i].len());
+    let pivots = n - k + 1;
+    let pivot_len: usize = order[..pivots].iter().map(|&i| lists[i].len()).sum();
+    let fresh_len: usize = (0..n).filter(|&i| fresh[i]).map(|i| lists[i].len()).sum();
+    generators.clear();
+    probes.clear();
+    if fresh_len <= pivot_len {
+        for &i in order.iter() {
+            if fresh[i] {
+                generators.push(i);
+            } else {
+                probes.push(i);
+            }
+        }
+    } else {
+        generators.extend_from_slice(&order[..pivots]);
+        probes.extend_from_slice(&order[pivots..]);
+    }
+
+    // Merge the generators into one ascending run with counts.
+    values.clear();
+    counts.clear();
+    let fresh_bit = |li: usize| if fresh[li] { FRESH_HIT } else { 0 };
+    if let [li] = generators[..] {
+        values.extend_from_slice(lists[li]);
+        counts.resize(values.len(), 1 | fresh_bit(li));
+    } else {
+        cursors.clear();
+        cursors.resize(generators.len(), 0);
+        tree.rebuild(generators.iter().map(|&li| lists[li].first().copied()));
+        while let Some(v) = tree.winner_key() {
+            // Successive winners with an equal key are exactly the
+            // generator lists containing `v`; each advances past it.
+            let mut c = 0u32;
+            while tree.winner_key() == Some(v) {
+                let leaf = tree.winner_leaf();
+                let li = generators[leaf];
+                cursors[leaf] += 1;
+                tree.replace_winner(lists[li].get(cursors[leaf]).copied());
+                c = (c + 1) | fresh_bit(li);
+            }
+            values.push(v);
+            counts.push(c);
+        }
+    }
+
+    let mut fresh_left = probes.iter().filter(|&&li| fresh[li]).count();
+    let mut fresh_pruned = false;
+    for (pos, &li) in probes.iter().enumerate() {
+        // Drop values that can no longer qualify: too few lists left to
+        // reach `k`, or no fresh list left to meet.
+        let remaining = probes.len() - pos;
+        let need_fresh = fresh_left == 0;
+        if remaining < k || (need_fresh && !fresh_pruned) {
+            fresh_pruned |= need_fresh;
+            let need = k.saturating_sub(remaining) as u32;
+            let mut w = 0;
+            for r in 0..values.len() {
+                let c = counts[r];
+                if c & !FRESH_HIT >= need && (!need_fresh || c & FRESH_HIT != 0) {
+                    values[w] = values[r];
+                    counts[w] = c;
+                    w += 1;
+                }
+            }
+            values.truncate(w);
+            counts.truncate(w);
+        }
+        if values.is_empty() {
+            return;
+        }
+        let (list, bit) = (lists[li], fresh_bit(li));
+        let mut c = 0usize;
+        if list.len() < values.len() {
+            for &x in list {
+                c = gallop_to_simd(values, c, x);
+                if c == values.len() {
+                    break;
+                }
+                if values[c] == x {
+                    counts[c] = (counts[c] + 1) | bit;
+                    c += 1;
+                }
+            }
+        } else {
+            for (r, &v) in values.iter().enumerate() {
+                c = gallop_to_simd(list, c, v);
+                if c == list.len() {
+                    break;
+                }
+                if list[c] == v {
+                    counts[r] = (counts[r] + 1) | bit;
+                    c += 1;
+                }
+            }
+        }
+        fresh_left -= usize::from(fresh[li]);
+    }
+    out.extend(
+        values
+            .iter()
+            .zip(counts.iter())
+            .filter(|&(_, &c)| c & FRESH_HIT != 0 && (c & !FRESH_HIT) as usize >= k)
+            .map(|(&v, &c)| (v, c & !FRESH_HIT)),
+    );
+}
+
 /// Brute-force reference used by tests and property checks.
 pub fn threshold_naive<V: Copy + Ord>(lists: &[&[V]], k: usize) -> Vec<(V, u32)> {
     let mut counts: std::collections::BTreeMap<V, u32> = Default::default();
@@ -482,7 +703,7 @@ pub fn lists_containing<V: Copy + Ord>(lists: &[&[V]], value: V) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use magicrecs_types::UserId;
+    use magicrecs_types::{DenseId, UserId};
     use proptest::prelude::*;
 
     fn ids(v: &[u64]) -> Vec<UserId> {
@@ -655,6 +876,114 @@ mod tests {
         }
     }
 
+    /// `threshold_naive` restricted to values in at least one fresh list.
+    fn fresh_naive(lists: &[Vec<u64>], fresh: &[bool], k: usize) -> Vec<(u64, u32)> {
+        let owned: Vec<Vec<UserId>> = lists.iter().map(|l| ids(l)).collect();
+        let slices: Vec<&[UserId]> = owned.iter().map(|l| l.as_slice()).collect();
+        threshold_naive(&slices, k)
+            .into_iter()
+            .filter(|&(v, _)| {
+                slices
+                    .iter()
+                    .zip(fresh)
+                    .any(|(l, &f)| f && l.binary_search(&v).is_ok())
+            })
+            .map(|(v, c)| (v.raw(), c))
+            .collect()
+    }
+
+    fn run_fresh(
+        lists: &[Vec<u64>],
+        fresh: &[bool],
+        k: usize,
+        scratch: &mut FreshScratch<UserId>,
+    ) -> Vec<(u64, u32)> {
+        let owned: Vec<Vec<UserId>> = lists.iter().map(|l| ids(l)).collect();
+        let slices: Vec<&[UserId]> = owned.iter().map(|l| l.as_slice()).collect();
+        let mut out = Vec::new();
+        threshold_fresh(&slices, fresh, k, scratch, &mut out);
+        out.into_iter().map(|(v, c)| (v.raw(), c)).collect()
+    }
+
+    /// [`run_fresh`] over dense `u32` ids, the lanes the SIMD gallop
+    /// path runs on.
+    fn run_fresh_dense(lists: &[Vec<u64>], fresh: &[bool], k: usize) -> Vec<(u64, u32)> {
+        let owned: Vec<Vec<DenseId>> = lists
+            .iter()
+            .map(|l| l.iter().map(|&v| DenseId(v as u32)).collect())
+            .collect();
+        let slices: Vec<&[DenseId]> = owned.iter().map(|l| l.as_slice()).collect();
+        let mut out = Vec::new();
+        threshold_fresh(&slices, fresh, k, &mut FreshScratch::default(), &mut out);
+        out.into_iter().map(|(v, c)| (u64::from(v.0), c)).collect()
+    }
+
+    #[test]
+    fn threshold_fresh_keeps_only_values_meeting_a_fresh_list() {
+        // 3 is in all three lists, 2 and 4 in two; only list 2 is fresh.
+        let lists = vec![vec![1, 2, 3], vec![2, 3, 4], vec![3, 4, 5]];
+        let mut scratch = FreshScratch::default();
+        let got = run_fresh(&lists, &[false, false, true], 2, &mut scratch);
+        assert_eq!(got, vec![(3, 3), (4, 2)]);
+    }
+
+    #[test]
+    fn threshold_fresh_without_fresh_list_is_empty() {
+        let lists = vec![vec![1, 2], vec![1, 2]];
+        let mut scratch = FreshScratch::default();
+        assert_eq!(run_fresh(&lists, &[false, false], 2, &mut scratch), vec![]);
+        assert_eq!(run_fresh(&[], &[], 1, &mut scratch), vec![]);
+        assert_eq!(run_fresh(&lists, &[true, true], 0, &mut scratch), vec![]);
+    }
+
+    #[test]
+    fn threshold_fresh_all_fresh_equals_full_threshold() {
+        let lists = vec![
+            vec![1, 5, 9],
+            vec![1, 5, 7, 9],
+            vec![1, 3, 9],
+            vec![1, 9, 11],
+        ];
+        let mut scratch = FreshScratch::default();
+        for k in 1..=4 {
+            assert_eq!(
+                run_fresh(&lists, &[true; 4], k, &mut scratch),
+                run(ThresholdAlgo::Adaptive, &lists, k),
+                "k={k}"
+            );
+        }
+    }
+
+    #[test]
+    fn threshold_fresh_celebrity_fresh_list() {
+        // The fresh list dwarfs the rest, so the pivot lists generate and
+        // the celebrity list is only probed.
+        let celeb: Vec<u64> = (0..100_000).map(|i| i * 2).collect();
+        let lists = vec![vec![10, 1_001, 50_001], vec![10, 1_001, 50_001], celeb];
+        let mut scratch = FreshScratch::default();
+        let fresh = [false, false, true];
+        assert_eq!(run_fresh(&lists, &fresh, 2, &mut scratch), vec![(10, 3)]);
+        assert_eq!(
+            run_fresh(&lists, &fresh, 2, &mut scratch),
+            fresh_naive(&lists, &fresh, 2)
+        );
+    }
+
+    #[test]
+    fn threshold_fresh_same_scratch_across_fan_ins() {
+        let mut scratch = FreshScratch::default();
+        let wide: Vec<Vec<u64>> = (0..40u64).map(|i| vec![i, 100, 200 + i]).collect();
+        let mut fresh = vec![false; 40];
+        fresh[7] = true;
+        assert_eq!(run_fresh(&wide, &fresh, 3, &mut scratch), vec![(100, 40)]);
+        let narrow = vec![vec![1, 2], vec![2, 3]];
+        assert_eq!(
+            run_fresh(&narrow, &[true, false], 2, &mut scratch),
+            vec![(2, 2)]
+        );
+        assert_eq!(run_fresh(&wide, &fresh, 3, &mut scratch), vec![(100, 40)]);
+    }
+
     #[test]
     fn gallop_to_frontier_cases() {
         use crate::intersect::gallop_to;
@@ -699,6 +1028,41 @@ mod tests {
             for algo in ALGOS {
                 prop_assert_eq!(&run(algo, &lists, k), &expect, "{:?}", algo);
             }
+        }
+
+        /// The delta kernel equals the naive k-of-n count filtered to
+        /// values in a fresh list, for any fresh subset and either
+        /// generator; one scratch serves both calls.
+        #[test]
+        fn threshold_fresh_matches_naive(
+            raw in proptest::collection::vec(
+                (proptest::collection::vec(0u64..64, 0..40), prop::bool::ANY),
+                0..12,
+            ),
+            long in proptest::collection::vec(0u64..64, 0..64),
+            k in 1usize..6,
+        ) {
+            let (mut lists, mut fresh): (Vec<Vec<u64>>, Vec<bool>) = raw
+                .into_iter()
+                .map(|(mut l, f)| {
+                    l.sort_unstable();
+                    l.dedup();
+                    (l, f)
+                })
+                .unzip();
+            let mut scratch = FreshScratch::default();
+            let expect = fresh_naive(&lists, &fresh, k);
+            prop_assert_eq!(&run_fresh(&lists, &fresh, k, &mut scratch), &expect);
+            prop_assert_eq!(&run_fresh_dense(&lists, &fresh, k), &expect);
+            // A long fresh list tips the choice toward the pivot lists.
+            let mut long = long;
+            long.sort_unstable();
+            long.dedup();
+            lists.push(long);
+            fresh.push(true);
+            let expect = fresh_naive(&lists, &fresh, k);
+            prop_assert_eq!(&run_fresh(&lists, &fresh, k, &mut scratch), &expect);
+            prop_assert_eq!(&run_fresh_dense(&lists, &fresh, k), &expect);
         }
 
         /// Loser-tree pivot generation is sequence-equivalent to the

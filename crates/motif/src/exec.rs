@@ -13,7 +13,7 @@
 use crate::plan::{Plan, PlanStep};
 use crate::planner::plan_motif;
 use crate::spec::MotifSpec;
-use magicrecs_core::threshold::{lists_containing, threshold_intersect, ThresholdAlgo};
+use magicrecs_core::threshold::{lists_containing, threshold_fresh, FreshScratch};
 use magicrecs_graph::FollowGraph;
 use magicrecs_temporal::TemporalEdgeStore;
 use magicrecs_types::{Candidate, Counter, DenseId, EdgeEvent, Result, Timestamp, UserId};
@@ -127,7 +127,11 @@ impl MotifEngine {
                         .collect();
                 }
                 PlanStep::ThresholdCount(k) => {
-                    threshold_intersect(ThresholdAlgo::Adaptive, &lists, *k, &mut matches);
+                    // The hand-coded detector's contract: only `A`s that
+                    // meet a fresh witness (timestamp = the event's).
+                    let fresh: Vec<bool> = witnesses.iter().map(|&(_, at)| at == t).collect();
+                    let mut scratch = FreshScratch::default();
+                    threshold_fresh(&lists, &fresh, *k, &mut scratch, &mut matches);
                     if matches.is_empty() {
                         return Vec::new();
                     }

@@ -24,7 +24,8 @@ pub enum PlanStep {
     CapWitnesses(usize),
     /// lists ← static follower list of each witness.
     LoadFollowerLists,
-    /// matches ← values in ≥ k of the lists (threshold intersection).
+    /// matches ← values in ≥ k of the lists, at least one of them a fresh
+    /// witness's (the event's own timestamp) — the delta threshold.
     ThresholdCount(usize),
     /// Drop the event target from matches.
     FilterSelf,
