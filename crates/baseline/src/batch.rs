@@ -181,7 +181,7 @@ impl BatchOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use magicrecs_core::Engine;
+    use magicrecs_core::ConcurrentEngine;
     use magicrecs_gen::{GraphGen, GraphGenConfig, Scenario, ScenarioConfig};
     use magicrecs_graph::GraphBuilder;
     use magicrecs_types::Duration;
@@ -227,8 +227,8 @@ mod tests {
         );
         let oracle = BatchOracle::new(cfg).unwrap();
         let expected = oracle.replay(&g, trace.events());
-        let mut engine = Engine::new(g, cfg).unwrap();
-        let got = engine.process_trace(trace.events().iter().copied());
+        let engine = ConcurrentEngine::new(g, cfg).unwrap();
+        let got = engine.on_events(trace.events());
         assert_eq!(got, expected);
     }
 
@@ -295,8 +295,8 @@ mod tests {
                 .with_tau(Duration::from_secs(300));
             let oracle = BatchOracle::new(cfg).unwrap();
             let expected = oracle.replay(&g, &events);
-            let mut engine = Engine::new(g, cfg).unwrap();
-            let got = engine.process_trace(events);
+            let engine = ConcurrentEngine::new(g, cfg).unwrap();
+            let got: Vec<Candidate> = events.iter().flat_map(|&e| engine.on_event(e)).collect();
             prop_assert_eq!(got, expected);
         }
     }

@@ -5,7 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use magicrecs_bench::{bench_detector_config, bench_trace, small_graph};
-use magicrecs_core::Engine;
+use magicrecs_core::ConcurrentEngine;
 use magicrecs_graph::GraphBuilder;
 use magicrecs_types::{DetectorConfig, EdgeEvent, Timestamp, UserId};
 use std::hint::black_box;
@@ -20,7 +20,7 @@ fn bench_event_throughput(c: &mut Criterion) {
     group.throughput(Throughput::Elements(trace.len() as u64));
     group.bench_function("steady_20k_users", |b| {
         b.iter(|| {
-            let mut engine = Engine::new(graph.clone(), bench_detector_config()).unwrap();
+            let engine = ConcurrentEngine::new(graph.clone(), bench_detector_config()).unwrap();
             let mut n = 0usize;
             for &e in trace.events() {
                 n += engine.on_event(e).len();
@@ -56,7 +56,7 @@ fn bench_witness_scaling(c: &mut Criterion) {
             |b, &w| {
                 b.iter_batched(
                     || {
-                        let mut engine = Engine::new(graph.clone(), cfg).unwrap();
+                        let engine = ConcurrentEngine::new(graph.clone(), cfg).unwrap();
                         // Pre-load w−1 witnesses.
                         for i in 0..(w as u64 - 1) {
                             engine.on_event(EdgeEvent::follow(
@@ -67,7 +67,7 @@ fn bench_witness_scaling(c: &mut Criterion) {
                         }
                         engine
                     },
-                    |mut engine| {
+                    |engine| {
                         // The w-th witness triggers the full intersection.
                         let out = engine.on_event(EdgeEvent::follow(
                             UserId(w as u64 - 1),

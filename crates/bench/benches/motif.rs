@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use magicrecs_bench::{bench_trace, small_graph};
-use magicrecs_core::Engine;
+use magicrecs_core::ConcurrentEngine;
 use magicrecs_motif::{parse_motif, plan_motif, MotifEngine};
 use magicrecs_types::{DetectorConfig, Duration};
 use std::hint::black_box;
@@ -29,8 +29,12 @@ fn bench_declarative_vs_handcoded(c: &mut Criterion) {
     group.throughput(Throughput::Elements(trace.len() as u64));
     group.bench_function("hand_coded", |b| {
         b.iter(|| {
-            let mut engine = Engine::new(graph.clone(), cfg).unwrap();
-            black_box(engine.process_trace(trace.events().iter().copied()).len())
+            let engine = ConcurrentEngine::new(graph.clone(), cfg).unwrap();
+            let mut n = 0usize;
+            for &e in trace.events() {
+                n += engine.on_event(e).len();
+            }
+            black_box(n)
         });
     });
     group.bench_function("declarative_plan", |b| {

@@ -56,9 +56,9 @@
 //! /fsync/poison counters, checkpoint bytes, batch-size sketch) merges
 //! into the given JSON file.
 
-use magicrecs_bench::{header, row};
+use magicrecs_bench::{header, row, ServedStats};
 use magicrecs_cluster::SharedEngineCluster;
-use magicrecs_core::{ConcurrentEngine, Engine};
+use magicrecs_core::ConcurrentEngine;
 use magicrecs_gen::adversity::{AdversitySpec, Episode};
 use magicrecs_gen::playback::{play, PlaybackControl};
 use magicrecs_graph::{CapStrategy, FollowGraph, GraphBuilder};
@@ -68,9 +68,7 @@ use magicrecs_persist::{
     PersistentEngine, RebasePolicy, TempDir,
 };
 use magicrecs_replica::{ClusterMap, Coordinator, Node, NodeConfig, RoutedClient};
-use magicrecs_server::{
-    AdmissionConfig, ClientConn, Frame, Server, ServerConfig, ShedCode, WireStats,
-};
+use magicrecs_server::{AdmissionConfig, ClientConn, Frame, Server, ServerConfig, ShedCode};
 use magicrecs_types::{Candidate, DetectorConfig, Duration, EdgeEvent, Error, Timestamp, UserId};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -307,7 +305,7 @@ fn run_cell(
 
     // Fault-free twin: per-event candidates from a plain in-memory
     // engine (same detection semantics; no disk in the reference).
-    let mut twin = Engine::new(graph.clone(), config).expect("twin engine");
+    let twin = ConcurrentEngine::new(graph.clone(), config).expect("twin engine");
     let twin_per_event: Vec<Vec<Candidate>> = events.iter().map(|&e| twin.on_event(e)).collect();
 
     // The fault half of the cell: which plan arms at the breakpoint.
@@ -596,7 +594,7 @@ fn run_checkpoint_cell(
         ..engine_opts(fault)
     };
 
-    let mut twin = Engine::new(graph.clone(), config).expect("twin engine");
+    let twin = ConcurrentEngine::new(graph.clone(), config).expect("twin engine");
     let twin_per_event: Vec<Vec<Candidate>> = events.iter().map(|&e| twin.on_event(e)).collect();
 
     let plan = match fault {
@@ -906,16 +904,10 @@ fn start_serving(
     (server, engine)
 }
 
-/// StatsReq/StatsResp on `conn`, skipping any deliveries in flight.
-fn wire_stats(conn: &mut ClientConn) -> WireStats {
-    conn.send(&Frame::StatsReq).expect("stats req");
-    loop {
-        match conn.recv().expect("stats resp") {
-            Frame::StatsResp(s) => return s,
-            Frame::Deliver { .. } => continue,
-            other => panic!("unexpected frame awaiting stats: {other:?}"),
-        }
-    }
+/// One `MetricsReq` scrape on `conn` (deliveries in flight are
+/// skipped), projected onto the served counters.
+fn wire_stats(conn: &mut ClientConn) -> ServedStats {
+    ServedStats::from_metrics(&conn.fetch_metrics().expect("metrics scrape"))
 }
 
 fn serving_cell_result(
@@ -1362,7 +1354,7 @@ fn replica_events(n: usize, users: u64) -> Vec<EdgeEvent> {
 /// over the same fixture graph, fed the same single-partition batches,
 /// so delivered candidates compare tag-for-tag.
 struct ReplicaTwin {
-    engine: Engine,
+    engine: ConcurrentEngine,
     next_seq: u64,
     per_tag: std::collections::HashMap<u64, Vec<Candidate>>,
 }
@@ -1371,7 +1363,7 @@ impl ReplicaTwin {
     fn new(map: &ClusterMap) -> ReplicaTwin {
         let graph = magicrecs_replica::fixture_graph(map);
         ReplicaTwin {
-            engine: Engine::new(graph, DetectorConfig::default()).expect("twin engine"),
+            engine: ConcurrentEngine::new(graph, DetectorConfig::default()).expect("twin engine"),
             next_seq: 0,
             per_tag: std::collections::HashMap::new(),
         }

@@ -13,7 +13,7 @@ use magicrecs_bench::{
     bench_detector_config, bench_trace, fmt_bytes, fmt_rate, header, row, small_graph,
 };
 use magicrecs_cluster::{Broker, ThreadedCluster};
-use magicrecs_core::Engine;
+use magicrecs_core::ConcurrentEngine;
 use magicrecs_gen::{GraphGen, GraphGenConfig};
 use magicrecs_graph::{CapStrategy, GraphBuilder, GraphStats};
 use magicrecs_motif::MotifEngine;
@@ -64,7 +64,7 @@ fn e1_figure1() {
     let mut g = GraphBuilder::new();
     g.extend([(u(1), u(11)), (u(2), u(11)), (u(2), u(12)), (u(3), u(12))]);
     let graph = g.build();
-    let mut engine = Engine::new(graph, DetectorConfig::example()).unwrap();
+    let engine = ConcurrentEngine::new(graph, DetectorConfig::example()).unwrap();
     let r1 = engine.on_event(EdgeEvent::follow(u(11), u(22), Timestamp::from_secs(10)));
     let r2 = engine.on_event(EdgeEvent::follow(u(12), u(22), Timestamp::from_secs(40)));
     println!("{}", header(&["event", "recommendations"]));
@@ -106,14 +106,14 @@ fn e2_throughput() {
         let graph = small_graph(users);
         let edges = graph.num_follow_edges();
         let trace = bench_trace(users, 2_000.0, 30, 0xE2);
-        let mut engine = Engine::new(graph, bench_detector_config()).unwrap();
+        let engine = ConcurrentEngine::new(graph, bench_detector_config()).unwrap();
         let start = Instant::now();
         for &e in trace.events() {
             engine.on_event(e);
         }
         let wall = start.elapsed();
         let thr = trace.len() as f64 / wall.as_secs_f64();
-        let d = engine.stats().detect_time.snapshot();
+        let d = engine.stats().detect_time;
         println!(
             "{}",
             row(&[
@@ -143,15 +143,15 @@ fn e5_baselines() {
     // Online reference. The online detector re-fires as witnesses
     // accumulate, so compare *distinct pairs* against polling (which
     // reports each pair once).
-    let mut engine = Engine::new(graph.clone(), cfg).unwrap();
+    let engine = ConcurrentEngine::new(graph.clone(), cfg).unwrap();
     let t0 = Instant::now();
-    let online = engine.process_trace(trace.events().iter().copied());
+    let online = engine.on_events(trace.events());
     let online_wall = t0.elapsed();
     let mut online_pairs: Vec<(UserId, UserId)> =
         online.iter().map(|c| (c.user, c.target)).collect();
     online_pairs.sort_unstable();
     online_pairs.dedup();
-    let d = engine.stats().detect_time.snapshot();
+    let d = engine.stats().detect_time;
 
     println!("### E5a — Polling vs online (latency)\n");
     println!(
@@ -400,9 +400,9 @@ fn e7_pruning() {
             max_witnesses,
             ..bench_detector_config()
         };
-        let mut engine = Engine::new(hot_graph.clone(), cfg).unwrap();
+        let engine = ConcurrentEngine::new(hot_graph.clone(), cfg).unwrap();
         let t0 = Instant::now();
-        let n = engine.process_trace(hot.events().iter().copied()).len();
+        let n = engine.on_events(hot.events()).len();
         let wall = t0.elapsed();
         println!(
             "{}",
@@ -410,7 +410,7 @@ fn e7_pruning() {
                 name.into(),
                 format!("{:.2}s", wall.as_secs_f64()),
                 fmt_rate(hot.len() as f64 / wall.as_secs_f64()),
-                format!("{} µs", engine.stats().detect_time.snapshot().p99_us),
+                format!("{} µs", engine.stats().detect_time.p99_us),
                 n.to_string(),
             ])
         );
@@ -439,8 +439,8 @@ fn e8_k_tau() {
                 max_candidates_per_event: None,
                 skip_existing: true,
             };
-            let mut engine = Engine::new(graph.clone(), cfg).unwrap();
-            let n = engine.process_trace(trace.events().iter().copied()).len();
+            let engine = ConcurrentEngine::new(graph.clone(), cfg).unwrap();
+            let n = engine.on_events(trace.events()).len();
             cells.push(n.to_string());
         }
         println!("{}", row(&cells));
@@ -476,8 +476,8 @@ fn e9_influencer_cap() {
     ] {
         let graph = gen.generate_capped(cap);
         let stats = GraphStats::of(&graph);
-        let mut engine = Engine::new(graph, bench_detector_config()).unwrap();
-        let candidates = engine.process_trace(trace.events().iter().copied());
+        let engine = ConcurrentEngine::new(graph, bench_detector_config()).unwrap();
+        let candidates = engine.on_events(trace.events());
         let mean_wit = if candidates.is_empty() {
             0.0
         } else {
@@ -515,9 +515,13 @@ fn e10_declarative() {
         max_candidates_per_event: None,
         skip_existing: true,
     };
-    let mut engine = Engine::new(graph.clone(), cfg).unwrap();
+    let engine = ConcurrentEngine::new(graph.clone(), cfg).unwrap();
     let t0 = Instant::now();
-    let hand: Vec<_> = engine.process_trace(trace.events().iter().copied());
+    let hand: Vec<_> = trace
+        .events()
+        .iter()
+        .flat_map(|&e| engine.on_event(e))
+        .collect();
     let hand_wall = t0.elapsed();
 
     let mut declarative = MotifEngine::from_text(
@@ -565,8 +569,6 @@ fn e10_declarative() {
     // Also verify the oracle agrees, closing the loop between all three.
     let oracle = BatchOracle::new(cfg).unwrap();
     let short: Vec<EdgeEvent> = trace.events().iter().take(500).copied().collect();
-    let mut e2 = Engine::new(small_graph(users), cfg).unwrap();
-    assert_eq!(oracle.replay(e2.graph(), &short), {
-        e2.process_trace(short.iter().copied())
-    });
+    let e2 = ConcurrentEngine::new(small_graph(users), cfg).unwrap();
+    assert_eq!(oracle.replay(&e2.graph(), &short), e2.on_events(&short));
 }

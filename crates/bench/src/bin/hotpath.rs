@@ -78,7 +78,7 @@ use magicrecs_core::intersect::{
     intersect_merge_simd,
 };
 use magicrecs_core::threshold::{threshold_intersect, ThresholdAlgo};
-use magicrecs_core::{simd_level, Engine, SimdLevel};
+use magicrecs_core::{simd_level, ConcurrentEngine, SimdLevel};
 use magicrecs_graph::{FollowGraph, GraphBuilder};
 use magicrecs_temporal::{PruneStrategy, TemporalEdgeStore};
 use magicrecs_types::{DenseId, DetectorConfig, EdgeEvent, FxHashMap, Timestamp, UserId};
@@ -714,7 +714,6 @@ fn run_checkpoint_bytes(json: &mut Json) {
 /// [`Registry::new`]: magicrecs_obs::Registry::new
 /// [`Registry::disabled`]: magicrecs_obs::Registry::disabled
 fn run_obs_guard(json: &mut Json) {
-    use magicrecs_core::ConcurrentEngine;
     use magicrecs_obs::Registry;
 
     let limit_pct: f64 = std::env::var("MAGICRECS_OBS_GUARD_PCT")
@@ -985,7 +984,6 @@ fn run_d(json: &mut Json) {
 /// crash-recovery replay rate. Keys are merge-recorded like everything
 /// else; `--no-persist` keeps the previous values.
 fn run_persist(json: &mut Json) {
-    use magicrecs_core::ConcurrentEngine;
     use magicrecs_graph::GraphDelta;
     use magicrecs_persist::{FsyncPolicy, PersistOptions, PersistentEngine, TempDir};
 
@@ -1357,7 +1355,7 @@ fn main() {
     let trace = bench_trace(20_000, 2_000.0, 10, 0xD1);
     // Engine construction (graph clone, store build) stays untimed.
     let zipf = interleaved_medians(1, |_, _| {
-        let mut engine = Engine::new(graph.clone(), DetectorConfig::production()).unwrap();
+        let engine = ConcurrentEngine::new(graph.clone(), DetectorConfig::production()).unwrap();
         let mut n = 0usize;
         let start = Instant::now();
         for &e in trace.events() {
@@ -1382,7 +1380,8 @@ fn main() {
     let celeb_graph = celebrity_graph();
     let rounds = 200u64;
     let run_celeb = |spread: bool| -> f64 {
-        let mut engine = Engine::new(celeb_graph.clone(), DetectorConfig::production()).unwrap();
+        let engine =
+            ConcurrentEngine::new(celeb_graph.clone(), DetectorConfig::production()).unwrap();
         let mut n = 0usize;
         let start = Instant::now();
         for round in 0..rounds {

@@ -40,12 +40,12 @@
 //! ROADMAP item 2's caveat. Run on real cores for honest tails.
 
 use magicrecs_bench::json::{Json, Val};
-use magicrecs_bench::{fmt_rate, small_graph};
+use magicrecs_bench::{fmt_rate, small_graph, ServedStats};
 use magicrecs_core::ConcurrentEngine;
 use magicrecs_gen::{GraphGen, GraphGenConfig, Scenario, ScenarioConfig};
 use magicrecs_graph::FollowGraph;
 use magicrecs_server::{
-    connect_per_worker, wire, AdmissionConfig, Backoff, Frame, Server, ServerConfig, WireStats,
+    connect_per_worker, wire, AdmissionConfig, Backoff, Frame, Server, ServerConfig,
 };
 use magicrecs_types::{
     metrics::Histogram, route_mix, DetectorConfig, EdgeEvent, FxHashMap, Timestamp,
@@ -130,7 +130,7 @@ struct PhaseReport {
     max_retry_hint_us: u64,
     wall: Duration,
     latency: Histogram,
-    stats: WireStats,
+    stats: ServedStats,
     /// Full flattened registry scrape (`MetricsReq`), taken after the
     /// run's barrier so every admitted batch has recorded its stages.
     metrics: Vec<(String, u64)>,
@@ -374,12 +374,8 @@ fn run_phase(
     let wall = started.elapsed();
 
     let mut control = magicrecs_server::ClientConn::connect(addr, None).expect("control conn");
-    control.send(&Frame::StatsReq).expect("stats req");
-    let stats = match control.recv().expect("stats resp") {
-        Frame::StatsResp(s) => s,
-        other => panic!("expected StatsResp, got {other:?}"),
-    };
     let metrics = control.fetch_metrics().expect("metrics scrape");
+    let stats = ServedStats::from_metrics(&metrics);
     server.shutdown();
 
     PhaseReport {
@@ -401,7 +397,7 @@ struct RetryReport {
     rounds: u64,
     max_hint_us: u64,
     wall: Duration,
-    stats: WireStats,
+    stats: ServedStats,
 }
 
 /// Phase 3: the same 2× overload, but with a client that *consumes* the
@@ -541,11 +537,7 @@ fn run_resilient_retry(
     let wall = started.elapsed();
 
     let mut control = magicrecs_server::ClientConn::connect(addr, None).expect("control conn");
-    control.send(&Frame::StatsReq).expect("stats req");
-    let stats = match control.recv().expect("stats resp") {
-        Frame::StatsResp(s) => s,
-        other => panic!("expected StatsResp, got {other:?}"),
-    };
+    let stats = ServedStats::from_metrics(&control.fetch_metrics().expect("metrics scrape"));
     server.shutdown();
 
     RetryReport {

@@ -94,6 +94,54 @@ pub fn fmt_rate(r: f64) -> String {
     }
 }
 
+/// The engine and serving counters a served run reports, projected from
+/// one flattened `MetricsReq` registry scrape.
+#[derive(Debug, Clone, Copy)]
+pub struct ServedStats {
+    /// Events processed by the engine (`engine_events`).
+    pub events: u64,
+    /// Candidates emitted, pre-funnel (`engine_candidates`).
+    pub candidates: u64,
+    /// Ingest events admitted by the serving tier (`engine_accepted`).
+    pub accepted: u64,
+    /// Ingest events refused with a typed shed (`engine_shed`).
+    pub shed: u64,
+    /// High-water mark of decoded-but-unprocessed events
+    /// (`engine_queue_high_watermark`).
+    pub queue_high_watermark: u64,
+    /// Deliveries dropped at a full subscriber write queue
+    /// (`server_dropped_deliveries`).
+    pub dropped_deliveries: u64,
+    /// Engine-side detection latency p50, µs (`engine_detect_us_p50`).
+    pub detect_p50_us: u64,
+    /// Engine-side detection latency p99, µs (`engine_detect_us_p99`).
+    pub detect_p99_us: u64,
+}
+
+impl ServedStats {
+    /// Reads the counters out of a scrape; panics naming the first
+    /// metric the scrape lacks.
+    pub fn from_metrics(metrics: &[(String, u64)]) -> ServedStats {
+        let get = |name: &str| -> u64 {
+            metrics
+                .iter()
+                .find(|(n, _)| n == name)
+                .unwrap_or_else(|| panic!("scrape missing {name}"))
+                .1
+        };
+        ServedStats {
+            events: get("engine_events"),
+            candidates: get("engine_candidates"),
+            accepted: get("engine_accepted"),
+            shed: get("engine_shed"),
+            queue_high_watermark: get("engine_queue_high_watermark"),
+            dropped_deliveries: get("server_dropped_deliveries"),
+            detect_p50_us: get("engine_detect_us_p50"),
+            detect_p99_us: get("engine_detect_us_p99"),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -58,7 +58,7 @@ impl Broker {
     /// sorted by user id (deterministic gather order).
     pub fn on_event(&mut self, event: EdgeEvent) -> Vec<Candidate> {
         let mut gathered = Vec::new();
-        for p in &mut self.partitions {
+        for p in &self.partitions {
             gathered.extend(p.on_event(event));
         }
         gathered.sort_by_key(|c| c.user);
@@ -89,7 +89,7 @@ impl Broker {
     /// first, so it re-sorts on the deterministic key instead.
     pub fn on_events(&mut self, events: &[EdgeEvent]) -> Vec<Candidate> {
         let mut gathered = Vec::new();
-        for p in &mut self.partitions {
+        for p in &self.partitions {
             p.on_events_into(events, &mut gathered);
         }
         gathered.sort_by(|a, b| {
@@ -108,7 +108,7 @@ impl Broker {
     /// partition for the cost of its touched rows instead.
     pub fn reload_graph(&mut self, graph: &FollowGraph) {
         let parts = partition_by_source(graph, &self.partitioner);
-        for (p, local) in self.partitions.iter_mut().zip(parts) {
+        for (p, local) in self.partitions.iter().zip(parts) {
             p.swap_graph(local);
         }
     }
@@ -133,7 +133,7 @@ impl Broker {
             .zip(&slices)
             .map(|(p, slice)| p.compute_graph_delta(slice))
             .collect::<Result<Vec<_>>>()?;
-        for (p, graph) in self.partitions.iter_mut().zip(refreshed) {
+        for (p, graph) in self.partitions.iter().zip(refreshed) {
             p.swap_graph(graph);
         }
         Ok(())
@@ -141,7 +141,7 @@ impl Broker {
 
     /// Forces expiry on every partition.
     pub fn advance(&mut self, now: Timestamp) {
-        for p in &mut self.partitions {
+        for p in &self.partitions {
             p.advance(now);
         }
     }
@@ -167,7 +167,7 @@ impl Broker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use magicrecs_core::Engine;
+    use magicrecs_core::ConcurrentEngine;
     use magicrecs_gen::{GraphGen, GraphGenConfig, Scenario, ScenarioConfig};
     use magicrecs_types::UserId;
 
@@ -215,8 +215,8 @@ mod tests {
             max_witnesses: Some(8),
             ..DetectorConfig::example()
         };
-        let mut single = Engine::new(g.clone(), cfg).unwrap();
-        let mut expected = single.process_trace(trace.events().iter().copied());
+        let single = ConcurrentEngine::new(g.clone(), cfg).unwrap();
+        let mut expected = single.on_events(trace.events());
         expected.sort_by_key(|a| (a.user, a.target, a.triggered_at));
 
         for parts in [1u32, 4, 20] {
@@ -245,7 +245,7 @@ mod tests {
         let fired: Vec<PartitionId> = broker
             .partitions()
             .iter()
-            .filter(|p| p.engine().stats().candidates.get() > 0)
+            .filter(|p| p.engine().stats().candidates > 0)
             .map(|p| p.id())
             .collect();
         assert_eq!(fired, vec![owner]);

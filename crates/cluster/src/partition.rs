@@ -2,9 +2,10 @@
 //!
 //! Holds the inverse index `S_p` for its owned `A`s plus a complete `D`
 //! (every partition sees the full stream). Wraps a `magicrecs-core`
-//! [`Engine`] and tags it with a [`PartitionId`].
+//! [`ConcurrentEngine`], driven by the partition's single owner, and tags
+//! it with a [`PartitionId`].
 
-use magicrecs_core::Engine;
+use magicrecs_core::ConcurrentEngine;
 use magicrecs_graph::{FollowGraph, GraphDelta};
 use magicrecs_types::{Candidate, DetectorConfig, EdgeEvent, PartitionId, Result, Timestamp};
 
@@ -12,7 +13,7 @@ use magicrecs_types::{Candidate, DetectorConfig, EdgeEvent, PartitionId, Result,
 #[derive(Debug)]
 pub struct Partition {
     id: PartitionId,
-    engine: Engine,
+    engine: ConcurrentEngine,
 }
 
 impl Partition {
@@ -20,7 +21,7 @@ impl Partition {
     pub fn new(id: PartitionId, local_graph: FollowGraph, config: DetectorConfig) -> Result<Self> {
         Ok(Partition {
             id,
-            engine: Engine::new(local_graph, config)?,
+            engine: ConcurrentEngine::new(local_graph, config)?,
         })
     }
 
@@ -31,7 +32,7 @@ impl Partition {
 
     /// Ingests one event and runs local detection. Candidates are always
     /// for `A`s owned by this partition.
-    pub fn on_event(&mut self, event: EdgeEvent) -> Vec<Candidate> {
+    pub fn on_event(&self, event: EdgeEvent) -> Vec<Candidate> {
         self.engine.on_event(event)
     }
 
@@ -40,13 +41,13 @@ impl Partition {
     /// appended. Identical candidates to N [`Partition::on_event`] calls
     /// (the engine's batch-vs-single contract) — this is what the
     /// threaded cluster's workers drain their queues into.
-    pub fn on_events_into(&mut self, events: &[EdgeEvent], out: &mut Vec<Candidate>) -> usize {
+    pub fn on_events_into(&self, events: &[EdgeEvent], out: &mut Vec<Candidate>) -> usize {
         self.engine.on_events_into(events, out)
     }
 
     /// Hot-swaps this partition's static slice (periodic offline reload,
     /// full rebuild — the fallback when no delta chain is available).
-    pub fn swap_graph(&mut self, local_graph: FollowGraph) {
+    pub fn swap_graph(&self, local_graph: FollowGraph) {
         self.engine.swap_graph(local_graph);
     }
 
@@ -62,12 +63,12 @@ impl Partition {
     }
 
     /// Forces dynamic-store expiry.
-    pub fn advance(&mut self, now: Timestamp) {
+    pub fn advance(&self, now: Timestamp) {
         self.engine.advance(now);
     }
 
     /// The wrapped engine (stats, memory accounting).
-    pub fn engine(&self) -> &Engine {
+    pub fn engine(&self) -> &ConcurrentEngine {
         &self.engine
     }
 
@@ -99,7 +100,7 @@ mod tests {
 
     #[test]
     fn partition_detects_locally() {
-        let mut p = Partition::new(PartitionId(0), graph(), DetectorConfig::example()).unwrap();
+        let p = Partition::new(PartitionId(0), graph(), DetectorConfig::example()).unwrap();
         assert_eq!(p.id(), PartitionId(0));
         p.on_event(EdgeEvent::follow(u(11), u(99), ts(1)));
         let r = p.on_event(EdgeEvent::follow(u(12), u(99), ts(2)));

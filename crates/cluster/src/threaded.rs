@@ -12,7 +12,7 @@
 //!   [`ConcurrentEngine`] (full `S` behind an `Arc` snapshot slot, one
 //!   sharded `D`). The stream is hash-routed by target, so each event is
 //!   processed exactly once and same-target events keep their relative
-//!   order — which makes per-event candidates identical to a sequential
+//!   order — which makes per-event candidates identical to a single-thread
 //!   engine run. Where partitioned mode buys throughput by duplicating
 //!   event-processing N times, shared mode buys it by overlapping ingest
 //!   and detection on one copy of the state.
@@ -206,7 +206,7 @@ impl ThreadedCluster {
 
         for (i, local) in self.graph_parts.iter().enumerate() {
             let (tx, rx) = channel::bounded::<EdgeEvent>(4096);
-            let mut partition =
+            let partition =
                 Partition::new(PartitionId(i as u32), local.clone(), self.detector_config)?;
             let result_tx = result_tx.clone();
             let max_batch = self.max_batch;
@@ -275,7 +275,7 @@ impl ThreadedCluster {
 /// Events are hash-routed by target (`dst`), so every event is processed
 /// exactly once and all events for a given target are handled by the same
 /// worker in stream order. Candidates for an event therefore match what a
-/// sequential engine produces on the same trace (they depend only on `S`
+/// single-thread engine produces on the same trace (they depend only on `S`
 /// and on `D[target]`, which sees the same update sequence).
 pub struct SharedEngineCluster {
     graph: FollowGraph,
@@ -398,7 +398,7 @@ impl SharedEngineCluster {
     /// period to bring the chain tip within one cadence of the durable
     /// tail (so a restart replays at most `checkpoint_every` events),
     /// then the WAL is synced. Candidates are identical to
-    /// [`SharedEngineCluster::run_trace`] and to a sequential engine.
+    /// [`SharedEngineCluster::run_trace`] and to a single-thread engine.
     pub fn run_trace_persistent(
         &self,
         dir: &Path,
@@ -644,7 +644,7 @@ mod tests {
         assert!(report.candidates.is_empty());
     }
 
-    /// Shared-engine mode produces exactly the sequential engine's
+    /// Shared-engine mode produces exactly a single-thread engine's
     /// candidates: hash-routing by target keeps `D[target]` update order,
     /// and detection depends on nothing else.
     #[test]
@@ -660,8 +660,8 @@ mod tests {
             ..DetectorConfig::example()
         };
 
-        let mut engine = magicrecs_core::Engine::new(g.clone(), dc).unwrap();
-        let mut expected = engine.process_trace(trace.events().iter().copied());
+        let engine = ConcurrentEngine::new(g.clone(), dc).unwrap();
+        let mut expected = engine.on_events(trace.events());
         expected.sort_by(|a, b| {
             (a.triggered_at, a.user, a.target).cmp(&(b.triggered_at, b.user, b.target))
         });
@@ -711,7 +711,7 @@ mod tests {
         assert_eq!(a.candidates, b.candidates);
     }
 
-    /// The durable shared run produces exactly the sequential engine's
+    /// The durable shared run produces exactly a single-thread engine's
     /// candidates while a background driver checkpoints mid-ingest, and
     /// the directory it leaves behind recovers to the same live state
     /// with at most one cadence of WAL replay.
@@ -729,8 +729,8 @@ mod tests {
             ..DetectorConfig::example()
         };
 
-        let mut engine = magicrecs_core::Engine::new(g.clone(), dc).unwrap();
-        let mut expected = engine.process_trace(trace.events().iter().copied());
+        let engine = ConcurrentEngine::new(g.clone(), dc).unwrap();
+        let mut expected = engine.on_events(trace.events());
         expected.sort_by(|a, b| {
             (a.triggered_at, a.user, a.target).cmp(&(b.triggered_at, b.user, b.target))
         });
@@ -797,7 +797,7 @@ mod tests {
 
     /// Micro-batch draining is a transport change only: any `max_batch`
     /// produces the same candidates as the one-item-per-recv setting (and
-    /// as the sequential engine), for both cluster modes.
+    /// as a single-thread engine), for both cluster modes.
     #[test]
     fn batched_drain_matches_single_item_drain() {
         let g = GraphGen::new(GraphGenConfig::small()).generate();

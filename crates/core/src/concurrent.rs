@@ -20,11 +20,14 @@
 //!   no mutable state beyond the store shards.
 //!
 //! The result is `on_event(&self)`: clone the engine's [`Arc`] into N
-//! threads and call it from all of them. Per-event semantics match the
-//! sequential [`crate::Engine`] exactly as long as same-target events keep
-//! their relative order (candidates depend only on `S` and `D[target]`) —
-//! which is what hash-routing a stream by target gives a worker pool; see
-//! `magicrecs_cluster::SharedEngineCluster`.
+//! threads and call it from all of them. It is also the only engine: a
+//! single-owner caller (one partition of the paper's deployment, a
+//! replica, a recovery run) drives it from one thread, where it
+//! costs the same per event as an exclusively-owned engine. Per-event
+//! semantics are independent of the thread count as long as same-target
+//! events keep their relative order (candidates depend only on `S` and
+//! `D[target]`) — which is what hash-routing a stream by target gives a
+//! worker pool; see `magicrecs_cluster::SharedEngineCluster`.
 //!
 //! ## Batched ingest
 //!
@@ -41,13 +44,12 @@
 //! timestamps skew heavily *across* targets: the periodic wheel expiry
 //! advances with the engine-wide newest-seen timestamp, so entries more
 //! than τ older than that high-water mark may be reclaimed while a lagging
-//! worker still holds older-stamped events — the same trade the sequential
-//! engine makes when its own out-of-order stream crosses an advance
-//! boundary. Within-τ traffic (the only traffic that can form motifs) is
-//! never affected.
+//! worker still holds older-stamped events — the same trade any
+//! out-of-order stream makes when it crosses an advance boundary.
+//! Within-τ traffic (the only traffic that can form motifs) is never
+//! affected.
 
 use crate::detector::DiamondDetector;
-use crate::engine::{entry_cap_for, ADVANCE_EVERY};
 use magicrecs_graph::{FollowGraph, GraphDelta};
 use magicrecs_obs as obs;
 use magicrecs_obs::{MetricSnapshot, Registry};
@@ -62,6 +64,17 @@ use std::sync::Arc;
 
 /// Default shard count for the concurrent `D` (power of two).
 const DEFAULT_SHARDS: usize = 16;
+
+/// How many events between `D.advance()` calls (wheel expiry).
+const ADVANCE_EVERY: u64 = 1024;
+
+/// The per-target entry cap derived from a witness cap: 16× headroom (the
+/// paper's "retain the most recent edges" pruning) — only the most recent
+/// witnesses can matter, so older entries on ultra-hot targets are dead
+/// weight.
+fn entry_cap_for(max_witnesses: Option<usize>) -> Option<usize> {
+    max_witnesses.map(|w| (w * 16).max(1024))
+}
 
 /// Longest distinct-target run `on_events_into` batch-applies at once.
 /// Run membership is a linear `contains` scan, so the cap bounds run
@@ -147,21 +160,14 @@ impl std::fmt::Debug for ConcurrentEngine {
 
 impl ConcurrentEngine {
     /// Creates an engine over `graph` with a default-sharded wheel-pruned
-    /// store (entry caps mirroring [`crate::Engine::new`]).
+    /// store and a fresh per-engine metrics registry.
+    ///
+    /// When the detector caps witnesses, the store caps per-target entries
+    /// at 16× that (the paper's "retain the most recent edges" pruning):
+    /// only the most recent witnesses can matter, so older entries on
+    /// ultra-hot targets are dead weight.
     pub fn new(graph: FollowGraph, config: DetectorConfig) -> Result<Self> {
-        let store = ShardedTemporalStore::new(config.tau, PruneStrategy::Wheel, DEFAULT_SHARDS)
-            .with_entry_cap(entry_cap_for(config.max_witnesses));
-        ConcurrentEngine::with_store(graph, store, config)
-    }
-
-    /// Creates an engine over a caller-configured sharded store, with a
-    /// fresh per-engine metrics registry.
-    pub fn with_store(
-        graph: FollowGraph,
-        store: ShardedTemporalStore,
-        config: DetectorConfig,
-    ) -> Result<Self> {
-        ConcurrentEngine::with_store_on(graph, store, config, Registry::new())
+        ConcurrentEngine::with_registry(graph, config, Registry::new())
     }
 
     /// Creates an engine recording onto a caller-supplied registry — a
@@ -173,20 +179,9 @@ impl ConcurrentEngine {
         config: DetectorConfig,
         registry: Registry,
     ) -> Result<Self> {
+        config.validate()?;
         let store = ShardedTemporalStore::new(config.tau, PruneStrategy::Wheel, DEFAULT_SHARDS)
             .with_entry_cap(entry_cap_for(config.max_witnesses));
-        ConcurrentEngine::with_store_on(graph, store, config, registry)
-    }
-
-    /// The fully-explicit constructor: caller-configured store and
-    /// metrics registry.
-    pub fn with_store_on(
-        graph: FollowGraph,
-        store: ShardedTemporalStore,
-        config: DetectorConfig,
-        registry: Registry,
-    ) -> Result<Self> {
-        config.validate()?;
         Ok(ConcurrentEngine {
             id: NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed),
             graph: RwLock::new(Arc::new(graph)),
@@ -266,17 +261,22 @@ impl ConcurrentEngine {
             self.candidates.add(emitted as u64);
         }
 
-        // Wheel-expiry cadence, like the sequential engine's: whichever
-        // thread lands on the boundary pays for the advance — always with
-        // the engine-wide timestamp high-water mark, not this thread's
-        // event time (which may trail other workers on a skewed stream).
+        self.tick(t);
+        emitted
+    }
+
+    /// The wheel-expiry cadence: one tick per event, an advance every
+    /// [`ADVANCE_EVERY`] ticks. Whichever thread lands on the boundary
+    /// pays for the advance — always with the engine-wide timestamp
+    /// high-water mark, not this thread's event time (which may trail
+    /// other workers on a skewed stream).
+    fn tick(&self, t: Timestamp) {
         self.clock.fetch_max(t.as_micros(), Ordering::Relaxed);
         let n = self.since_advance.fetch_add(1, Ordering::Relaxed) + 1;
         if n.is_multiple_of(ADVANCE_EVERY) {
             self.store
                 .advance(Timestamp::from_micros(self.clock.load(Ordering::Relaxed)));
         }
-        emitted
     }
 
     /// Processes one event, returning any candidates.
@@ -416,8 +416,25 @@ impl ConcurrentEngine {
         out
     }
 
-    /// Applies an event's `D` mutation without running detection or
-    /// touching stats (replica state-maintenance mode).
+    /// Applies a micro-batch's `D` mutations without running detection —
+    /// the apply-only path of a replica that does not serve the batch.
+    ///
+    /// Makes the same per-event `D` insert/remove calls as
+    /// [`ConcurrentEngine::on_events_into`] and ticks the wheel-expiry
+    /// cadence the same way, so `D` (and the cadence position) ends up
+    /// identical to the detecting path; only candidate emission and the
+    /// detection stats are skipped. Detection's witness query cannot
+    /// change `D` here: it trims the touched list at the very cutoff the
+    /// insert just applied.
+    pub fn apply_events(&self, events: &[EdgeEvent]) {
+        for &event in events {
+            self.apply_to_store(event);
+            self.tick(event.created_at);
+        }
+    }
+
+    /// Applies an event's `D` mutation without running detection,
+    /// touching stats or ticking the expiry cadence.
     pub fn apply_to_store(&self, event: EdgeEvent) {
         if event.kind.is_insertion() {
             self.store.insert(event.src, event.dst, event.created_at);
@@ -499,8 +516,7 @@ impl ConcurrentEngine {
     /// Engine metrics, snapshotted across threads (histogram stripes are
     /// merged at read time). Reads the same registry handles
     /// [`ConcurrentEngine::scrape`] exports, so the two views can never
-    /// disagree — the `StatsResp` compatibility shim is test-enforced to
-    /// be bit-identical to a registry scrape.
+    /// disagree.
     pub fn stats(&self) -> ConcurrentStats {
         ConcurrentStats {
             events: self.events.get(),
@@ -579,7 +595,6 @@ impl ConcurrentEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Engine;
     use magicrecs_graph::GraphBuilder;
     use magicrecs_types::UserId;
     use std::thread;
@@ -622,15 +637,42 @@ mod tests {
     }
 
     #[test]
-    fn matches_sequential_engine_on_single_thread() {
-        let trace: Vec<EdgeEvent> = (0..200u64)
-            .map(|i| EdgeEvent::follow(u(11 + i % 2), u(1000 + i % 20), ts(10 + i)))
-            .collect();
-        let mut seq = Engine::new(small_graph(), DetectorConfig::example()).unwrap();
-        let conc = ConcurrentEngine::new(small_graph(), DetectorConfig::example()).unwrap();
-        for &e in &trace {
-            assert_eq!(seq.on_event(e), conc.on_event(e));
+    fn stats_accumulate() {
+        let engine = ConcurrentEngine::new(small_graph(), DetectorConfig::example()).unwrap();
+        let c = u(99);
+        engine.on_event(EdgeEvent::follow(u(11), c, ts(100)));
+        engine.on_event(EdgeEvent::follow(u(12), c, ts(105)));
+        let s = engine.stats();
+        assert_eq!(s.events, 2);
+        assert_eq!(s.firing_events, 1);
+        assert_eq!(s.candidates, 2);
+        assert_eq!(s.detect_time.count, 2);
+    }
+
+    #[test]
+    fn automatic_advance_after_many_events() {
+        let engine = ConcurrentEngine::new(small_graph(), DetectorConfig::example()).unwrap();
+        // > ADVANCE_EVERY events spread far apart in time: old entries
+        // should get reclaimed by the periodic advance.
+        for i in 0..2100u64 {
+            engine.on_event(EdgeEvent::follow(u(11), u(10_000 + i), ts(i * 10)));
         }
+        // window = 10 min = 600 s; events are 10 s apart so ≤ ~61 live.
+        assert!(
+            engine.store().resident_targets() < 200,
+            "stale targets not reclaimed: {}",
+            engine.store().resident_targets()
+        );
+    }
+
+    #[test]
+    fn unfollow_event_counts_but_does_not_fire() {
+        let engine = ConcurrentEngine::new(small_graph(), DetectorConfig::example()).unwrap();
+        let c = u(99);
+        engine.on_event(EdgeEvent::follow(u(11), c, ts(10)));
+        let r = engine.on_event(EdgeEvent::unfollow(u(11), c, ts(11)));
+        assert!(r.is_empty());
+        assert_eq!(engine.stats().events, 2);
     }
 
     #[test]
@@ -719,6 +761,81 @@ mod tests {
         assert_eq!(
             single.store().stats().inserted,
             batched.store().stats().inserted
+        );
+    }
+
+    /// Store counters without `peak_entries`: the batched detecting path
+    /// applies a run's inserts before its removals, so its transient
+    /// high-water mark may sit above the per-event apply path's.
+    fn churn(engine: &ConcurrentEngine) -> StoreStats {
+        StoreStats {
+            peak_entries: 0,
+            ..engine.store().stats()
+        }
+    }
+
+    fn sorted_entries(engine: &ConcurrentEngine) -> Vec<(UserId, UserId, Timestamp)> {
+        let mut entries = Vec::new();
+        engine.store().export_entries(&mut entries);
+        // Targets come out in shard/map order; lists within a target are
+        // already in stored order, which a stable sort keeps.
+        entries.sort_by_key(|&(dst, _, _)| dst);
+        entries
+    }
+
+    #[test]
+    fn apply_events_leaves_the_same_d_as_detection() {
+        // Unfollows, same-target repeats, events far enough apart that
+        // the wheel expires targets, and batches straddling the
+        // ADVANCE_EVERY boundary.
+        let trace: Vec<EdgeEvent> = (0..(3 * ADVANCE_EVERY + 117))
+            .map(|i| {
+                let dst = u(900 + i % 11);
+                if i % 23 == 0 {
+                    EdgeEvent::unfollow(u(11 + i % 3), dst, ts(10 + i))
+                } else {
+                    EdgeEvent::follow(u(11 + i % 3), dst, ts(10 + i))
+                }
+            })
+            .collect();
+        let detecting = ConcurrentEngine::new(small_graph(), DetectorConfig::example()).unwrap();
+        let applying = ConcurrentEngine::new(small_graph(), DetectorConfig::example()).unwrap();
+        let mut fired = Vec::new();
+        let mut checked = 0;
+        for chunk in trace.chunks(301) {
+            detecting.on_events_into(chunk, &mut fired);
+            applying.apply_events(chunk);
+            assert_eq!(sorted_entries(&applying), sorted_entries(&detecting));
+            assert_eq!(
+                applying.since_advance.load(Ordering::Relaxed),
+                detecting.since_advance.load(Ordering::Relaxed)
+            );
+            checked += 1;
+        }
+        assert!(checked > 3 && !fired.is_empty(), "trace must fire");
+        assert_eq!(churn(&applying), churn(&detecting));
+        assert_eq!(applying.stats().events, 0, "nothing was detected");
+    }
+
+    #[test]
+    fn apply_events_crosses_advance_boundary_like_detection() {
+        // Spread out in time so each mid-batch advance reclaims targets:
+        // a missed or extra advance shows up as different resident sets.
+        let trace: Vec<EdgeEvent> = (0..(2 * ADVANCE_EVERY + 52))
+            .map(|i| EdgeEvent::follow(u(11), u(10_000 + i), ts(i * 10)))
+            .collect();
+        let detecting = ConcurrentEngine::new(small_graph(), DetectorConfig::example()).unwrap();
+        let applying = ConcurrentEngine::new(small_graph(), DetectorConfig::example()).unwrap();
+        let (head, tail) = trace.split_at(ADVANCE_EVERY as usize - 1);
+        for part in [head, tail] {
+            detecting.on_events(part);
+            applying.apply_events(part);
+        }
+        assert_eq!(sorted_entries(&applying), sorted_entries(&detecting));
+        assert_eq!(churn(&applying), churn(&detecting));
+        assert!(
+            applying.store().resident_targets() < 200,
+            "advance must run"
         );
     }
 

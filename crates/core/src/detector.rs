@@ -111,8 +111,8 @@ impl DiamondDetector {
     /// witnesses that user actually follows, at least one of them fresh
     /// (see the module docs for the full contract).
     ///
-    /// Generic over the store: a single-owner [`TemporalEdgeStore`]
-    /// (sequential engine), a [`ShardedTemporalStore`] by value, or a
+    /// Generic over the store: a single-owner [`TemporalEdgeStore`], a
+    /// [`ShardedTemporalStore`] by value, or a
     /// `&ShardedTemporalStore` handle shared across threads — any
     /// [`EdgeStore`] works.
     ///

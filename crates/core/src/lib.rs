@@ -36,19 +36,19 @@
 //! touches only the immutable `S` and a witness list borrowed through a
 //! fill callback. Everything mutable (`D` upserts, witness lookup,
 //! expiry) lives behind the [`magicrecs_temporal::EdgeStore`] trait.
-//! That split yields two engines over one code path:
+//! One engine runs that code path:
 //!
-//! * [`Engine`] — `&mut self`, one exclusively-owned partition: the
-//!   share-nothing unit the paper deploys 20 of. Generic over its store
-//!   (plain [`magicrecs_temporal::TemporalEdgeStore`] by default).
-//! * [`ConcurrentEngine`] — `&self`, one *shared* engine: an immutable
+//! * [`ConcurrentEngine`] — `&self`, one engine over an immutable
 //!   `Arc<FollowGraph>` snapshot slot (hot-swappable for the periodic
 //!   offline `S` reload), a hash-sharded `D`
 //!   ([`magicrecs_temporal::ShardedTemporalStore`]) mutated under
 //!   per-shard locks, and per-thread detector scratch. N ingest/detect
 //!   workers call `on_event(&self)` on one engine instead of cloning
 //!   share-nothing partitions — the overlap of updates and subgraph
-//!   queries that streaming-motif systems get their throughput from.
+//!   queries that streaming-motif systems get their throughput from. The
+//!   same engine, driven from one thread, is one partition of the paper's
+//!   share-nothing deployment (`magicrecs_cluster::Partition`) and the
+//!   engine under the persistent and replicated layers.
 //!
 //! ## Modules
 //!
@@ -69,10 +69,9 @@
 //! * [`detector`] — [`DiamondDetector`]: one event in, candidates out,
 //!   working in dense-id space from witness lookup to candidate emission;
 //!   hosts the read-only kernel.
-//! * [`engine`] — [`Engine`]: the single-owner engine (one partition of
-//!   the paper's deployment).
-//! * [`concurrent`] — [`ConcurrentEngine`]: the shared-state engine for
-//!   multi-threaded ingest + detection.
+//! * [`concurrent`] — [`ConcurrentEngine`]: the engine — `S` snapshot
+//!   slot, sharded `D`, detection and its metrics, for one or many
+//!   ingest threads.
 
 // `deny`, not `forbid`: the SIMD module carries a scoped `allow` for its
 // intrinsics and the `repr(transparent)` lane view — everything else in
@@ -82,13 +81,13 @@
 
 pub mod concurrent;
 pub mod detector;
-pub mod engine;
+#[cfg(test)]
+mod engine;
 pub mod intersect;
 pub mod simd;
 pub mod threshold;
 
 pub use concurrent::{ConcurrentEngine, ConcurrentStats};
 pub use detector::DiamondDetector;
-pub use engine::{Engine, EngineStats};
 pub use simd::{simd_level, SimdElem, SimdLevel};
 pub use threshold::ThresholdAlgo;

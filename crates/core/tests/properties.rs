@@ -4,7 +4,7 @@
 //! hygiene.
 
 use magicrecs_core::threshold::{lists_containing, threshold_intersect};
-use magicrecs_core::{DiamondDetector, Engine, ThresholdAlgo};
+use magicrecs_core::{ConcurrentEngine, DiamondDetector, ThresholdAlgo};
 use magicrecs_graph::{FollowGraph, GraphBuilder};
 use magicrecs_temporal::TemporalEdgeStore;
 use magicrecs_types::{Candidate, DenseId, DetectorConfig, Duration, EdgeEvent, Timestamp, UserId};
@@ -200,7 +200,7 @@ proptest! {
         prop_assert!(missed.is_empty(), "{:?}", missed.first());
     }
 
-    /// Processing events one-by-one equals processing them as a trace
+    /// Processing events one-by-one equals processing them as one batch
     /// (scratch buffers carry no state across events).
     #[test]
     fn per_event_equals_trace(
@@ -215,10 +215,10 @@ proptest! {
         events.sort_by_key(|e| e.created_at);
         let cfg = DetectorConfig::example().with_tau(Duration::from_secs(300));
 
-        let mut e1 = Engine::new(graph.clone(), cfg).unwrap();
-        let batch = e1.process_trace(events.iter().copied());
+        let e1 = ConcurrentEngine::new(graph.clone(), cfg).unwrap();
+        let batch = e1.on_events(&events);
 
-        let mut e2 = Engine::new(graph, cfg).unwrap();
+        let e2 = ConcurrentEngine::new(graph, cfg).unwrap();
         let mut single = Vec::new();
         for &e in &events {
             single.extend(e2.on_event(e));
@@ -249,11 +249,8 @@ proptest! {
             max_witnesses: Some(64),
             ..uncapped
         };
-        let mut e1 = Engine::new(graph.clone(), uncapped).unwrap();
-        let mut e2 = Engine::new(graph, capped).unwrap();
-        prop_assert_eq!(
-            e1.process_trace(events.iter().copied()),
-            e2.process_trace(events.iter().copied())
-        );
+        let e1 = ConcurrentEngine::new(graph.clone(), uncapped).unwrap();
+        let e2 = ConcurrentEngine::new(graph, capped).unwrap();
+        prop_assert_eq!(e1.on_events(&events), e2.on_events(&events));
     }
 }

@@ -275,7 +275,7 @@ mod tests {
 
     #[test]
     fn declarative_equals_handcoded_detector() {
-        use magicrecs_core::Engine;
+        use magicrecs_core::ConcurrentEngine;
         use magicrecs_gen::{GraphGen, GraphGenConfig, Scenario, ScenarioConfig};
         use magicrecs_types::DetectorConfig;
 
@@ -293,8 +293,8 @@ mod tests {
             max_candidates_per_event: None,
             skip_existing: true,
         };
-        let mut engine = Engine::new(g.clone(), cfg).unwrap();
-        let expected: Vec<Candidate> = engine.process_trace(trace.events().iter().copied());
+        let engine = ConcurrentEngine::new(g.clone(), cfg).unwrap();
+        let expected: Vec<Candidate> = engine.on_events(trace.events());
 
         let mut declarative = MotifEngine::from_text(
             "motif d { A -> B : static; B -> C : dynamic within 600s; \

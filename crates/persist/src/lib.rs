@@ -19,9 +19,14 @@
 //!   reclamation once the store's own window pruning passes a segment's
 //!   max timestamp.
 //! * **Crash recovery** ([`recovery`]) — [`recovery::PersistentEngine`]
-//!   (sequential) and [`recovery::PersistentConcurrentEngine`] (shared
-//!   `S` + sharded `D`, per-partition WALs keyed by the hash route)
-//!   restore the snapshot chain and the latest checkpoint chain, replay
+//!   and [`recovery::PersistentConcurrentEngine`] both wrap the one
+//!   `magicrecs_core::ConcurrentEngine` and differ only in WAL layout and
+//!   checkpoint cadence: the former drives it from one owner over a
+//!   single dense `wal-` log and checkpoints inline every
+//!   `checkpoint_every` events; the latter shares it across threads over
+//!   per-partition WALs keyed by the hash route and checkpoints without
+//!   quiescing. Both restore the snapshot chain and the latest
+//!   checkpoint chain, replay
 //!   the WAL tail with notification emission suppressed (no duplicate
 //!   deliveries), then hand off to live ingest. After a crash at *any*
 //!   record boundary, the recovered candidate stream is byte-identical to

@@ -1,9 +1,12 @@
 //! Crash recovery: snapshot chain + `D` checkpoint + WAL tail replay.
 //!
-//! [`PersistentEngine`] wraps the sequential [`Engine`];
-//! [`PersistentConcurrentEngine`] wraps the shared-state
-//! [`ConcurrentEngine`] with per-partition WALs keyed by the hash route.
-//! Both follow the same lifecycle:
+//! Both persistent engines wrap the one [`ConcurrentEngine`] and differ
+//! only in WAL layout and checkpoint cadence: [`PersistentEngine`] drives
+//! it from one owner over a single dense `wal-` log and checkpoints
+//! inline every `checkpoint_every` events; [`PersistentConcurrentEngine`]
+//! shares it across threads over per-partition WALs keyed by the hash
+//! route and checkpoints without quiescing ingest. Both follow the same
+//! lifecycle:
 //!
 //! 1. **create** — publish the base `S` snapshot, start an empty WAL;
 //! 2. **ingest** — every event is appended to the WAL *before* the engine
@@ -25,11 +28,11 @@
 //! uninterrupted run's (enforced by the kill-point matrix test), provided
 //! the stream's timestamp skew never reaches back past an expiry horizon
 //! the engine has already advanced over — the same out-of-order trade the
-//! engines themselves document for `advance`. Replay applies `D`
+//! engine itself documents for `advance`. Replay applies `D`
 //! mutations without re-running detection: in-window witness sets depend
 //! only on the per-target insert/remove sequence, which the WAL preserves
-//! per target (globally for the sequential engine; per hash-route
-//! partition — and targets are route-sticky — for the shared engine).
+//! per target (globally for [`PersistentEngine`]; per hash-route
+//! partition — and targets are route-sticky — for [`PersistentConcurrentEngine`]).
 //!
 //! ## The fence-vector consistency contract
 //!
@@ -67,7 +70,7 @@ use crate::checkpoint::{
 use crate::snapshot::{RebasePolicy, SnapshotStore};
 use crate::vfs::{std_vfs, Vfs};
 use crate::wal::{self, route_partition, FsyncPolicy, SharedWal, Wal, WalOptions};
-use magicrecs_core::{ConcurrentEngine, Engine};
+use magicrecs_core::ConcurrentEngine;
 use magicrecs_graph::{CapStrategy, FollowGraph, GraphDelta};
 use magicrecs_types::{Candidate, DetectorConfig, EdgeEvent, Error, Result, Timestamp, UserId};
 use parking_lot::Mutex;
@@ -85,7 +88,7 @@ pub struct PersistOptions {
     /// Events between automatic `D` checkpoints (0 disables — the WAL
     /// then replays from its beginning and is never reclaimed).
     ///
-    /// The sequential engine checkpoints inline from its ingest path.
+    /// [`PersistentEngine`] checkpoints inline from its ingest path.
     /// [`PersistentConcurrentEngine`] keeps ingest wait-free and leaves
     /// the cadence to a [`CheckpointDriver`] (or explicit
     /// [`PersistentConcurrentEngine::checkpoint`] calls) — checkpoints
@@ -279,11 +282,42 @@ fn ensure_no_stale_state(dir: &Path, snapshots: &SnapshotStore) -> Result<()> {
     Ok(())
 }
 
-/// The sequential engine with durability: `Engine` + snapshot store +
-/// write-ahead log + checkpoints.
+/// The snapshot-refresh step both persistent engines share: applies
+/// `delta` to `engine`'s current `S`, durably publishes it, then installs
+/// the refreshed graph and advances `epoch`, then rebases the on-disk
+/// chain per `rebase`. A delta that does not extend `epoch`, or that
+/// [`FollowGraph::apply_delta`] refuses, fails before anything reaches
+/// disk; callers serialize publishes, so the installed graph is always
+/// the one the delta was applied to.
+fn publish_delta(
+    engine: &ConcurrentEngine,
+    snapshots: &SnapshotStore,
+    rebase: RebasePolicy,
+    epoch: &mut u64,
+    delta: &GraphDelta,
+) -> Result<()> {
+    if delta.base_epoch != *epoch {
+        return Err(Error::Invariant(format!(
+            "delta base epoch {} does not extend current epoch {}",
+            delta.base_epoch, epoch
+        )));
+    }
+    let refreshed = engine.graph().apply_delta(delta)?;
+    snapshots.publish_delta(delta)?;
+    engine.swap_graph(refreshed);
+    *epoch = delta.target_epoch;
+    if snapshots.should_rebase(rebase)? {
+        snapshots.publish_base(*epoch, &engine.graph())?;
+        snapshots.compact()?;
+    }
+    Ok(())
+}
+
+/// The single-owner engine with durability: [`ConcurrentEngine`] +
+/// snapshot store + one dense write-ahead log + inline checkpoints.
 #[derive(Debug)]
 pub struct PersistentEngine {
-    engine: Engine,
+    engine: ConcurrentEngine,
     wal: Wal,
     snapshots: SnapshotStore,
     vfs: Arc<dyn Vfs>,
@@ -330,9 +364,9 @@ impl PersistentEngine {
         crate::fsutil::sweep_tmp_files(vfs.as_ref(), dir)?;
         snapshots.publish_base(epoch, &graph)?;
         let wal = Wal::create_with_vfs(dir, SEQ_WAL_PREFIX, opts.wal(), Arc::clone(&vfs))?;
-        let mut engine = Engine::new(graph, config)?;
+        let engine = ConcurrentEngine::new(graph, config)?;
         if incremental(opts.rebase) {
-            engine.store_mut().enable_dirty_tracking();
+            engine.store().enable_dirty_tracking();
         }
         Ok(PersistentEngine {
             engine,
@@ -373,7 +407,7 @@ impl PersistentEngine {
         // the point that owns recovery cleanup.
         crate::fsutil::sweep_tmp_files(vfs.as_ref(), dir)?;
         let loaded = snapshots.load_latest(cap)?;
-        let mut engine = Engine::new(loaded.graph, config)?;
+        let engine = ConcurrentEngine::new(loaded.graph, config)?;
 
         let (fences, chain, checkpoint_entries) =
             restore_checkpoint(dir, 1, |events| engine.apply_to_store_batch(events))?;
@@ -382,7 +416,7 @@ impl PersistentEngine {
         // Tracking must be live *before* tail replay: replayed mutations
         // are exactly what the next delta checkpoint has to export.
         if incremental(opts.rebase) {
-            engine.store_mut().enable_dirty_tracking();
+            engine.store().enable_dirty_tracking();
         }
 
         let mut replayed = 0u64;
@@ -446,7 +480,7 @@ impl PersistentEngine {
     /// written ahead with one group commit** ([`Wal::append_batch`] — one
     /// `write(2)`, one fsync-policy pass) before any detection runs, so
     /// the batch is a single durability point; then the engine detects
-    /// the slice ([`Engine::on_events_into`], identical candidates to N
+    /// the slice ([`ConcurrentEngine::on_events_into`], identical candidates to N
     /// single events). Checkpoint cadence is counted in *events*, not
     /// batches — a batch that crosses the cadence boundary checkpoints at
     /// its end (the cadence is a replay-cost bound, not a semantic
@@ -465,7 +499,7 @@ impl PersistentEngine {
     /// Appends a micro-batch shipped from another replica's WAL without
     /// running detection: the same group commit and checkpoint cadence
     /// as [`PersistentEngine::on_events_into`], with `D` maintained by
-    /// [`Engine::apply_events`]. A follower's `D`, sequence and on-disk
+    /// [`ConcurrentEngine::apply_events`]. A follower's `D`, sequence and on-disk
     /// log therefore stay identical to the leader's, which is what lets
     /// it be promoted at its durable sequence.
     pub fn apply_shipped(&mut self, events: &[EdgeEvent]) -> Result<()> {
@@ -522,7 +556,7 @@ impl PersistentEngine {
             // consumed here; kept as an undo log in case the write fails
             // (losing marks would silently drop targets from the next
             // delta).
-            let drained = self.engine.store_mut().clear_dirty_where(|_| true);
+            let drained = self.engine.store().clear_dirty_where(|_| true);
             match write_checkpoint_fenced_with(
                 &self.dir,
                 entries,
@@ -540,7 +574,7 @@ impl PersistentEngine {
                     });
                 }
                 Err(e) => {
-                    self.engine.store_mut().mark_dirty_many(drained);
+                    self.engine.store().mark_dirty_many(drained);
                     return Err(e);
                 }
             }
@@ -548,7 +582,7 @@ impl PersistentEngine {
             let mut entries = Vec::new();
             let mut tombstones = Vec::new();
             let mut drained = Vec::new();
-            self.engine.store_mut().drain_dirty_exports(
+            self.engine.store().drain_dirty_exports(
                 |_| true,
                 &mut entries,
                 &mut tombstones,
@@ -573,7 +607,7 @@ impl PersistentEngine {
                     c.publish_dirty_ratio();
                 }
                 Err(e) => {
-                    self.engine.store_mut().mark_dirty_many(drained);
+                    self.engine.store().mark_dirty_many(drained);
                     return Err(e);
                 }
             }
@@ -595,10 +629,11 @@ impl PersistentEngine {
         }
     }
 
-    /// Applies and durably publishes a snapshot delta: the delta file
-    /// joins the chain on disk, then the in-memory `S` refreshes via
-    /// [`Engine::swap_graph_delta`]. The delta must extend the current
-    /// epoch.
+    /// Applies and durably publishes a snapshot delta. The delta must
+    /// extend the current epoch. It is applied to the current `S` first
+    /// (a delta [`FollowGraph::apply_delta`] refuses never reaches disk,
+    /// so it cannot poison the next recovery), then the delta file joins
+    /// the chain on disk, then the refreshed `S` is installed.
     ///
     /// When the chain outgrows the configured [`RebasePolicy`], the
     /// current graph is republished as a fresh base at the new epoch and
@@ -606,21 +641,13 @@ impl PersistentEngine {
     /// by the policy, and orphaned (delta-removed) vertices leave the
     /// on-disk interner with the rebase.
     pub fn publish_graph_delta(&mut self, delta: &GraphDelta) -> Result<()> {
-        if delta.base_epoch != self.epoch {
-            return Err(Error::Invariant(format!(
-                "delta base epoch {} does not extend current epoch {}",
-                delta.base_epoch, self.epoch
-            )));
-        }
-        self.snapshots.publish_delta(delta)?;
-        self.engine.swap_graph_delta(delta)?;
-        self.epoch = delta.target_epoch;
-        if self.snapshots.should_rebase(self.rebase)? {
-            self.snapshots
-                .publish_base(self.epoch, self.engine.graph())?;
-            self.snapshots.compact()?;
-        }
-        Ok(())
+        publish_delta(
+            &self.engine,
+            &self.snapshots,
+            self.rebase,
+            &mut self.epoch,
+            delta,
+        )
     }
 
     /// The current snapshot epoch.
@@ -629,7 +656,7 @@ impl PersistentEngine {
     }
 
     /// The wrapped engine.
-    pub fn engine(&self) -> &Engine {
+    pub fn engine(&self) -> &ConcurrentEngine {
         &self.engine
     }
 
@@ -1062,26 +1089,19 @@ impl PersistentConcurrentEngine {
     }
 
     /// Applies and durably publishes a snapshot delta (see
-    /// [`PersistentEngine::publish_graph_delta`], including the automatic
-    /// rebase when the chain outgrows the configured [`RebasePolicy`];
-    /// publication is serialized on the internal state lock).
+    /// [`PersistentEngine::publish_graph_delta`], including the
+    /// apply-before-publish order and the automatic rebase when the chain
+    /// outgrows the configured [`RebasePolicy`]; publication is
+    /// serialized on the internal state lock).
     pub fn publish_graph_delta(&self, delta: &GraphDelta) -> Result<()> {
         let mut state = self.state.lock();
-        if delta.base_epoch != state.epoch {
-            return Err(Error::Invariant(format!(
-                "delta base epoch {} does not extend current epoch {}",
-                delta.base_epoch, state.epoch
-            )));
-        }
-        self.snapshots.publish_delta(delta)?;
-        self.engine.swap_graph_delta(delta)?;
-        state.epoch = delta.target_epoch;
-        if self.snapshots.should_rebase(self.rebase)? {
-            self.snapshots
-                .publish_base(state.epoch, &self.engine.graph())?;
-            self.snapshots.compact()?;
-        }
-        Ok(())
+        publish_delta(
+            &self.engine,
+            &self.snapshots,
+            self.rebase,
+            &mut state.epoch,
+            delta,
+        )
     }
 
     /// The current snapshot epoch.
@@ -1108,7 +1128,7 @@ impl PersistentConcurrentEngine {
 /// Background checkpoint cadence for [`PersistentConcurrentEngine`]:
 /// polls the engine's sequence and takes a (non-quiescent) checkpoint
 /// whenever at least `every` events have been assigned past the chain
-/// tip — the shared-engine analogue of the sequential engine's inline
+/// tip — the shared-engine analogue of [`PersistentEngine`]'s inline
 /// `checkpoint_every`, kept off the ingest path entirely so workers
 /// never pay for a cut they didn't cause.
 ///
@@ -1278,7 +1298,7 @@ mod tests {
         assert!(!report.torn_tail);
         // The recovered engine continues with the same candidates an
         // uninterrupted engine produces.
-        let mut reference = Engine::new(small_graph(), DetectorConfig::example()).unwrap();
+        let reference = ConcurrentEngine::new(small_graph(), DetectorConfig::example()).unwrap();
         for &e in &events {
             reference.on_event(e);
         }
@@ -1319,8 +1339,8 @@ mod tests {
         .unwrap();
         assert!(report.replayed > 0);
         // Replay mutated D only: engine-level candidate stats untouched.
-        assert_eq!(reopened.engine().stats().candidates.get(), 0);
-        assert_eq!(reopened.engine().stats().events.get(), 0);
+        assert_eq!(reopened.engine().stats().candidates, 0);
+        assert_eq!(reopened.engine().stats().events, 0);
         assert!(reopened.engine().store().resident_entries() > 0);
     }
 
@@ -1996,7 +2016,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(report.replayed, 0, "tip covers everything");
-        let mut twin = Engine::new(small_graph(), DetectorConfig::example()).unwrap();
+        let twin = ConcurrentEngine::new(small_graph(), DetectorConfig::example()).unwrap();
         for &e in &wide_trace(2_000, 500) {
             twin.on_event(e);
         }

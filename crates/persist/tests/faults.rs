@@ -16,7 +16,7 @@
 //! in `recovery.rs`: the matrix probes every crash boundary; this file
 //! probes the *error paths themselves* under seeded fault plans.
 
-use magicrecs_core::Engine;
+use magicrecs_core::ConcurrentEngine;
 use magicrecs_graph::{CapStrategy, FollowGraph, GraphBuilder};
 use magicrecs_persist::{
     FaultPlan, FaultVfs, FsyncPolicy, PersistOptions, PersistentEngine, RebasePolicy, TempDir,
@@ -94,7 +94,7 @@ proptest! {
         };
 
         // Fault-free twin: per-event candidates.
-        let mut twin = Engine::new(motif_graph(), cfg).unwrap();
+        let twin = ConcurrentEngine::new(motif_graph(), cfg).unwrap();
         let per_event: Vec<Vec<Candidate>> =
             events.iter().map(|&e| twin.on_event(e)).collect();
 

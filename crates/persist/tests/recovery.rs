@@ -1,8 +1,9 @@
 //! Crash-recovery kill-point matrix: truncate the WAL at **every** record
 //! boundary of a long replay, recover, and assert candidate-stream parity
-//! with an uninterrupted run — for both the sequential [`Engine`] path
-//! ([`PersistentEngine`]) and the shared-state [`ConcurrentEngine`] path
-//! ([`PersistentConcurrentEngine`], per-partition WALs).
+//! with an uninterrupted run — for both persistent wrappers of the one
+//! [`ConcurrentEngine`]: the single-owner [`PersistentEngine`] (one dense
+//! WAL) and the shared [`PersistentConcurrentEngine`] (per-partition
+//! WALs).
 //!
 //! Parity argument: recovery at boundary `k` must be semantically
 //! identical to an uninterrupted engine that has processed exactly `k`
@@ -22,8 +23,8 @@
 //! reduced in debug so tier-1 `cargo test` stays fast.
 //! `MAGICRECS_KILLPOINT_FULL=1` forces the full matrix anywhere.
 
-use magicrecs_core::{ConcurrentEngine, Engine};
-use magicrecs_graph::{CapStrategy, FollowGraph, GraphBuilder};
+use magicrecs_core::ConcurrentEngine;
+use magicrecs_graph::{CapStrategy, FollowGraph, GraphBuilder, GraphDelta};
 use magicrecs_persist::wal::record_boundaries;
 use magicrecs_persist::{
     FaultMode, FaultOp, FaultPlan, FaultSpec, FaultVfs, FsyncPolicy, PersistOptions,
@@ -206,7 +207,7 @@ fn kill_point_matrix_sequential() {
     let cfg = config();
 
     // Uninterrupted reference run, per-event candidates recorded.
-    let mut reference = Engine::new(motif_graph(), cfg).unwrap();
+    let reference = ConcurrentEngine::new(motif_graph(), cfg).unwrap();
     let per_event: Vec<Vec<Candidate>> = events.iter().map(|&e| reference.on_event(e)).collect();
     let fired = per_event.iter().filter(|c| !c.is_empty()).count();
     assert!(
@@ -298,7 +299,7 @@ fn kill_point_slice_batched_group_commit() {
     let cfg = config();
     const BATCH: usize = 7;
 
-    let mut reference = Engine::new(motif_graph(), cfg).unwrap();
+    let reference = ConcurrentEngine::new(motif_graph(), cfg).unwrap();
     let per_event: Vec<Vec<Candidate>> = events.iter().map(|&e| reference.on_event(e)).collect();
 
     let live = TempDir::new("kp-gc");
@@ -645,7 +646,7 @@ fn assert_recovery_parity(
 #[test]
 fn kill_point_fsync_failure_poisons_after_landed_prefix() {
     let events = matrix_trace(400);
-    let mut reference = Engine::new(motif_graph(), config()).unwrap();
+    let reference = ConcurrentEngine::new(motif_graph(), config()).unwrap();
     let per_event: Vec<Vec<Candidate>> = events.iter().map(|&e| reference.on_event(e)).collect();
 
     let dir = TempDir::new("kp-fsync-fault");
@@ -676,7 +677,7 @@ fn kill_point_fsync_failure_poisons_after_landed_prefix() {
 #[test]
 fn kill_point_torn_write_poisons_after_landed_prefix() {
     let events = matrix_trace(400);
-    let mut reference = Engine::new(motif_graph(), config()).unwrap();
+    let reference = ConcurrentEngine::new(motif_graph(), config()).unwrap();
     let per_event: Vec<Vec<Candidate>> = events.iter().map(|&e| reference.on_event(e)).collect();
 
     let dir = TempDir::new("kp-torn-fault");
@@ -935,4 +936,63 @@ proptest::proptest! {
             prop_assert_eq!(g, w, "post-crash candidate divergence at probe {}", i);
         }
     }
+}
+
+/// Snapshot-delta files in `dir` (`s-delta-*.mgrd`).
+fn delta_files(dir: &Path) -> usize {
+    std::fs::read_dir(dir)
+        .unwrap()
+        .filter(|e| {
+            let name = e.as_ref().unwrap().file_name();
+            let name = name.to_string_lossy();
+            name.starts_with("s-delta-") && name.ends_with(".mgrd")
+        })
+        .count()
+}
+
+/// A snapshot delta that `FollowGraph::apply_delta` refuses — here one
+/// removing an edge `S` does not hold — must leave nothing durable
+/// behind, for both persistent engines: no delta file, the epoch
+/// unchanged, the directory still opens, and a correct delta between the
+/// same epochs publishes afterwards.
+#[test]
+fn refused_graph_delta_is_not_made_durable() {
+    // A0 follows B100..B105 in `motif_graph`, so A0 → B106 is absent.
+    let bad = GraphDelta::new(0, 1, vec![], vec![(u(0), u(106))]).unwrap();
+    let good = GraphDelta::new(0, 1, vec![(u(0), u(106))], vec![]).unwrap();
+
+    let t = TempDir::new("refused-delta-seq");
+    let mut pe = PersistentEngine::create(t.path(), motif_graph(), 0, config(), opts()).unwrap();
+    assert!(pe.publish_graph_delta(&bad).is_err());
+    assert_eq!(pe.epoch(), 0);
+    assert_eq!(delta_files(t.path()), 0, "refused delta reached disk");
+    pe.close().unwrap();
+    let (mut pe, report) =
+        PersistentEngine::open(t.path(), config(), CapStrategy::None, opts()).unwrap();
+    assert_eq!(report.snapshot_epoch, 0);
+    pe.publish_graph_delta(&good).unwrap();
+    assert_eq!(pe.epoch(), 1);
+    assert_eq!(delta_files(t.path()), 1);
+    pe.close().unwrap();
+    let (pe, report) =
+        PersistentEngine::open(t.path(), config(), CapStrategy::None, opts()).unwrap();
+    assert_eq!((pe.epoch(), report.deltas_applied), (1, 1));
+
+    let t = TempDir::new("refused-delta-conc");
+    let pe = PersistentConcurrentEngine::create(t.path(), motif_graph(), 0, config(), 2, opts())
+        .unwrap();
+    assert!(pe.publish_graph_delta(&bad).is_err());
+    assert_eq!(pe.epoch(), 0);
+    assert_eq!(delta_files(t.path()), 0, "refused delta reached disk");
+    drop(pe);
+    let (pe, report) =
+        PersistentConcurrentEngine::open(t.path(), config(), CapStrategy::None, 2, opts()).unwrap();
+    assert_eq!(report.snapshot_epoch, 0);
+    pe.publish_graph_delta(&good).unwrap();
+    assert_eq!(pe.epoch(), 1);
+    assert_eq!(delta_files(t.path()), 1);
+    drop(pe);
+    let (pe, report) =
+        PersistentConcurrentEngine::open(t.path(), config(), CapStrategy::None, 2, opts()).unwrap();
+    assert_eq!((pe.epoch(), report.deltas_applied), (1, 1));
 }

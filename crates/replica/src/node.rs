@@ -795,7 +795,7 @@ fn handle_frame(
                 format!("partition {partition} not hosted"),
             )?,
         },
-        Frame::StatsReq | Frame::DeltaPublish { .. } => {
+        Frame::DeltaPublish { .. } => {
             reply_err(
                 stream,
                 WireErrorCode::Unsupported,

@@ -10,7 +10,7 @@ use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 
 use magicrecs_cluster::RouteTable;
-use magicrecs_core::Engine;
+use magicrecs_core::ConcurrentEngine;
 use magicrecs_replica::{fixture_graph, ClusterMap};
 use magicrecs_types::{Candidate, DetectorConfig, EdgeEvent, Timestamp, UserId};
 
@@ -54,7 +54,7 @@ pub fn make_events(n: usize, users: u64) -> Vec<EdgeEvent> {
 /// candidates can be compared tag-for-tag.
 pub struct Twin {
     table: RouteTable,
-    engines: Vec<Engine>,
+    engines: Vec<ConcurrentEngine>,
     next_seq: Vec<u64>,
     /// `(partition, batch tag) -> candidates` (only non-empty batches).
     pub per_tag: HashMap<(u32, u64), Vec<Candidate>>,
@@ -65,7 +65,10 @@ impl Twin {
         let graph = fixture_graph(map);
         let table = map.route_table();
         let engines = (0..table.partitions())
-            .map(|_| Engine::new(graph.clone(), DetectorConfig::default()).expect("twin engine"))
+            .map(|_| {
+                ConcurrentEngine::new(graph.clone(), DetectorConfig::default())
+                    .expect("twin engine")
+            })
             .collect();
         let parts = table.partitions();
         Twin {

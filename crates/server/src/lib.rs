@@ -49,8 +49,8 @@
 //! | 6    | `Error`        | either    | error code byte, detail string |
 //! | 7    | `DeltaPublish` | C → S     | MGRD byte length, bytes |
 //! | 8    | `CheckpointReq`| C → S     | — |
-//! | 9    | `StatsReq`     | C → S     | — |
-//! | 10   | `StatsResp`    | S → C     | 10 varint counters (see [`wire::WireStats`]) |
+//! | 9    | *(retired)*    | —         | decodes to the unknown-frame error |
+//! | 10   | *(retired)*    | —         | decodes to the unknown-frame error |
 //! | 11   | `OkAck`        | S → C     | — |
 //! | 12   | `Barrier`      | C → S     | tag |
 //! | 13   | `BarrierAck`   | S → C     | tag |
@@ -79,11 +79,12 @@
 //! ones with a typed `Unsupported` error. Watermarks are next-sequence
 //! values throughout (see [`wire::ReplStatus`]).
 //!
-//! `StatsResp` is **frozen as v0** (its decoder reads a fixed count of
-//! fields); all new telemetry rides `MetricsResp`, whose entries are a
-//! full flattened scrape of the metrics registry (`magicrecs-obs`) and
-//! carry their own payload version byte so the shape can grow without a
-//! protocol bump.
+//! All telemetry rides `MetricsResp`, whose entries are a full flattened
+//! scrape of the metrics registry (`magicrecs-obs`) and carry their own
+//! payload version byte so the shape can grow without a protocol bump.
+//! Types 9 and 10 once carried a fixed-field stats request/reply over
+//! the same registry handles; they are retired, and a peer that still
+//! sends them gets the typed unknown-frame `Corrupt` error.
 //!
 //! Shed codes: 1 = rate-limited (per-source token bucket empty; retry
 //! after the hinted µs), 2 = overloaded (worker cycle budget spent).
@@ -111,7 +112,8 @@
 //! are capped at `max_read_buf`; a peer that exceeds it is closed with
 //! a typed error. Accepted/shed/queue-high-watermark counters live on
 //! the engine ([`magicrecs_core::ConcurrentStats`]) and are served by
-//! `StatsReq`.
+//! `MetricsReq` (`engine_accepted`, `engine_shed`,
+//! `engine_queue_high_watermark`).
 //!
 //! [`ConcurrentEngine::on_events_into`]: magicrecs_core::ConcurrentEngine::on_events_into
 
@@ -129,4 +131,4 @@ pub use admission::AdmissionConfig;
 pub use client::{connect_per_worker, ClientConn};
 pub use resilient::{Backoff, PendingBatch, ResilientConn, SeqLedger};
 pub use server::{CheckpointHook, Server, ServerConfig};
-pub use wire::{Frame, ReplStatus, ShedCode, WireErrorCode, WireStats};
+pub use wire::{Frame, ReplStatus, ShedCode, WireErrorCode};

@@ -19,7 +19,7 @@
 
 use crate::admission::{AdmissionConfig, TokenBucket};
 use crate::sys;
-use crate::wire::{self, Frame, ShedCode, WireErrorCode, WireStats};
+use crate::wire::{self, Frame, ShedCode, WireErrorCode};
 use magicrecs_core::ConcurrentEngine;
 use magicrecs_obs as obs;
 use magicrecs_obs::stage::Stage;
@@ -78,8 +78,7 @@ impl Default for ServerConfig {
 /// Server-side metrics that live outside the engine's detection path.
 /// Registered on the **engine's** registry (not the global one) so one
 /// `MetricsResp` scrape of the engine covers the whole serving
-/// component, and the `StatsResp` shim reads the very same handles —
-/// the two views cannot disagree.
+/// component.
 struct ServingCounters {
     dropped_deliveries: obs::Counter,
     connections: obs::Gauge,
@@ -658,24 +657,6 @@ impl Worker {
                 let conn = conns[idx].as_mut().expect("slot");
                 self.enqueue(conn, &Frame::MetricsResp { metrics });
             }
-            Frame::StatsReq => {
-                self.counters.frames_control.incr();
-                let s = self.engine.stats();
-                let resp = Frame::StatsResp(WireStats {
-                    events: s.events,
-                    candidates: s.candidates,
-                    firing_events: s.firing_events,
-                    accepted: s.accepted,
-                    shed: s.shed,
-                    queue_high_watermark: s.queue_high_watermark,
-                    dropped_deliveries: self.counters.dropped_deliveries.get(),
-                    connections: self.counters.connections.get(),
-                    detect_p50_us: s.detect_time.p50_us,
-                    detect_p99_us: s.detect_time.p99_us,
-                });
-                let conn = conns[idx].as_mut().expect("slot");
-                self.enqueue(conn, &resp);
-            }
             Frame::DeltaPublish { bytes } => {
                 self.counters.frames_control.incr();
                 let result = magicrecs_graph::load_delta(&mut bytes.as_slice())
@@ -735,7 +716,6 @@ impl Worker {
             | Frame::HelloAck { .. }
             | Frame::Deliver { .. }
             | Frame::Shed { .. }
-            | Frame::StatsResp(_)
             | Frame::MetricsResp { .. }
             | Frame::OkAck
             | Frame::BarrierAck { .. }

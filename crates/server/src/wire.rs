@@ -141,39 +141,6 @@ pub struct ReplStatus {
 /// without a protocol-wide bump.
 pub const METRICS_VERSION: u8 = 1;
 
-/// Engine + ingress statistics returned by [`Frame::StatsResp`].
-///
-/// **Frozen as v0.** The decoder reads exactly ten varint fields — a
-/// fixed-count loop with no length prefix — so adding a field here would
-/// silently desynchronize old peers mid-stream rather than fail typed.
-/// Do not extend this struct: new telemetry goes through the versioned,
-/// length-prefixed [`Frame::MetricsResp`] (whose key/value payload can
-/// grow freely), and `StatsReq`/`StatsResp` remain a compatibility shim
-/// backed by the same metrics registry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WireStats {
-    /// Events processed by the engine.
-    pub events: u64,
-    /// Candidates emitted (pre-funnel).
-    pub candidates: u64,
-    /// Events that produced at least one candidate.
-    pub firing_events: u64,
-    /// Ingest events admitted by the serving tier.
-    pub accepted: u64,
-    /// Ingest events refused with a typed shed response.
-    pub shed: u64,
-    /// High-water mark of decoded-but-unprocessed events on any worker.
-    pub queue_high_watermark: u64,
-    /// Deliveries dropped because a subscriber's write queue was full.
-    pub dropped_deliveries: u64,
-    /// Connections currently registered across all workers.
-    pub connections: u64,
-    /// Engine-side detection latency, µs.
-    pub detect_p50_us: u64,
-    /// Engine-side detection latency, µs.
-    pub detect_p99_us: u64,
-}
-
 /// One protocol message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
@@ -242,10 +209,6 @@ pub enum Frame {
     /// [`Frame::Error`] with [`WireErrorCode::Unsupported`] when the
     /// server runs a volatile engine.
     CheckpointReq,
-    /// Control: request [`Frame::StatsResp`].
-    StatsReq,
-    /// Control reply: current statistics.
-    StatsResp(WireStats),
     /// Control reply: success without payload.
     OkAck,
     /// Client → worker: reply [`Frame::BarrierAck`] once every frame
@@ -267,8 +230,7 @@ pub enum Frame {
     /// `(name, value)` entries (histograms appear as their
     /// `_count`/`_sum`/`_min`/`_max`/`_p50`/`_p90`/`_p99` projections).
     /// The payload carries its own [`METRICS_VERSION`] byte so the entry
-    /// shape can grow without touching [`WIRE_VERSION`] — unlike the
-    /// frozen fixed-field [`WireStats`].
+    /// shape can grow without touching [`WIRE_VERSION`].
     MetricsResp {
         /// Sorted `(metric name, value)` pairs.
         metrics: Vec<(String, u64)>,
@@ -474,8 +436,6 @@ fn frame_type(f: &Frame) -> u8 {
         Frame::Error { .. } => 6,
         Frame::DeltaPublish { .. } => 7,
         Frame::CheckpointReq => 8,
-        Frame::StatsReq => 9,
-        Frame::StatsResp(_) => 10,
         Frame::OkAck => 11,
         Frame::Barrier { .. } => 12,
         Frame::BarrierAck { .. } => 13,
@@ -546,11 +506,7 @@ fn encode_payload(f: &Frame, out: &mut Vec<u8>) {
                 out.push(kind_to_byte(e.kind));
             }
         }
-        Frame::Subscribe
-        | Frame::CheckpointReq
-        | Frame::StatsReq
-        | Frame::OkAck
-        | Frame::MetricsReq => {}
+        Frame::Subscribe | Frame::CheckpointReq | Frame::OkAck | Frame::MetricsReq => {}
         Frame::Deliver { tag, candidates } => {
             put_varint(out, *tag);
             put_varint(out, candidates.len() as u64);
@@ -581,22 +537,6 @@ fn encode_payload(f: &Frame, out: &mut Vec<u8>) {
         Frame::DeltaPublish { bytes } => {
             put_varint(out, bytes.len() as u64);
             out.extend_from_slice(bytes);
-        }
-        Frame::StatsResp(s) => {
-            for v in [
-                s.events,
-                s.candidates,
-                s.firing_events,
-                s.accepted,
-                s.shed,
-                s.queue_high_watermark,
-                s.dropped_deliveries,
-                s.connections,
-                s.detect_p50_us,
-                s.detect_p99_us,
-            ] {
-                put_varint(out, v);
-            }
         }
         Frame::Barrier { tag } | Frame::BarrierAck { tag } => put_varint(out, *tag),
         Frame::MetricsResp { metrics } => {
@@ -915,25 +855,8 @@ fn decode_payload(ty: u8, payload: &[u8]) -> Result<Frame> {
             Frame::DeltaPublish { bytes }
         }
         8 => Frame::CheckpointReq,
-        9 => Frame::StatsReq,
-        10 => {
-            let mut vals = [0u64; 10];
-            for v in &mut vals {
-                *v = read_varint_checked(&mut r, "wire stats field")?;
-            }
-            Frame::StatsResp(WireStats {
-                events: vals[0],
-                candidates: vals[1],
-                firing_events: vals[2],
-                accepted: vals[3],
-                shed: vals[4],
-                queue_high_watermark: vals[5],
-                dropped_deliveries: vals[6],
-                connections: vals[7],
-                detect_p50_us: vals[8],
-                detect_p99_us: vals[9],
-            })
-        }
+        // 9 and 10 are retired (the old fixed-field stats frames): they
+        // decode to the unknown-frame error, and must not be reused.
         11 => Frame::OkAck,
         12 => Frame::Barrier {
             tag: read_varint_checked(&mut r, "wire barrier tag")?,
@@ -1170,19 +1093,6 @@ mod tests {
                 bytes: vec![1, 2, 3, 250],
             },
             Frame::CheckpointReq,
-            Frame::StatsReq,
-            Frame::StatsResp(WireStats {
-                events: 100,
-                candidates: 7,
-                firing_events: 5,
-                accepted: 99,
-                shed: 1,
-                queue_high_watermark: 64,
-                dropped_deliveries: 0,
-                connections: 2,
-                detect_p50_us: 12,
-                detect_p99_us: 80,
-            }),
             Frame::OkAck,
             Frame::Barrier { tag: u64::MAX },
             Frame::BarrierAck { tag: 0 },

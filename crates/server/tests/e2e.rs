@@ -167,38 +167,6 @@ fn stats_roundtrip_over_the_wire() {
     })
     .unwrap();
     conn.barrier(2).unwrap();
-    conn.send(&Frame::StatsReq).unwrap();
-    match conn.recv().unwrap() {
-        Frame::StatsResp(s) => {
-            assert_eq!(s.events, 2);
-            assert_eq!(s.accepted, 2);
-            assert_eq!(s.shed, 0);
-            assert_eq!(s.candidates, 2);
-            assert_eq!(s.firing_events, 1);
-            assert!(s.queue_high_watermark >= 2);
-            assert_eq!(s.connections, 1);
-        }
-        other => panic!("expected StatsResp, got {other:?}"),
-    }
-    server.shutdown();
-}
-
-#[test]
-fn metrics_scrape_is_bit_identical_to_stats_shim() {
-    // The StatsResp compatibility shim and the MetricsResp registry
-    // scrape read the same handles; with traffic quiesced behind a
-    // barrier, every overlapping field must match exactly.
-    let (server, _engine) = start(1, AdmissionConfig::unlimited());
-    let mut conn = ClientConn::connect(server.addr(), Some(0)).unwrap();
-    conn.send(&Frame::Ingest {
-        tag: 1,
-        events: vec![
-            EdgeEvent::follow(u(10), u(99), ts(100)),
-            EdgeEvent::follow(u(11), u(99), ts(101)),
-        ],
-    })
-    .unwrap();
-    conn.barrier(2).unwrap();
     let metrics = conn.fetch_metrics().unwrap();
     let get = |name: &str| -> u64 {
         metrics
@@ -207,26 +175,17 @@ fn metrics_scrape_is_bit_identical_to_stats_shim() {
             .unwrap_or_else(|| panic!("scrape missing {name}"))
             .1
     };
-    conn.send(&Frame::StatsReq).unwrap();
-    let stats = match conn.recv().unwrap() {
-        Frame::StatsResp(s) => s,
-        other => panic!("expected StatsResp, got {other:?}"),
-    };
-    assert_eq!(stats.events, get("engine_events"));
-    assert_eq!(stats.candidates, get("engine_candidates"));
-    assert_eq!(stats.firing_events, get("engine_firing_events"));
-    assert_eq!(stats.accepted, get("engine_accepted"));
-    assert_eq!(stats.shed, get("engine_shed"));
-    assert_eq!(
-        stats.queue_high_watermark,
-        get("engine_queue_high_watermark")
-    );
-    assert_eq!(stats.dropped_deliveries, get("server_dropped_deliveries"));
-    assert_eq!(stats.connections, get("server_connections"));
-    assert_eq!(stats.detect_p50_us, get("engine_detect_us_p50"));
-    assert_eq!(stats.detect_p99_us, get("engine_detect_us_p99"));
-    // The scrape also carries what the frozen shim cannot: store gauges
-    // and the stage-latency decomposition from the global registry.
+    assert_eq!(get("engine_events"), 2);
+    assert_eq!(get("engine_accepted"), 2);
+    assert_eq!(get("engine_shed"), 0);
+    assert_eq!(get("engine_candidates"), 2);
+    assert_eq!(get("engine_firing_events"), 1);
+    assert!(get("engine_queue_high_watermark") >= 2);
+    assert_eq!(get("server_connections"), 1);
+    assert_eq!(get("server_dropped_deliveries"), 0);
+    assert_eq!(get("engine_detect_us_count"), 2);
+    // Store gauges and the stage-latency decomposition from the global
+    // registry ride the same scrape.
     assert!(get("store_inserted") >= 2);
     assert!(get("stage_e2e_us_count") >= 1);
     assert!(get("stage_detect_us_count") >= 1);

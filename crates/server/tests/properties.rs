@@ -5,8 +5,9 @@
 //! frame, or turns the stream into an incomplete prefix — never a
 //! panic, never a silently different frame.
 
+use magicrecs_graph::io::Check;
 use magicrecs_server::wire::{
-    decode, encode, Frame, ReplStatus, ShedCode, WireErrorCode, WireStats,
+    decode, encode, Frame, ReplStatus, ShedCode, WireErrorCode, WIRE_VERSION,
 };
 use magicrecs_types::{Candidate, EdgeEvent, EdgeKind, Error, Timestamp, UserId};
 use proptest::prelude::*;
@@ -94,21 +95,6 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
             }),
         proptest::collection::vec(0u8..255, 0..256).prop_map(|bytes| Frame::DeltaPublish { bytes }),
         Just(Frame::CheckpointReq),
-        Just(Frame::StatsReq),
-        proptest::collection::vec(0u64..u64::MAX, 10..11).prop_map(|v| {
-            Frame::StatsResp(WireStats {
-                events: v[0],
-                candidates: v[1],
-                firing_events: v[2],
-                accepted: v[3],
-                shed: v[4],
-                queue_high_watermark: v[5],
-                dropped_deliveries: v[6],
-                connections: v[7],
-                detect_p50_us: v[8],
-                detect_p99_us: v[9],
-            })
-        }),
         Just(Frame::OkAck),
         (0u64..u64::MAX).prop_map(|tag| Frame::Barrier { tag }),
         (0u64..u64::MAX).prop_map(|tag| Frame::BarrierAck { tag }),
@@ -264,8 +250,44 @@ fn drain(mut buf: &[u8]) -> Result<Vec<Frame>, Error> {
     Ok(out)
 }
 
+/// A well-formed frame of wire type `ty` around `payload`: length
+/// prefix, version, type, payload, and the checksum the decoder expects.
+fn framed(ty: u8, payload: &[u8]) -> Vec<u8> {
+    let mut check = Check::new();
+    check.mix(WIRE_VERSION as u64);
+    check.mix(ty as u64);
+    check.mix(payload.len() as u64);
+    for chunk in payload.chunks(8) {
+        let mut word = [0u8; 8];
+        word[..chunk.len()].copy_from_slice(chunk);
+        check.mix(u64::from_le_bytes(word));
+    }
+    let len = (2 + payload.len() + 8) as u32;
+    let mut bytes = len.to_le_bytes().to_vec();
+    bytes.extend_from_slice(&[WIRE_VERSION, ty]);
+    bytes.extend_from_slice(payload);
+    bytes.extend_from_slice(&check.finish().to_le_bytes());
+    bytes
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Types 9 and 10 (the retired fixed-field stats request and reply)
+    /// decode to the typed unknown-frame error whatever their payload —
+    /// an old peer still sending them is refused, never a panic.
+    #[test]
+    fn retired_stats_frame_types_are_typed_unknown(
+        ty in 9u8..11,
+        payload in proptest::collection::vec(0u8..255, 0..96),
+    ) {
+        match decode(&framed(ty, &payload)) {
+            Err(Error::Corrupt(msg)) => prop_assert!(
+                msg.contains("unknown frame type"), "wrong refusal: {}", msg
+            ),
+            other => prop_assert!(false, "type {} not refused: {:?}", ty, other),
+        }
+    }
 
     /// Every frame round-trips exactly, consuming exactly its bytes.
     #[test]

@@ -1,12 +1,13 @@
-//! The store abstraction both engines are generic over.
+//! The store abstraction the detector and the batch-apply helpers are
+//! generic over.
 //!
 //! [`EdgeStore`] captures the dynamic-structure contract the paper gives
 //! `D`: insert recent edges by target, remove on unfollow, answer the
 //! "all other B's that also point to the C" witness query, and reclaim
 //! expired state. Two implementations ship:
 //!
-//! * [`TemporalEdgeStore`] — single-owner, `&mut self`; the store one
-//!   sequential engine (or one share-nothing partition) owns.
+//! * [`TemporalEdgeStore`] — single-owner, `&mut self`; the store a
+//!   declarative motif executor owns.
 //! * [`ShardedTemporalStore`] — hash-sharded behind per-shard locks; all
 //!   operations are interiorly mutable, so the trait is additionally
 //!   implemented for `&ShardedTemporalStore`. That reference impl is the

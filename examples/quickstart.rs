@@ -34,7 +34,7 @@ fn main() {
     println!("  followers(B2) = {:?}", graph.followers(b2));
 
     // ── Online engine, k = 2 (the paper's running example) ─────────────
-    let mut engine = Engine::new(graph, DetectorConfig::example()).expect("valid config");
+    let engine = ConcurrentEngine::new(graph, DetectorConfig::example()).expect("valid config");
 
     // B1 → C2 arrives: one witness, no recommendation yet.
     let t0 = Timestamp::from_secs(100);
@@ -64,8 +64,6 @@ fn main() {
     let s = engine.stats();
     println!(
         "Engine stats: {} events, {} candidates, detection p50 = {} µs",
-        s.events.get(),
-        s.candidates.get(),
-        s.detect_time.snapshot().p50_us
+        s.events, s.candidates, s.detect_time.p50_us
     );
 }

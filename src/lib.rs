@@ -23,7 +23,7 @@
 //! let graph = builder.build();
 //!
 //! // Online engine with the paper's example parameters (k = 2).
-//! let mut engine = Engine::new(graph, DetectorConfig::example()).unwrap();
+//! let engine = ConcurrentEngine::new(graph, DetectorConfig::example()).unwrap();
 //!
 //! // B1 follows C, then B2 follows C within the window: diamond completed.
 //! let c = UserId(99);
@@ -80,7 +80,7 @@ pub use magicrecs_types as types;
 
 /// Commonly used items, for `use magicrecs::prelude::*`.
 pub mod prelude {
-    pub use magicrecs_core::{ConcurrentEngine, DiamondDetector, Engine};
+    pub use magicrecs_core::{ConcurrentEngine, DiamondDetector};
     pub use magicrecs_graph::{FollowGraph, GraphBuilder};
     pub use magicrecs_temporal::{EdgeStore, ShardedTemporalStore, TemporalEdgeStore};
     pub use magicrecs_types::{

@@ -1,8 +1,10 @@
 //! Integration tests for the shared-state engine: N threads driving one
-//! `ConcurrentEngine`, per-event candidate parity with the sequential
-//! `Engine`, the shared cluster wrapper, and concurrent delivery through
-//! `SharedFunnel`.
+//! `ConcurrentEngine`, per-event candidate parity with a single-thread
+//! run, the shared cluster wrapper, and concurrent delivery through
+//! `SharedFunnel` — every reference anchored on the brute-force
+//! `BatchOracle`.
 
+use magicrecs::baseline::BatchOracle;
 use magicrecs::cluster::SharedEngineCluster;
 use magicrecs::delivery::SharedFunnel;
 use magicrecs::gen::{GraphGen, GraphGenConfig, Scenario, ScenarioConfig};
@@ -39,16 +41,22 @@ fn test_trace(users: u64, seed: u64) -> Vec<EdgeEvent> {
 
 /// The acceptance-criteria parity check: one `ConcurrentEngine` shared by
 /// 4 threads produces, for every event, the same candidate set
-/// (order-insensitive) as the sequential `Engine` on the same trace.
+/// (order-insensitive) as a single-thread run on the same trace, which in
+/// turn reproduces the oracle.
 #[test]
 fn four_threads_sharing_one_engine_match_sequential_per_event() {
     let graph = test_graph(1_200);
     let trace = test_trace(1_200, 0xC0FFEE);
     let config = capped_config();
 
-    // Sequential reference: candidates per event index.
-    let mut seq = Engine::new(graph.clone(), config).unwrap();
+    // Single-thread reference: candidates per event index.
+    let seq = ConcurrentEngine::new(graph.clone(), config).unwrap();
     let expected: Vec<Vec<Candidate>> = trace.iter().map(|&e| seq.on_event(e)).collect();
+    assert_eq!(
+        expected.concat(),
+        BatchOracle::new(config).unwrap().replay(&graph, &trace),
+        "single-thread reference diverged from the oracle"
+    );
 
     // Shared engine, 4 threads, routed by target so per-target order holds.
     const WORKERS: usize = 4;
@@ -94,16 +102,15 @@ fn four_threads_sharing_one_engine_match_sequential_per_event() {
     assert_eq!(engine.stats().events, trace.len() as u64);
 }
 
-/// The cluster-level wrapper agrees with the sequential engine as the
-/// worker count varies (1, 2, 4 over the same trace).
+/// The cluster-level wrapper agrees with the oracle as the worker count
+/// varies (1, 2, 4 over the same trace).
 #[test]
 fn shared_cluster_scaling_preserves_results() {
     let graph = test_graph(900);
     let trace = test_trace(900, 7);
     let config = capped_config();
 
-    let mut seq = Engine::new(graph.clone(), config).unwrap();
-    let mut expected: Vec<Candidate> = trace.iter().flat_map(|&e| seq.on_event(e)).collect();
+    let mut expected = BatchOracle::new(config).unwrap().replay(&graph, &trace);
     expected.sort_by(|a, b| {
         (a.triggered_at, a.user, a.target).cmp(&(b.triggered_at, b.user, b.target))
     });
@@ -118,8 +125,8 @@ fn shared_cluster_scaling_preserves_results() {
 }
 
 /// Full concurrent pipeline: sharded ingest → shared engine → shared
-/// funnel. The delivered (user, target) set matches the sequential
-/// engine + funnel pipeline on the same trace.
+/// funnel. The delivered (user, target) set matches the oracle's
+/// candidate stream fed in order through one funnel.
 #[test]
 fn concurrent_emitters_feed_shared_funnel() {
     let graph = test_graph(1_000);
@@ -131,21 +138,18 @@ fn concurrent_emitters_feed_shared_funnel() {
         ..FunnelConfig::production()
     };
 
-    // Sequential reference.
-    let mut seq = Engine::new(graph.clone(), config).unwrap();
+    // Sequential reference: the oracle's stream (event order, each
+    // candidate stamped with its event's time) through one funnel.
     let mut seq_funnel = magicrecs::delivery::Funnel::new(funnel_config).unwrap();
-    let mut expected: Vec<(UserId, UserId)> = trace
-        .iter()
-        .flat_map(|&e| {
-            let at = e.created_at;
-            seq.on_event(e)
-                .into_iter()
-                .filter_map(|c| {
-                    seq_funnel
-                        .offer(c, at)
-                        .map(|r| (r.candidate.user, r.candidate.target))
-                })
-                .collect::<Vec<_>>()
+    let mut expected: Vec<(UserId, UserId)> = BatchOracle::new(config)
+        .unwrap()
+        .replay(&graph, &trace)
+        .into_iter()
+        .filter_map(|c| {
+            let at = c.triggered_at;
+            seq_funnel
+                .offer(c, at)
+                .map(|r| (r.candidate.user, r.candidate.target))
         })
         .collect();
     expected.sort_unstable();

@@ -4,7 +4,7 @@
 //! workspace (the production engine, the brute-force oracle, the
 //! declarative motif executor) plus two distributions of the engine
 //! (sequential broker, threaded cluster). On arbitrary graphs and traces
-//! they must all agree.
+//! they must all agree with the oracle.
 
 use magicrecs::baseline::BatchOracle;
 use magicrecs::cluster::{Broker, ThreadedCluster};
@@ -61,8 +61,13 @@ proptest! {
     ) {
         let cfg = DetectorConfig::example().with_tau(Duration::from_secs(200));
 
-        let mut engine = Engine::new(graph.clone(), cfg).unwrap();
-        let expected = sorted(engine.process_trace(events.iter().copied()));
+        // The brute-force oracle is the reference; the single engine and
+        // both of its distributions must each reproduce it.
+        let expected = sorted(BatchOracle::new(cfg).unwrap().replay(&graph, &events));
+
+        let engine = ConcurrentEngine::new(graph.clone(), cfg).unwrap();
+        let got_engine = sorted(engine.on_events(&events));
+        prop_assert_eq!(&got_engine, &expected, "engine diverged");
 
         let mut broker = Broker::new(
             &graph,
@@ -116,7 +121,7 @@ proptest! {
         (graph, events) in graph_and_trace(),
     ) {
         let cfg = DetectorConfig::example().with_tau(Duration::from_secs(200));
-        let mut engine = Engine::new(graph.clone(), cfg).unwrap();
+        let engine = ConcurrentEngine::new(graph.clone(), cfg).unwrap();
         for &event in &events {
             for c in engine.on_event(event) {
                 // Witness count meets the threshold.
@@ -149,8 +154,8 @@ proptest! {
             let cfg = DetectorConfig::example()
                 .with_k(k)
                 .with_tau(Duration::from_secs(200));
-            let mut engine = Engine::new(graph.clone(), cfg).unwrap();
-            counts.push(engine.process_trace(events.iter().copied()).len());
+            let engine = ConcurrentEngine::new(graph.clone(), cfg).unwrap();
+            counts.push(engine.on_events(&events).len());
         }
         prop_assert!(counts[0] >= counts[1] && counts[1] >= counts[2],
             "volume not monotone in k: {:?}", counts);
@@ -164,8 +169,8 @@ proptest! {
         let mut counts = Vec::new();
         for tau in [30u64, 120, 600] {
             let cfg = DetectorConfig::example().with_tau(Duration::from_secs(tau));
-            let mut engine = Engine::new(graph.clone(), cfg).unwrap();
-            counts.push(engine.process_trace(events.iter().copied()).len());
+            let engine = ConcurrentEngine::new(graph.clone(), cfg).unwrap();
+            counts.push(engine.on_events(&events).len());
         }
         prop_assert!(counts[0] <= counts[1] && counts[1] <= counts[2],
             "volume not monotone in tau: {:?}", counts);

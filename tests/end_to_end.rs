@@ -100,7 +100,7 @@ fn unfollow_storm_is_harmless() {
         g.add_edge(UserId(i), UserId(100 + i % 5));
     }
     let graph = g.build();
-    let mut engine = Engine::new(graph, DetectorConfig::example()).unwrap();
+    let engine = ConcurrentEngine::new(graph, DetectorConfig::example()).unwrap();
     for i in 0..500u64 {
         let b = UserId(100 + i % 5);
         let c = UserId(1_000 + i % 3);
@@ -119,7 +119,7 @@ fn queue_redelivery_is_absorbed_by_dedup() {
     let mut g = GraphBuilder::new();
     g.extend([(UserId(1), UserId(11)), (UserId(1), UserId(12))]);
     let graph = g.build();
-    let mut engine = Engine::new(graph, DetectorConfig::example()).unwrap();
+    let engine = ConcurrentEngine::new(graph, DetectorConfig::example()).unwrap();
     let mut funnel = Funnel::new(FunnelConfig::production()).unwrap();
 
     let noon = Timestamp::from_secs(12 * 3600);

@@ -40,7 +40,7 @@ fn out_of_order_delivery_detects_motifs() {
         [2, 1, 0],
     ];
     for order in orders {
-        let mut engine = Engine::new(graph(), DetectorConfig::production()).unwrap();
+        let engine = ConcurrentEngine::new(graph(), DetectorConfig::production()).unwrap();
         let found: usize = order
             .iter()
             .map(|&i| engine.on_event(events[i]).len())
@@ -55,7 +55,7 @@ fn out_of_order_delivery_detects_motifs() {
 #[test]
 fn duplicate_events_do_not_double_count_witnesses() {
     // The same B→C edge delivered 5 times is still one witness.
-    let mut engine = Engine::new(graph(), DetectorConfig::production()).unwrap();
+    let engine = ConcurrentEngine::new(graph(), DetectorConfig::production()).unwrap();
     for _ in 0..5 {
         let out = engine.on_event(EdgeEvent::follow(u(100), u(900), ts(10)));
         assert!(out.is_empty(), "k=3 must not fire on one distinct witness");
@@ -70,7 +70,7 @@ fn duplicate_events_do_not_double_count_witnesses() {
 
 #[test]
 fn clock_skew_events_do_not_panic() {
-    let mut engine = Engine::new(graph(), DetectorConfig::example()).unwrap();
+    let engine = ConcurrentEngine::new(graph(), DetectorConfig::example()).unwrap();
     // Events at the epoch, far future, and "before" previous events.
     engine.on_event(EdgeEvent::follow(u(100), u(900), Timestamp::ZERO));
     engine.on_event(EdgeEvent::follow(u(101), u(900), ts(1_000_000_000)));
@@ -82,7 +82,7 @@ fn clock_skew_events_do_not_panic() {
 #[test]
 fn burst_of_identical_timestamps() {
     // Many events at the same instant (batch import flush).
-    let mut engine = Engine::new(graph(), DetectorConfig::production()).unwrap();
+    let engine = ConcurrentEngine::new(graph(), DetectorConfig::production()).unwrap();
     let mut total = 0;
     for b in [100u64, 101, 102] {
         total += engine

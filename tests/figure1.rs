@@ -45,9 +45,9 @@ fn assert_figure1(candidates: &[Candidate], impl_name: &str) {
 
 #[test]
 fn engine_reproduces_figure1() {
-    let mut engine = Engine::new(figure1_graph(), DetectorConfig::example()).unwrap();
-    let out = engine.process_trace(events());
-    assert_figure1(&out, "Engine");
+    let engine = ConcurrentEngine::new(figure1_graph(), DetectorConfig::example()).unwrap();
+    let out = engine.on_events(&events());
+    assert_figure1(&out, "ConcurrentEngine");
 }
 
 #[test]
@@ -136,8 +136,8 @@ fn no_motif_when_window_elapses() {
         EdgeEvent::follow(a(11), a(22), Timestamp::from_secs(10)),
         EdgeEvent::follow(a(12), a(22), Timestamp::from_secs(10_000)),
     ];
-    let mut engine = Engine::new(figure1_graph(), DetectorConfig::example()).unwrap();
-    assert!(engine.process_trace(stale.clone()).is_empty());
+    let engine = ConcurrentEngine::new(figure1_graph(), DetectorConfig::example()).unwrap();
+    assert!(engine.on_events(&stale).is_empty());
     let oracle = BatchOracle::new(DetectorConfig::example()).unwrap();
     assert!(oracle.replay(&figure1_graph(), &stale).is_empty());
 }
