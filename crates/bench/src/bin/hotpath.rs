@@ -29,6 +29,8 @@
 //!   witness lists ("seed adaptive" = the old heap/scan switch), plus the
 //!   `loser_tree` pivot-generation arm. A guard asserts Adaptive lands
 //!   within 1.2× of the best arm on both fixtures.
+//!   `threshold_fresh_*` sweeps the detector's delta kernel over its
+//!   scan/gallop crossover on one celebrity-shaped detect.
 //! * `detector_*` — end-to-end engine ns/event on a Zipf trace and on a
 //!   synthetic celebrity workload, once with every witness fresh (one
 //!   timestamp per round) and once with only the trigger fresh.
@@ -77,7 +79,10 @@ use magicrecs_core::intersect::{
     intersect_adaptive, intersect_gallop, intersect_gallop_simd, intersect_merge,
     intersect_merge_simd,
 };
-use magicrecs_core::threshold::{threshold_intersect, ThresholdAlgo};
+use magicrecs_core::threshold::{
+    threshold_fresh_at_crossover, threshold_intersect, FreshScratch, ThresholdAlgo,
+    FRESH_SCAN_CROSSOVER,
+};
 use magicrecs_core::{simd_level, ConcurrentEngine, SimdLevel};
 use magicrecs_graph::{FollowGraph, GraphBuilder};
 use magicrecs_temporal::{PruneStrategy, TemporalEdgeStore};
@@ -456,6 +461,70 @@ fn guard_adaptive<F>(
             );
         }
     }
+}
+
+/// Crossovers the `threshold_fresh` sweep times, by field name: a probe
+/// list scans when it is at most this many times the surviving values.
+const FRESH_CROSSOVER_SWEEP: [(&str, usize); 8] = [
+    ("gallop_only", 0),
+    ("x2", 2),
+    ("x4", 4),
+    ("x8", 8),
+    ("x16", 16),
+    ("x32", 32),
+    ("x64", 64),
+    ("scan_only", usize::MAX),
+];
+
+/// The delta kernel on one detect shaped like a hot `celebrity_dense`
+/// event (k = 3): 44 witness lists of ≈55 dense ids and one of ≈1.3k,
+/// all drawn from a 3k-user community, plus a fresh trigger list of ≈55
+/// that generates the values. Sweeps the scan/gallop crossover
+/// (`FRESH_SCAN_CROSSOVER` is chosen from it): the short lists take the
+/// scan from x2 on, the long one only above x32.
+fn run_threshold_fresh(json: &mut Json) {
+    println!("# threshold_fresh (1 fresh x 55 + 44 x 55 + 1 x 1.3k, k=3)");
+    let mut rng = StdRng::seed_from_u64(0xF5E5);
+    let mut lists: Vec<Vec<DenseId>> = (0..45)
+        .map(|_| as_dense(&sorted_ids(56, 3_000, &mut rng)))
+        .collect();
+    lists.push(as_dense(&sorted_ids(1_800, 3_000, &mut rng)));
+    let slices: Vec<&[DenseId]> = lists.iter().map(|l| l.as_slice()).collect();
+    let mut fresh = vec![false; slices.len()];
+    fresh[0] = true;
+    let mut scratch = FreshScratch::default();
+    let mut out: Vec<(DenseId, u32)> = Vec::new();
+    let mut matches = None;
+    let medians = interleaved_medians(FRESH_CROSSOVER_SWEEP.len(), |round, ai| {
+        let crossover = FRESH_CROSSOVER_SWEEP[ai].1;
+        let iters = if round == 0 { 64 } else { 1_000 };
+        let start = Instant::now();
+        for _ in 0..iters {
+            out.clear();
+            threshold_fresh_at_crossover(
+                black_box(&slices),
+                &fresh,
+                3,
+                &mut scratch,
+                &mut out,
+                crossover,
+            );
+            black_box(out.len());
+        }
+        let ns = start.elapsed().as_secs_f64() * 1e9 / iters as f64;
+        assert_eq!(*matches.get_or_insert_with(|| out.clone()), out);
+        ns
+    });
+    let mut fields: Vec<(&str, f64)> = FRESH_CROSSOVER_SWEEP
+        .iter()
+        .zip(&medians)
+        .map(|(&(name, _), &ns)| (name, ns))
+        .collect();
+    for (name, ns) in &fields {
+        println!("  {name} {ns:.0}");
+    }
+    fields.push(("crossover", FRESH_SCAN_CROSSOVER as f64));
+    json.obj("threshold_fresh_celebrity_44x55_1x1k_k3", &fields);
 }
 
 /// The WAL arms: single-append cost vs group commit at batch sizes
@@ -1349,6 +1418,9 @@ fn main() {
     for (n, v) in &arms {
         println!("  {n} {v:.0}");
     }
+
+    // ---- delta kernel: scan/gallop crossover sweep ----------------------
+    run_threshold_fresh(&mut json);
 
     // ---- end-to-end detector, Zipf steady trace -------------------------
     println!("# detector on Zipf steady trace (20k users, k=3)");

@@ -40,8 +40,7 @@
 //! exposes exactly that read-only kernel, taking the witness list through a
 //! fill callback instead of touching the store itself — the seam that lets
 //! `ConcurrentEngine` run detection against an immutable `S` snapshot while
-//! other threads keep inserting. [`DiamondDetector::on_event_into`] is the
-//! assembled sequential flow, generic over any [`EdgeStore`].
+//! other threads keep inserting.
 //!
 //! **Dense hot path.** Steps 3–4 run entirely in dense-id space: each
 //! witness `B` is interned once (`S.dense_of`, one hash probe — the only
@@ -58,8 +57,7 @@
 use crate::intersect::gallop_to_simd;
 use crate::threshold::{threshold_fresh, FreshScratch};
 use magicrecs_graph::FollowGraph;
-use magicrecs_temporal::EdgeStore;
-use magicrecs_types::{Candidate, DenseId, DetectorConfig, EdgeEvent, Result, Timestamp, UserId};
+use magicrecs_types::{Candidate, DenseId, DetectorConfig, Result, Timestamp, UserId};
 
 /// Stateless-per-event detector with reusable scratch buffers.
 #[derive(Debug)]
@@ -102,42 +100,6 @@ impl DiamondDetector {
     /// The active configuration.
     pub fn config(&self) -> &DetectorConfig {
         &self.config
-    }
-
-    /// Processes one event against the partition's `S` and `D`, appending
-    /// any candidates to `out`. Returns the number appended.
-    ///
-    /// Candidates are sorted by user id; each carries the subset of
-    /// witnesses that user actually follows, at least one of them fresh
-    /// (see the module docs for the full contract).
-    ///
-    /// Generic over the store: a single-owner [`TemporalEdgeStore`], a
-    /// [`ShardedTemporalStore`] by value, or a
-    /// `&ShardedTemporalStore` handle shared across threads — any
-    /// [`EdgeStore`] works.
-    ///
-    /// [`TemporalEdgeStore`]: magicrecs_temporal::TemporalEdgeStore
-    /// [`ShardedTemporalStore`]: magicrecs_temporal::ShardedTemporalStore
-    pub fn on_event_into<D: EdgeStore<UserId>>(
-        &mut self,
-        s: &FollowGraph,
-        d: &mut D,
-        event: EdgeEvent,
-        out: &mut Vec<Candidate>,
-    ) -> usize {
-        if !event.kind.is_insertion() {
-            d.remove(event.src, event.dst);
-            return 0;
-        }
-        let t = event.created_at;
-        d.insert(event.src, event.dst, t);
-        self.detect_into(
-            s,
-            event.dst,
-            t,
-            |buf| d.witnesses_into(event.dst, t, buf),
-            out,
-        )
     }
 
     /// The read-only detection kernel: steps 2–4 of the paper's algorithm,
@@ -284,18 +246,6 @@ impl DiamondDetector {
         }
         emitted
     }
-
-    /// Convenience wrapper returning a fresh vector.
-    pub fn on_event<D: EdgeStore<UserId>>(
-        &mut self,
-        s: &FollowGraph,
-        d: &mut D,
-        event: EdgeEvent,
-    ) -> Vec<Candidate> {
-        let mut out = Vec::new();
-        self.on_event_into(s, d, event, &mut out);
-        out
-    }
 }
 
 #[cfg(test)]
@@ -303,7 +253,7 @@ mod tests {
     use super::*;
     use magicrecs_graph::GraphBuilder;
     use magicrecs_temporal::TemporalEdgeStore;
-    use magicrecs_types::{Duration, EdgeKind};
+    use magicrecs_types::{Duration, EdgeEvent, EdgeKind};
 
     fn u(n: u64) -> UserId {
         UserId(n)
@@ -334,6 +284,31 @@ mod tests {
         TemporalEdgeStore::with_window(Duration::from_mins(10))
     }
 
+    /// One event through `D` and the kernel: an unfollow removes its
+    /// entry, anything else inserts and detects against `C`'s witnesses.
+    fn step(
+        det: &mut DiamondDetector,
+        s: &FollowGraph,
+        d: &mut TemporalEdgeStore,
+        event: EdgeEvent,
+    ) -> Vec<Candidate> {
+        let mut out = Vec::new();
+        if !event.kind.is_insertion() {
+            d.remove(event.src, event.dst);
+            return out;
+        }
+        let t = event.created_at;
+        d.insert(event.src, event.dst, t);
+        det.detect_into(
+            s,
+            event.dst,
+            t,
+            |buf| d.witnesses_into(event.dst, t, buf),
+            &mut out,
+        );
+        out
+    }
+
     #[test]
     fn figure1_walkthrough() {
         let s = figure1_graph();
@@ -342,11 +317,11 @@ mod tests {
         let c2 = u(22);
 
         // B1 -> C2 first: only one witness, nothing fires.
-        let r1 = det.on_event(&s, &mut d, EdgeEvent::follow(u(11), c2, ts(100)));
+        let r1 = step(&mut det, &s, &mut d, EdgeEvent::follow(u(11), c2, ts(100)));
         assert!(r1.is_empty());
 
         // B2 -> C2 within τ: the diamond closes; A2 is the intersection.
-        let r2 = det.on_event(&s, &mut d, EdgeEvent::follow(u(12), c2, ts(160)));
+        let r2 = step(&mut det, &s, &mut d, EdgeEvent::follow(u(12), c2, ts(160)));
         assert_eq!(r2.len(), 1);
         assert_eq!(r2[0].user, u(2));
         assert_eq!(r2[0].target, c2);
@@ -360,9 +335,14 @@ mod tests {
         let mut d = store();
         let mut det = detector(2);
         let c = u(22);
-        det.on_event(&s, &mut d, EdgeEvent::follow(u(11), c, ts(100)));
+        step(&mut det, &s, &mut d, EdgeEvent::follow(u(11), c, ts(100)));
         // 11 minutes later — outside τ = 10 min.
-        let r = det.on_event(&s, &mut d, EdgeEvent::follow(u(12), c, ts(100 + 660)));
+        let r = step(
+            &mut det,
+            &s,
+            &mut d,
+            EdgeEvent::follow(u(12), c, ts(100 + 660)),
+        );
         assert!(r.is_empty());
     }
 
@@ -375,13 +355,9 @@ mod tests {
         let mut d = store();
         let mut det = detector(3);
         let c = u(99);
-        assert!(det
-            .on_event(&s, &mut d, EdgeEvent::follow(u(11), c, ts(10)))
-            .is_empty());
-        assert!(det
-            .on_event(&s, &mut d, EdgeEvent::follow(u(12), c, ts(20)))
-            .is_empty());
-        let r = det.on_event(&s, &mut d, EdgeEvent::follow(u(13), c, ts(30)));
+        assert!(step(&mut det, &s, &mut d, EdgeEvent::follow(u(11), c, ts(10))).is_empty());
+        assert!(step(&mut det, &s, &mut d, EdgeEvent::follow(u(12), c, ts(20))).is_empty());
+        let r = step(&mut det, &s, &mut d, EdgeEvent::follow(u(13), c, ts(30)));
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].user, u(1));
         assert_eq!(r[0].witnesses, vec![u(11), u(12), u(13)]);
@@ -393,9 +369,9 @@ mod tests {
         let mut d = store();
         let mut det = detector(2);
         let c = u(22);
-        det.on_event(&s, &mut d, EdgeEvent::follow(u(11), c, ts(10)));
-        det.on_event(&s, &mut d, EdgeEvent::unfollow(u(11), c, ts(20)));
-        let r = det.on_event(&s, &mut d, EdgeEvent::follow(u(12), c, ts(30)));
+        step(&mut det, &s, &mut d, EdgeEvent::follow(u(11), c, ts(10)));
+        step(&mut det, &s, &mut d, EdgeEvent::unfollow(u(11), c, ts(20)));
+        let r = step(&mut det, &s, &mut d, EdgeEvent::follow(u(12), c, ts(30)));
         assert!(r.is_empty(), "unfollowed witness must not count");
     }
 
@@ -409,8 +385,8 @@ mod tests {
         let s = g.build();
         let mut d = store();
         let mut det = detector(2);
-        det.on_event(&s, &mut d, EdgeEvent::follow(u(11), c, ts(10)));
-        let r = det.on_event(&s, &mut d, EdgeEvent::follow(u(12), c, ts(20)));
+        step(&mut det, &s, &mut d, EdgeEvent::follow(u(11), c, ts(10)));
+        let r = step(&mut det, &s, &mut d, EdgeEvent::follow(u(12), c, ts(20)));
         let users: Vec<UserId> = r.iter().map(|x| x.user).collect();
         assert_eq!(users, vec![u(1)]);
     }
@@ -424,8 +400,8 @@ mod tests {
         let s = g.build();
         let mut d = store();
         let mut det = detector(2);
-        det.on_event(&s, &mut d, EdgeEvent::follow(u(11), c, ts(10)));
-        let r = det.on_event(&s, &mut d, EdgeEvent::follow(u(12), c, ts(20)));
+        step(&mut det, &s, &mut d, EdgeEvent::follow(u(11), c, ts(10)));
+        let r = step(&mut det, &s, &mut d, EdgeEvent::follow(u(12), c, ts(20)));
         assert!(r.is_empty(), "existing follower must be skipped");
 
         // With skip_existing off, the candidate appears.
@@ -435,8 +411,8 @@ mod tests {
         };
         let mut det2 = DiamondDetector::new(cfg).unwrap();
         let mut d2 = store();
-        det2.on_event(&s, &mut d2, EdgeEvent::follow(u(11), c, ts(10)));
-        let r2 = det2.on_event(&s, &mut d2, EdgeEvent::follow(u(12), c, ts(20)));
+        step(&mut det2, &s, &mut d2, EdgeEvent::follow(u(11), c, ts(10)));
+        let r2 = step(&mut det2, &s, &mut d2, EdgeEvent::follow(u(12), c, ts(20)));
         assert_eq!(r2.len(), 1);
         assert_eq!(r2[0].user, u(1));
     }
@@ -454,11 +430,11 @@ mod tests {
         let mut d = store();
         let mut det = detector(2);
         let c = u(99);
-        det.on_event(&s, &mut d, EdgeEvent::follow(u(12), c, ts(10)));
-        det.on_event(&s, &mut d, EdgeEvent::follow(u(13), c, ts(12)));
+        step(&mut det, &s, &mut d, EdgeEvent::follow(u(12), c, ts(10)));
+        step(&mut det, &s, &mut d, EdgeEvent::follow(u(13), c, ts(12)));
         // 11 appears in followers(12) ∩ followers(13) — but then 11 itself
         // follows C: as a witness it must be excluded from later events.
-        let r = det.on_event(&s, &mut d, EdgeEvent::follow(u(11), c, ts(14)));
+        let r = step(&mut det, &s, &mut d, EdgeEvent::follow(u(11), c, ts(14)));
         let users: Vec<UserId> = r.iter().map(|x| x.user).collect();
         assert!(
             !users.contains(&u(11)),
@@ -472,9 +448,9 @@ mod tests {
         let mut d = store();
         let mut det = detector(2);
         let c = u(22);
-        det.on_event(&s, &mut d, EdgeEvent::follow(u(11), c, ts(10)));
+        step(&mut det, &s, &mut d, EdgeEvent::follow(u(11), c, ts(10)));
         // Same B repeats (e.g. retweet twice): still a single witness.
-        let r = det.on_event(&s, &mut d, EdgeEvent::follow(u(11), c, ts(20)));
+        let r = step(&mut det, &s, &mut d, EdgeEvent::follow(u(11), c, ts(20)));
         assert!(r.is_empty(), "one distinct B must not fire k=2");
     }
 
@@ -490,8 +466,8 @@ mod tests {
         let mut d = store();
         let mut det = detector(2);
         let c = u(99);
-        det.on_event(&s, &mut d, EdgeEvent::follow(u(11), c, ts(10)));
-        let r = det.on_event(&s, &mut d, EdgeEvent::follow(u(12), c, ts(11)));
+        step(&mut det, &s, &mut d, EdgeEvent::follow(u(11), c, ts(10)));
+        let r = step(&mut det, &s, &mut d, EdgeEvent::follow(u(12), c, ts(11)));
         let users: Vec<u64> = r.iter().map(|x| x.user.raw()).collect();
         assert_eq!(users, vec![1, 3, 7, 9]);
     }
@@ -511,8 +487,8 @@ mod tests {
         let mut det = DiamondDetector::new(cfg).unwrap();
         let mut d = store();
         let c = u(5000);
-        det.on_event(&s, &mut d, EdgeEvent::follow(u(1000), c, ts(10)));
-        let r = det.on_event(&s, &mut d, EdgeEvent::follow(u(1001), c, ts(11)));
+        step(&mut det, &s, &mut d, EdgeEvent::follow(u(1000), c, ts(10)));
+        let r = step(&mut det, &s, &mut d, EdgeEvent::follow(u(1001), c, ts(11)));
         assert_eq!(r.len(), 5);
     }
 
@@ -532,14 +508,24 @@ mod tests {
         let mut d = store();
         let c = u(99);
         for (i, b) in (11..=15u64).enumerate() {
-            det.on_event(&s, &mut d, EdgeEvent::follow(u(b), c, ts(10 + i as u64)));
+            step(
+                &mut det,
+                &s,
+                &mut d,
+                EdgeEvent::follow(u(b), c, ts(10 + i as u64)),
+            );
         }
         // After the last event the candidate's witnesses are the 3 newest.
         let mut d2 = store();
         let mut det2 = DiamondDetector::new(cfg).unwrap();
         let mut last = Vec::new();
         for (i, b) in (11..=15u64).enumerate() {
-            last = det2.on_event(&s, &mut d2, EdgeEvent::follow(u(b), c, ts(10 + i as u64)));
+            last = step(
+                &mut det2,
+                &s,
+                &mut d2,
+                EdgeEvent::follow(u(b), c, ts(10 + i as u64)),
+            );
         }
         assert_eq!(last.len(), 1);
         assert_eq!(last[0].witnesses, vec![u(13), u(14), u(15)]);
@@ -563,8 +549,8 @@ mod tests {
             created_at: ts(15),
             kind: EdgeKind::Favorite,
         };
-        det.on_event(&s, &mut d, e1);
-        let r = det.on_event(&s, &mut d, e2);
+        step(&mut det, &s, &mut d, e1);
+        let r = step(&mut det, &s, &mut d, e2);
         assert_eq!(r.len(), 1);
         assert_eq!(r[0].user, u(2));
     }
@@ -592,12 +578,12 @@ mod tests {
         let mut d = store();
         let mut det = detector(2);
         let c = u(99);
-        det.on_event(&s, &mut d, EdgeEvent::follow(u(11), c, ts(10)));
-        let r = det.on_event(&s, &mut d, EdgeEvent::follow(u(12), c, ts(20)));
+        step(&mut det, &s, &mut d, EdgeEvent::follow(u(11), c, ts(10)));
+        let r = step(&mut det, &s, &mut d, EdgeEvent::follow(u(12), c, ts(20)));
         assert_eq!(users(&r), vec![1]);
         // B13 closes A2's diamond; A1 is still at k but follows no fresh
         // witness, so it is not announced again.
-        let r = det.on_event(&s, &mut d, EdgeEvent::follow(u(13), c, ts(30)));
+        let r = step(&mut det, &s, &mut d, EdgeEvent::follow(u(13), c, ts(30)));
         assert_eq!(users(&r), vec![2]);
     }
 
@@ -607,9 +593,9 @@ mod tests {
         let mut d = store();
         let mut det = detector(2);
         let c = u(99);
-        det.on_event(&s, &mut d, EdgeEvent::follow(u(11), c, ts(10)));
-        det.on_event(&s, &mut d, EdgeEvent::follow(u(12), c, ts(20)));
-        let r = det.on_event(&s, &mut d, EdgeEvent::follow(u(14), c, ts(30)));
+        step(&mut det, &s, &mut d, EdgeEvent::follow(u(11), c, ts(10)));
+        step(&mut det, &s, &mut d, EdgeEvent::follow(u(12), c, ts(20)));
+        let r = step(&mut det, &s, &mut d, EdgeEvent::follow(u(14), c, ts(30)));
         assert!(r.is_empty(), "{r:?}");
     }
 
@@ -619,12 +605,12 @@ mod tests {
         let mut d = store();
         let mut det = detector(2);
         let c = u(99);
-        det.on_event(&s, &mut d, EdgeEvent::follow(u(11), c, ts(10)));
-        let r = det.on_event(&s, &mut d, EdgeEvent::follow(u(12), c, ts(10)));
+        step(&mut det, &s, &mut d, EdgeEvent::follow(u(11), c, ts(10)));
+        let r = step(&mut det, &s, &mut d, EdgeEvent::follow(u(12), c, ts(10)));
         assert_eq!(users(&r), vec![1]);
         // Same microsecond: B11 and B12 are still fresh, so A1 fires with
         // this event too although it does not follow the trigger.
-        let r = det.on_event(&s, &mut d, EdgeEvent::follow(u(14), c, ts(10)));
+        let r = step(&mut det, &s, &mut d, EdgeEvent::follow(u(14), c, ts(10)));
         assert_eq!(users(&r), vec![1]);
         assert_eq!(r[0].witnesses, vec![u(11), u(12)]);
     }
@@ -640,10 +626,10 @@ mod tests {
             };
             let mut det = DiamondDetector::new(cfg).unwrap();
             let mut d = store();
-            det.on_event(&s, &mut d, EdgeEvent::follow(u(12), c, ts(20)));
-            det.on_event(&s, &mut d, EdgeEvent::follow(u(13), c, ts(30)));
+            step(&mut det, &s, &mut d, EdgeEvent::follow(u(12), c, ts(20)));
+            step(&mut det, &s, &mut d, EdgeEvent::follow(u(13), c, ts(30)));
             // Out of order: the trigger is the oldest witness.
-            det.on_event(&s, &mut d, EdgeEvent::follow(u(11), c, ts(10)))
+            step(&mut det, &s, &mut d, EdgeEvent::follow(u(11), c, ts(10)))
         };
         // Uncapped, the trigger is fresh and closes A1's diamond.
         assert_eq!(users(&run(None)), vec![1]);
@@ -658,12 +644,12 @@ mod tests {
         let mut d = store();
         let mut det = detector(2);
         let c = u(99);
-        det.on_event(&s, &mut d, EdgeEvent::follow(u(11), c, ts(30)));
-        let r = det.on_event(&s, &mut d, EdgeEvent::follow(u(12), c, ts(20)));
+        step(&mut det, &s, &mut d, EdgeEvent::follow(u(11), c, ts(30)));
+        let r = step(&mut det, &s, &mut d, EdgeEvent::follow(u(12), c, ts(20)));
         assert_eq!(users(&r), vec![1]);
         // B11 already has a newer entry (30), so at t = 25 no witness is
         // fresh.
-        let r = det.on_event(&s, &mut d, EdgeEvent::follow(u(11), c, ts(25)));
+        let r = step(&mut det, &s, &mut d, EdgeEvent::follow(u(11), c, ts(25)));
         assert!(r.is_empty(), "{r:?}");
     }
 

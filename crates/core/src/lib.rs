@@ -55,7 +55,8 @@
 //! * [`intersect`] — two-sorted-list intersection: merge, galloping, an
 //!   adaptive switch (ablation B1), and runtime-dispatched SIMD variants.
 //!   Generic over the element type; the hot path runs them over dense
-//!   `u32` ids, which is what the SIMD arms vectorize.
+//!   `u32` ids, which is what the SIMD arms vectorize. The detector's
+//!   delta kernel gallops only its long lists (see [`threshold`]).
 //! * [`simd`] — the x86-64 vector inner loops (SSE2 baseline, AVX2 by
 //!   runtime detection, scalar everywhere else) plus the per-process
 //!   dispatch and the [`simd::SimdElem`] lane-view trait.
@@ -65,7 +66,10 @@
 //!   celebrity-skew specialist), its loser-tree variant for high fan-in,
 //!   or an adaptive switch (ablation B2); and the delta form the detector
 //!   runs, [`threshold::threshold_fresh`], which keeps only values in a
-//!   fresh list.
+//!   fresh list. It scans short lists and gallops long ones: a list at
+//!   most [`threshold::FRESH_SCAN_CROSSOVER`]× the surviving values is
+//!   counted in one pass against their membership bitset, a longer one
+//!   by galloping per value.
 //! * [`detector`] — [`DiamondDetector`]: one event in, candidates out,
 //!   working in dense-id space from witness lookup to candidate emission;
 //!   hosts the read-only kernel.

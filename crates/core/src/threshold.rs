@@ -41,7 +41,9 @@
 //! The detector runs none of these whole-set kernels. It runs the delta
 //! form, [`threshold_fresh`]: only values that also appear in a *fresh*
 //! list (a witness whose edge is the event's own), generated from the
-//! fresh lists or from the pivot lists, whichever is shorter. The
+//! fresh lists or from the pivot lists, whichever is shorter, and counted
+//! against each other list by a bitset scan when the list is short and
+//! by galloping when it is long. The
 //! algorithms above remain the kernel-level ablation (B2) and the
 //! reference the detector's property tests recompute against.
 //!
@@ -53,7 +55,7 @@
 //! All return `(value, count)` pairs sorted by value, counts being the
 //! exact number of lists containing the value (ties are deterministic).
 
-use crate::intersect::gallop_to_simd;
+use crate::intersect::{gallop_to, gallop_to_simd};
 use crate::simd::SimdElem;
 use magicrecs_types::FxHashMap;
 use std::cmp::Reverse;
@@ -486,6 +488,20 @@ pub fn threshold_pivot_tree<V: SimdElem + Hash>(lists: &[&[V]], k: usize, out: &
 /// Marks a generated value's count once it has met a fresh list.
 const FRESH_HIT: u32 = 1 << 31;
 
+/// [`threshold_fresh`] scans a probe list whose length is at most this
+/// many times the surviving values' count, and gallops through a longer
+/// one. Chosen from `hotpath`'s `threshold_fresh_*` crossover sweep: on
+/// its celebrity-shaped detect every crossover from 2× to 32× runs in
+/// ≈8.5 µs against ≈20 µs galloping every list, while 64× (which scans
+/// the 1.3k-id list too) takes ≈10 µs. 16× sits inside that plateau,
+/// a factor of two from either edge.
+pub const FRESH_SCAN_CROSSOVER: usize = 16;
+
+/// Widest lane span (highest − lowest generated value) the membership
+/// bitset covers: 512 KiB of words. Dense ids of any graph this repo
+/// builds stay far below it; wider values gallop every list.
+const FRESH_SCAN_MAX_SPAN: u32 = 1 << 22;
+
 /// Reusable buffers for [`threshold_fresh`]: a caller that keeps one
 /// allocates nothing per call once the buffers have grown to its fan-in.
 #[derive(Debug)]
@@ -502,6 +518,10 @@ pub struct FreshScratch<V> {
     /// [`FRESH_HIT`] set once a fresh list contained it.
     values: Vec<V>,
     counts: Vec<u32>,
+    /// Membership bitset over the values' lanes, offset by the lowest
+    /// generated lane. All zero between calls: a call clears exactly the
+    /// bits it set.
+    bits: Vec<u64>,
     tree: LoserTree<V>,
 }
 
@@ -514,6 +534,7 @@ impl<V> Default for FreshScratch<V> {
             cursors: Vec::new(),
             values: Vec::new(),
             counts: Vec::new(),
+            bits: Vec::new(),
             tree: LoserTree::default(),
         }
     }
@@ -538,19 +559,39 @@ impl<V> Default for FreshScratch<V> {
 /// list is never the generator, and merges the generator lists (through a
 /// loser tree when there are several) into one ascending run of values
 /// with their counts. It then counts that run against each other list,
-/// shortest first, with [`gallop_to_simd`] — galloping through the run
-/// when the list is the shorter side, through the list otherwise. Before
-/// a list is probed, values that can no longer reach `k` (only possible
+/// shortest first, scanning short lists and galloping long ones. A list
+/// at most [`FRESH_SCAN_CROSSOVER`] times as long as the surviving values
+/// is read once, front to back, each element tested against the values'
+/// membership bitset (a hit's slot is a galloping search in the values); a
+/// longer list — a celebrity's followers — is probed per value with
+/// [`gallop_to_simd`], so it is never walked. Element types without a
+/// lane view (and values spanning more than 2²² lanes) gallop every
+/// list, through the run when the list is the shorter side. Before a
+/// list is probed, values that can no longer reach `k` (only possible
 /// for the last `k − 1` lists) or can no longer meet a fresh list are
-/// dropped, so the longest lists are probed by survivors only. Every
-/// value that reaches the output was probed against every list, so its
-/// count is exact.
+/// dropped, and their bits cleared, so the longest lists are probed by
+/// survivors only. Every value that reaches the output was probed
+/// against every list, so its count is exact.
 pub fn threshold_fresh<V: SimdElem>(
     lists: &[&[V]],
     fresh: &[bool],
     k: usize,
     scratch: &mut FreshScratch<V>,
     out: &mut Vec<(V, u32)>,
+) {
+    threshold_fresh_at_crossover(lists, fresh, k, scratch, out, FRESH_SCAN_CROSSOVER);
+}
+
+/// [`threshold_fresh`] with the scan/gallop crossover as an argument: the
+/// benchmark sweep that picks [`FRESH_SCAN_CROSSOVER`] runs through it.
+#[doc(hidden)]
+pub fn threshold_fresh_at_crossover<V: SimdElem>(
+    lists: &[&[V]],
+    fresh: &[bool],
+    k: usize,
+    scratch: &mut FreshScratch<V>,
+    out: &mut Vec<(V, u32)>,
+    crossover: usize,
 ) {
     let n = lists.len();
     debug_assert_eq!(fresh.len(), n, "one fresh flag per list");
@@ -564,6 +605,7 @@ pub fn threshold_fresh<V: SimdElem>(
         cursors,
         values,
         counts,
+        bits,
         tree,
     } = scratch;
     order.clear();
@@ -614,11 +656,32 @@ pub fn threshold_fresh<V: SimdElem>(
         }
     }
 
+    // Mark the values in the membership bitset when their lanes are
+    // narrow enough to index one; otherwise every list gallops.
+    let base = match (values.first(), values.last()) {
+        (Some(&lo), Some(&hi))
+            if V::as_lanes(values).is_some()
+                && hi.to_lane() - lo.to_lane() < FRESH_SCAN_MAX_SPAN =>
+        {
+            let words = ((hi.to_lane() - lo.to_lane()) >> 6) as usize + 1;
+            if bits.len() < words {
+                bits.resize(words, 0);
+            }
+            for &v in values.iter() {
+                let (w, m) = bit_of(v, lo.to_lane());
+                bits[w] |= m;
+            }
+            Some(lo.to_lane())
+        }
+        _ => None,
+    };
+
     let mut fresh_left = probes.iter().filter(|&&li| fresh[li]).count();
     let mut fresh_pruned = false;
     for (pos, &li) in probes.iter().enumerate() {
         // Drop values that can no longer qualify: too few lists left to
-        // reach `k`, or no fresh list left to meet.
+        // reach `k`, or no fresh list left to meet. A dropped value's bit
+        // is cleared with it, so the scan never counts it again.
         let remaining = probes.len() - pos;
         let need_fresh = fresh_left == 0;
         if remaining < k || (need_fresh && !fresh_pruned) {
@@ -631,17 +694,23 @@ pub fn threshold_fresh<V: SimdElem>(
                     values[w] = values[r];
                     counts[w] = c;
                     w += 1;
+                } else if let Some(base) = base {
+                    let (word, m) = bit_of(values[r], base);
+                    bits[word] &= !m;
                 }
             }
             values.truncate(w);
             counts.truncate(w);
         }
         if values.is_empty() {
-            return;
+            break;
         }
         let (list, bit) = (lists[li], fresh_bit(li));
-        let mut c = 0usize;
-        if list.len() < values.len() {
+        let scan_base = base.filter(|_| list.len() <= crossover.saturating_mul(values.len()));
+        if let (Some(base), Some(lanes)) = (scan_base, V::as_lanes(list)) {
+            scan_count(lanes, bits, base, values, counts, bit);
+        } else if list.len() < values.len() {
+            let mut c = 0usize;
             for &x in list {
                 c = gallop_to_simd(values, c, x);
                 if c == values.len() {
@@ -653,6 +722,7 @@ pub fn threshold_fresh<V: SimdElem>(
                 }
             }
         } else {
+            let mut c = 0usize;
             for (r, &v) in values.iter().enumerate() {
                 c = gallop_to_simd(list, c, v);
                 if c == list.len() {
@@ -673,6 +743,51 @@ pub fn threshold_fresh<V: SimdElem>(
             .filter(|&(_, &c)| c & FRESH_HIT != 0 && (c & !FRESH_HIT) as usize >= k)
             .map(|(&v, &c)| (v, c & !FRESH_HIT)),
     );
+    if let Some(base) = base {
+        for &v in values.iter() {
+            bits[bit_of(v, base).0] = 0;
+        }
+    }
+}
+
+/// Word index and mask of `v`'s bit in a membership bitset whose bit 0 is
+/// lane `base`.
+#[inline]
+fn bit_of<V: SimdElem>(v: V, base: u32) -> (usize, u64) {
+    let off = v.to_lane() - base;
+    ((off >> 6) as usize, 1 << (off & 63))
+}
+
+/// Counts one probe list against the ascending `values` in a single pass:
+/// each element inside the values' range is tested against their
+/// membership bitset (`bits`, bit 0 = lane `base`), and a hit's slot is
+/// found by exponential then binary search from the previous hit: O(1)
+/// when most elements hit, O(log gap) when hits are sparse.
+fn scan_count<V: SimdElem>(
+    list: &[u32],
+    bits: &[u64],
+    base: u32,
+    values: &[V],
+    counts: &mut [u32],
+    flag: u32,
+) {
+    let (lo, hi) = (values[0].to_lane(), values[values.len() - 1].to_lane());
+    let mut c = 0;
+    for &x in list {
+        if x < lo {
+            continue;
+        }
+        if x > hi {
+            break;
+        }
+        let off = x - base;
+        if bits[(off >> 6) as usize] & (1 << (off & 63)) != 0 {
+            c = gallop_to(values, c, V::from_lane(x));
+            debug_assert_eq!(values[c].to_lane(), x, "a set bit is a live value");
+            counts[c] = (counts[c] + 1) | flag;
+            c += 1;
+        }
+    }
 }
 
 /// Brute-force reference used by tests and property checks.
@@ -984,6 +1099,81 @@ mod tests {
         assert_eq!(run_fresh(&wide, &fresh, 3, &mut scratch), vec![(100, 40)]);
     }
 
+    /// [`threshold_fresh`] over dense ids on a caller-held scratch.
+    fn run_fresh_dense_with(
+        lists: &[Vec<u32>],
+        fresh: &[bool],
+        k: usize,
+        scratch: &mut FreshScratch<DenseId>,
+    ) -> Vec<(u64, u32)> {
+        let owned: Vec<Vec<DenseId>> = lists
+            .iter()
+            .map(|l| l.iter().map(|&v| DenseId(v)).collect())
+            .collect();
+        let slices: Vec<&[DenseId]> = owned.iter().map(|l| l.as_slice()).collect();
+        let mut out = Vec::new();
+        threshold_fresh(&slices, fresh, k, scratch, &mut out);
+        out.into_iter().map(|(v, c)| (u64::from(v.0), c)).collect()
+    }
+
+    fn widen(lists: &[Vec<u32>]) -> Vec<Vec<u64>> {
+        lists
+            .iter()
+            .map(|l| l.iter().map(|&v| u64::from(v)).collect())
+            .collect()
+    }
+
+    /// Bits left set by one call must not leak into the next: a call that
+    /// prunes some values and ends with survivors, and one that prunes
+    /// every value and returns early, are each followed by a call on
+    /// disjoint, smaller values whose probe lists cover the old bits.
+    #[test]
+    fn threshold_fresh_scratch_reuse_after_pruning() {
+        let mut scratch = FreshScratch::default();
+        let small = vec![vec![10, 20, 30], (10..40).collect(), vec![12, 14, 20, 30]];
+        let small_fresh = [true, false, false];
+        let expect = fresh_naive(&widen(&small), &small_fresh, 2);
+        assert_eq!(expect, vec![(10, 2), (20, 3), (30, 3)]);
+        assert_eq!(
+            run_fresh_dense_with(&small, &small_fresh, 2, &mut scratch),
+            expect
+        );
+
+        // The fresh list generates 1000..1064; before the last probe the
+        // values from 1032 up are pruned (count 1 of the 2 needed) and the
+        // survivors, whose bits sit where the next call's values do,
+        // reach k = 3.
+        let some_pruned = vec![
+            (1000..1064).collect(),
+            (936..1032).collect(),
+            (900..1032).collect(),
+        ];
+        let fresh = [true, false, false];
+        let got = run_fresh_dense_with(&some_pruned, &fresh, 3, &mut scratch);
+        assert_eq!(got, fresh_naive(&widen(&some_pruned), &fresh, 3));
+        assert_eq!(got.len(), 32);
+        assert_eq!(
+            run_fresh_dense_with(&small, &small_fresh, 2, &mut scratch),
+            expect
+        );
+
+        // No probe list holds a generated value: the pruning before the
+        // last probe drops them all and the call returns early.
+        let all_pruned = vec![
+            (1000..1064).collect(),
+            (2000..2100).collect(),
+            (2000..2100).collect(),
+        ];
+        assert_eq!(
+            run_fresh_dense_with(&all_pruned, &fresh, 3, &mut scratch),
+            vec![]
+        );
+        assert_eq!(
+            run_fresh_dense_with(&small, &small_fresh, 2, &mut scratch),
+            expect
+        );
+    }
+
     #[test]
     fn gallop_to_frontier_cases() {
         use crate::intersect::gallop_to;
@@ -1063,6 +1253,52 @@ mod tests {
             let expect = fresh_naive(&lists, &fresh, k);
             prop_assert_eq!(&run_fresh(&lists, &fresh, k, &mut scratch), &expect);
             prop_assert_eq!(&run_fresh_dense(&lists, &fresh, k), &expect);
+        }
+
+        /// The dense kernel equals the naive reference with probe lists
+        /// on both sides of the scan/gallop crossover: many short lists,
+        /// one or several of them fresh, and one or two old lists longer
+        /// than `FRESH_SCAN_CROSSOVER` × the fresh lists' total, which
+        /// bounds the generated values. One scratch serves every call.
+        #[test]
+        fn threshold_fresh_matches_naive_across_crossover(
+            raw in proptest::collection::vec(
+                (proptest::collection::vec(0u32..400, 0..40), prop::bool::ANY),
+                4..24,
+            ),
+            longs in proptest::collection::vec((1u32..4, 0u32..8), 1..3),
+            first_fresh in 0usize..24,
+            k in 1usize..6,
+        ) {
+            let (mut lists, mut fresh): (Vec<Vec<u32>>, Vec<bool>) = raw
+                .into_iter()
+                .map(|(mut l, f)| {
+                    l.sort_unstable();
+                    l.dedup();
+                    (l, f)
+                })
+                .unzip();
+            fresh[first_fresh % lists.len()] = true;
+            let n_short = lists.len();
+            let fresh_len: usize = (0..n_short).filter(|&i| fresh[i]).map(|i| lists[i].len()).sum();
+            for (stride, offset) in longs {
+                let len = (FRESH_SCAN_CROSSOVER * fresh_len) as u32 + 1 + offset;
+                lists.push((0..len).map(|i| i * stride + offset).collect());
+                fresh.push(false);
+            }
+            let expect = fresh_naive(&widen(&lists), &fresh, k);
+            let mut scratch = FreshScratch::default();
+            prop_assert_eq!(&run_fresh_dense_with(&lists, &fresh, k, &mut scratch), &expect);
+            prop_assert_eq!(
+                &run_fresh(&widen(&lists), &fresh, k, &mut FreshScratch::default()),
+                &expect
+            );
+            // Reuse: the same scratch on the short lists alone.
+            let expect = fresh_naive(&widen(&lists[..n_short]), &fresh[..n_short], k);
+            prop_assert_eq!(
+                &run_fresh_dense_with(&lists[..n_short], &fresh[..n_short], k, &mut scratch),
+                &expect
+            );
         }
 
         /// Loser-tree pivot generation is sequence-equivalent to the
