@@ -524,12 +524,17 @@ fn e10_declarative() {
         .collect();
     let hand_wall = t0.elapsed();
 
-    let mut declarative = MotifEngine::from_text(
+    let declarative = MotifEngine::from_text(
         "motif diamond { A -> B : static; B -> C : dynamic within 600s; \
          trigger B -> C; emit (A, C) when count(B) >= 3; }",
         std::sync::Arc::new(graph),
     )
     .unwrap();
+    assert_eq!(
+        declarative.plan().config,
+        cfg,
+        "spec compiled to other parameters"
+    );
     let t0 = Instant::now();
     let mut decl = Vec::new();
     for &e in trace.events() {
@@ -554,17 +559,18 @@ fn e10_declarative() {
     println!(
         "{}",
         row(&[
-            "declarative plan".into(),
+            "declarative plan (same engine; equal by construction)".into(),
             format!("{:.1} ms", decl_wall.as_secs_f64() * 1e3),
             fmt_rate(trace.len() as f64 / decl_wall.as_secs_f64()),
             decl.len().to_string(),
         ])
     );
     let overhead = decl_wall.as_secs_f64() / hand_wall.as_secs_f64();
-    println!("\nIdentical output; wall-time ratio {overhead:.2}× (parity within noise — both");
-    println!("share the same intersection kernels; the hand-coded engine additionally");
-    println!("records latency histograms). Declarative specification compiled to \"an");
-    println!("optimized query plan against an online graph database\" (§3) is practical. ✓\n");
+    println!("\nIdentical output by construction: the spec compiles to the hand-coded");
+    println!("engine's own `DetectorConfig` and runs on `ConcurrentEngine` behind its kind");
+    println!("filter, so the rows differ only by that check and noise (wall-time ratio");
+    println!("{overhead:.2}×). Declarative specification compiled to \"an optimized query");
+    println!("plan against an online graph database\" (§3) is practical. ✓\n");
 
     // Also verify the oracle agrees, closing the loop between all three.
     let oracle = BatchOracle::new(cfg).unwrap();

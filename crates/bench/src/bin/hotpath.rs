@@ -15,22 +15,15 @@
 //! `--no-concurrent` run, or arms recorded by a fuller run on better
 //! hardware — survive untouched.
 //!
-//! Covers the layers PR 1 optimized (with an emulation of the seed's data
-//! structures for an honest before/after), PR 2's shared-state engine, and
-//! the SIMD and loser-tree arms:
+//! Covers the static graph layout (with an emulation of the seed's data
+//! structures for an honest before/after), the detection kernel and the
+//! shared-state engine:
 //!
 //! * `s_lookup` — dense offset-array CSR `S[B]` fetch vs the seed's
 //!   Fx-hash-indexed CSR probe (emulated over the same adjacency).
-//! * `intersect` — two-list kernels at celebrity skew: the scalar u64-id
-//!   arms (baseline continuity), the same data as dense `u32` ids, and
-//!   the runtime-dispatched SIMD arms on those dense ids (`*_simd` vs
-//!   `*_dense` is the honest same-width comparison).
-//! * `threshold_*` — k-of-n kernels on balanced and celebrity-skewed
-//!   witness lists ("seed adaptive" = the old heap/scan switch), plus the
-//!   `loser_tree` pivot-generation arm. A guard asserts Adaptive lands
-//!   within 1.2× of the best arm on both fixtures.
-//!   `threshold_fresh_*` sweeps the detector's delta kernel over its
-//!   scan/gallop crossover on one celebrity-shaped detect.
+//! * `threshold_fresh_*` — the detector's delta kernel on one
+//!   celebrity-shaped detect, swept over its scan/gallop crossover
+//!   (`simd_level` records which count-below tier its galloping ran on).
 //! * `detector_*` — end-to-end engine ns/event on a Zipf trace and on a
 //!   synthetic celebrity workload, once with every witness fresh (one
 //!   timestamp per round) and once with only the trigger fresh.
@@ -75,15 +68,8 @@
 use magicrecs_bench::json::{Json, Val};
 use magicrecs_bench::{bench_graph, bench_trace, small_graph};
 use magicrecs_cluster::SharedEngineCluster;
-use magicrecs_core::intersect::{
-    intersect_adaptive, intersect_gallop, intersect_gallop_simd, intersect_merge,
-    intersect_merge_simd,
-};
-use magicrecs_core::threshold::{
-    threshold_fresh_at_crossover, threshold_intersect, FreshScratch, ThresholdAlgo,
-    FRESH_SCAN_CROSSOVER,
-};
-use magicrecs_core::{simd_level, ConcurrentEngine, SimdLevel};
+use magicrecs_core::threshold::{threshold_fresh_at_crossover, FreshScratch, FRESH_SCAN_CROSSOVER};
+use magicrecs_core::{simd_level, ConcurrentEngine};
 use magicrecs_graph::{FollowGraph, GraphBuilder};
 use magicrecs_temporal::{PruneStrategy, TemporalEdgeStore};
 use magicrecs_types::{DenseId, DetectorConfig, EdgeEvent, FxHashMap, Timestamp, UserId};
@@ -382,20 +368,11 @@ impl SeedHashCsr {
     }
 }
 
-/// The threshold-arm matrix every threshold/detector fixture runs.
-const THRESHOLD_ARMS: [(&str, ThresholdAlgo); 5] = [
-    ("scan_count", ThresholdAlgo::ScanCount),
-    ("heap_merge", ThresholdAlgo::HeapMerge),
-    ("pivot_skip", ThresholdAlgo::PivotSkip),
-    ("loser_tree", ThresholdAlgo::PivotTree),
-    ("adaptive", ThresholdAlgo::Adaptive),
-];
-
 /// Interleaved round-robin sampler shared by every multi-arm fixture:
 /// `run(round, arm)` produces one ns measurement; round 0 is per-arm
 /// warm-up (discarded), rounds 1..6 are timed, and the per-arm median is
-/// returned. Arms that are compared against each other (the 1.2× adaptive
-/// guard) must see slow box-level frequency drift equally, which is what
+/// returned. Arms that are compared against each other (the crossover
+/// sweep) must see slow box-level frequency drift equally, which is what
 /// the interleaving buys over timing each arm to completion in turn.
 fn interleaved_medians(n_arms: usize, mut run: impl FnMut(usize, usize) -> f64) -> Vec<f64> {
     let mut samples: Vec<Vec<f64>> = vec![Vec::new(); n_arms];
@@ -414,53 +391,6 @@ fn interleaved_medians(n_arms: usize, mut run: impl FnMut(usize, usize) -> f64) 
             s[s.len() / 2]
         })
         .collect()
-}
-
-/// The bench-smoke guard for the Adaptive picker: within `limit`× of the
-/// best pinned arm on this fixture, or the run aborts (CI runs this bin).
-///
-/// A single failure triggers one full re-measurement via `remeasure`
-/// before aborting: the interleaving already equalizes slow drift across
-/// arms, but one asymmetric noisy-neighbor spike on a shared runner can
-/// still land in one arm's median, and a hard guard must not fail an
-/// unrelated build over it. Two independent measurements both past the
-/// limit is a real regression.
-fn guard_adaptive<F>(
-    fixture: &str,
-    mut arms: Vec<(&'static str, f64)>,
-    limit: f64,
-    mut remeasure: F,
-) where
-    F: FnMut() -> Vec<(&'static str, f64)>,
-{
-    for attempt in 0..2 {
-        let adaptive = arms
-            .iter()
-            .find(|(n, _)| *n == "adaptive")
-            .expect("adaptive arm present")
-            .1;
-        let (best_name, best) = arms
-            .iter()
-            .filter(|(n, _)| *n != "adaptive")
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("no NaN"))
-            .map(|&(n, v)| (n, v))
-            .expect("pinned arms present");
-        let ratio = adaptive / best;
-        println!("  adaptive/best({best_name}) = {ratio:.2}x");
-        if ratio <= limit {
-            return;
-        }
-        if attempt == 0 {
-            println!("  above the {limit}x guard — remeasuring once to rule out a noise spike");
-            arms = remeasure();
-        } else {
-            panic!(
-                "{fixture}: adaptive ({adaptive:.0} ns) is {ratio:.2}x the best arm \
-                 {best_name} ({best:.0} ns), above the {limit}x guard in two \
-                 independent measurements"
-            );
-        }
-    }
 }
 
 /// Crossovers the `threshold_fresh` sweep times, by field name: a probe
@@ -594,12 +524,12 @@ fn run_wal(json: &mut Json) {
 /// vs a live `CheckpointDriver` cutting incremental fence-vector
 /// checkpoints on the production cadence mid-ingest. **Guard**: the
 /// checkpointing run keeps ≥95% of baseline throughput, or the run
-/// aborts (one remeasure absorbs a noise spike, as with the adaptive
-/// guard). Non-quiescent means ingest never *blocks* on a cut — but the
-/// driver's export/encode/write still needs a core to overlap on, so on
-/// a single-core box (where every driver cycle is time-sliced straight
-/// out of the workers) the guard floor honestly relaxes to 85%, with
-/// the core count recorded alongside the ratio.
+/// aborts (one remeasure absorbs a noise spike). Non-quiescent means
+/// ingest never *blocks* on a cut — but the driver's export/encode/write
+/// still needs a core to overlap on, so on a single-core box (where
+/// every driver cycle is time-sliced straight out of the workers) the
+/// guard floor honestly relaxes to 85%, with the core count recorded
+/// alongside the ratio.
 fn run_live_checkpoint(json: &mut Json) {
     use magicrecs_persist::{FsyncPolicy, PersistOptions, RebasePolicy, TempDir};
 
@@ -1265,159 +1195,6 @@ fn main() {
         &[("dense_csr", dense_ns), ("seed_hash_csr", seed_ns)],
     );
     println!("  dense {dense_ns:.1} ns vs seed hash {seed_ns:.1} ns");
-
-    // ---- two-list intersection at celebrity skew ------------------------
-    println!("# intersect (256 vs 1M), SIMD level {:?}", simd_level());
-    let mut rng = StdRng::seed_from_u64(0xB1);
-    let short = sorted_ids(256, 10_000_000, &mut rng);
-    let long = sorted_ids(1_000_000, 10_000_000, &mut rng);
-    let (short_d, long_d) = (as_dense(&short), as_dense(&long));
-    let mut out: Vec<UserId> = Vec::with_capacity(short.len());
-    let mut arm = |f: fn(&[UserId], &[UserId], &mut Vec<UserId>)| {
-        time_ns(64, 5, || {
-            out.clear();
-            f(black_box(&short), black_box(&long), &mut out);
-            black_box(out.len());
-        })
-    };
-    let (merge, gallop, adaptive) = (
-        arm(intersect_merge),
-        arm(intersect_gallop),
-        arm(intersect_adaptive),
-    );
-    let mut out_d: Vec<DenseId> = Vec::with_capacity(short_d.len());
-    let mut arm_d = |f: fn(&[DenseId], &[DenseId], &mut Vec<DenseId>)| {
-        time_ns(64, 5, || {
-            out_d.clear();
-            f(black_box(&short_d), black_box(&long_d), &mut out_d);
-            black_box(out_d.len());
-        })
-    };
-    let (merge_dense, gallop_dense, merge_simd, gallop_simd) = (
-        arm_d(intersect_merge),
-        arm_d(intersect_gallop),
-        arm_d(intersect_merge_simd),
-        arm_d(intersect_gallop_simd),
-    );
-    json.obj(
-        "intersect_256_vs_1m",
-        &[
-            ("merge", merge),
-            ("gallop", gallop),
-            ("adaptive", adaptive),
-            ("merge_dense", merge_dense),
-            ("gallop_dense", gallop_dense),
-            ("merge_simd", merge_simd),
-            ("gallop_simd", gallop_simd),
-        ],
-    );
-    println!("  u64:  merge {merge:.0} gallop {gallop:.0} adaptive {adaptive:.0}");
-    println!(
-        "  u32:  merge {merge_dense:.0} gallop {gallop_dense:.0} \
-         merge_simd {merge_simd:.0} gallop_simd {gallop_simd:.0}"
-    );
-    println!(
-        "  simd merge speedup: {:.1}x vs u64 merge, {:.1}x vs u32 merge",
-        merge / merge_simd,
-        merge_dense / merge_simd
-    );
-    // Under forced-scalar dispatch (or on non-x86-64) merge_simd *is* the
-    // scalar merge, so the comparison would be pure noise — only assert
-    // when a vector tier actually ran.
-    if simd_level() != SimdLevel::Scalar {
-        assert!(
-            merge_simd < merge,
-            "SIMD merge ({merge_simd:.0} ns) must beat scalar intersect_merge ({merge:.0} ns) \
-             on the 256-vs-1M fixture"
-        );
-    }
-
-    // ---- threshold kernels ----------------------------------------------
-    // Arms are interleaved round-robin across sample batches: the 1.2×
-    // adaptive guard compares arms against each other, so slow frequency
-    // drift must hit every arm equally rather than whichever ran last.
-    let threshold_arms = |lists: &[Vec<UserId>], k: usize, iters: u64| -> Vec<(&str, f64)> {
-        let slices: Vec<&[UserId]> = lists.iter().map(|l| l.as_slice()).collect();
-        let mut out: Vec<(UserId, u32)> = Vec::new();
-        let medians = interleaved_medians(THRESHOLD_ARMS.len(), |round, ai| {
-            let algo = THRESHOLD_ARMS[ai].1;
-            // Shorter warm-up round for the expensive arms.
-            let iters = if round == 0 { iters.min(8) } else { iters };
-            let start = Instant::now();
-            for _ in 0..iters {
-                out.clear();
-                threshold_intersect(algo, black_box(&slices), k, &mut out);
-                black_box(out.len());
-            }
-            start.elapsed().as_secs_f64() * 1e9 / iters as f64
-        });
-        THRESHOLD_ARMS
-            .iter()
-            .zip(medians)
-            .map(|(&(name, _), ns)| (name, ns))
-            .collect()
-    };
-
-    println!("# threshold balanced (8 x 2000, k=2)");
-    let mut rng = StdRng::seed_from_u64(0xB2);
-    let balanced: Vec<Vec<UserId>> = (0..8)
-        .map(|_| sorted_ids(2_000, 50_000, &mut rng))
-        .collect();
-    let arms = threshold_arms(&balanced, 2, 128);
-    json.obj("threshold_balanced_8x2000_k2", &arms);
-    for (n, v) in &arms {
-        println!("  {n} {v:.0}");
-    }
-    guard_adaptive("threshold_balanced_8x2000_k2", arms, 1.2, || {
-        threshold_arms(&balanced, 2, 128)
-    });
-
-    println!("# threshold celebrity (4 x 256 + 1 x 1M, k=3)");
-    let mut rng = StdRng::seed_from_u64(0xCE1E);
-    let mut celeb_lists: Vec<Vec<UserId>> = (0..4)
-        .map(|_| sorted_ids(256, 10_000_000, &mut rng))
-        .collect();
-    celeb_lists.push(sorted_ids(1_000_000, 10_000_000, &mut rng));
-    let arms = threshold_arms(&celeb_lists, 3, 32);
-    // Seed's adaptive picked the heap at n ≤ 8.
-    let seed_adaptive = arms
-        .iter()
-        .find(|(n, _)| *n == "heap_merge")
-        .expect("arm present")
-        .1;
-    let new_adaptive = arms
-        .iter()
-        .find(|(n, _)| *n == "adaptive")
-        .expect("arm present")
-        .1;
-    let mut fields: Vec<(&str, f64)> = arms.clone();
-    fields.push(("seed_adaptive", seed_adaptive));
-    json.obj("threshold_celebrity_4x256_1x1m_k3", &fields);
-    let kernel_speedup = seed_adaptive / new_adaptive;
-    json.num("speedup_threshold_celebrity_seed_over_new", kernel_speedup);
-    for (n, v) in &arms {
-        println!("  {n} {v:.0}");
-    }
-    println!("  kernel speedup vs seed adaptive: {kernel_speedup:.1}x");
-    guard_adaptive("threshold_celebrity_4x256_1x1m_k3", arms, 1.2, || {
-        threshold_arms(&celeb_lists, 3, 32)
-    });
-
-    // ---- high-fan-in threshold: where the loser tree earns its keep -----
-    // 40 witness lists, k=2 → 39 generator lists (2.4× the old 16-generator
-    // cap), one celebrity tail. The linear min-scan pays O(39) per pivot;
-    // the tree pays O(log 39).
-    println!("# threshold high fan-in (39 x 512 + 1 x 1M, k=2)");
-    let mut rng = StdRng::seed_from_u64(0xFA91);
-    let mut fan_lists: Vec<Vec<UserId>> = (0..39)
-        .map(|_| sorted_ids(512, 10_000_000, &mut rng))
-        .collect();
-    fan_lists.push(sorted_ids(1_000_000, 10_000_000, &mut rng));
-    let arms = threshold_arms(&fan_lists, 2, 16);
-    json.obj("threshold_fanin_39x512_1x1m_k2", &arms);
-    for (n, v) in &arms {
-        println!("  {n} {v:.0}");
-    }
 
     // ---- delta kernel: scan/gallop crossover sweep ----------------------
     run_threshold_fresh(&mut json);

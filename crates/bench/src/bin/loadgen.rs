@@ -31,9 +31,11 @@
 //!    admitted events over wall clock.
 //! 2. **Overload** — the same trace against per-connection token buckets
 //!    sized to half the phase-1 measured rate, i.e. a deliberate 2×
-//!    overload. The server must answer with typed `Shed` frames (never
-//!    stall, never split a batch); the shed rate and a retry-after hint
-//!    are recorded.
+//!    overload, with a burst of at most ⅛ of a connection's share of the
+//!    phase so the phase outlasts it. The server must answer with typed
+//!    `Shed` frames (never stall, never split a batch); the shed rate and
+//!    a retry-after hint are recorded. A third phase replays the same
+//!    overload with a client that honors the retry hints.
 //!
 //! On a shared CI core the latency numbers measure *pipelining* (frames
 //! queue behind each other on one core), not service time — see
@@ -414,7 +416,7 @@ fn run_resilient_retry(
     config: DetectorConfig,
     events: &[EdgeEvent],
     workers: usize,
-    per_conn_rate: f64,
+    admission: AdmissionConfig,
     batch: usize,
 ) -> RetryReport {
     let engine = Arc::new(ConcurrentEngine::new(graph.clone(), config).expect("engine"));
@@ -423,7 +425,7 @@ fn run_resilient_retry(
         "127.0.0.1:0",
         ServerConfig {
             workers,
-            admission: AdmissionConfig::rate_limited(per_conn_rate),
+            admission,
             pin_cores: true,
             checkpoint_hook: None,
         },
@@ -547,6 +549,28 @@ fn run_resilient_retry(
         max_hint_us,
         wall,
         stats,
+    }
+}
+
+/// Admission for the two overload phases: per-connection token buckets
+/// refilling at half the saturation rate's per-connection share, a 2×
+/// overload.
+///
+/// The burst is at most ⅛ of one connection's share of the phase's
+/// events (and never above the stock quarter-second burst), floored at
+/// 256 events so a batch still fits. A phase sent at the saturation rate
+/// lasts about `events / sat_rate`, in which a bucket refills half its
+/// connection's share; with ⅛ more from the burst, at most ⅝ of the
+/// share can be admitted, so a 2× overload sheds however fast the box
+/// is. With the stock burst alone (`rate / 4`), a small phase on a fast
+/// box fits inside the burst and sheds nothing.
+fn overload_admission(sat_rate: f64, events: usize, workers: usize) -> AdmissionConfig {
+    let per_conn_rate = (sat_rate / (2.0 * workers as f64)).max(1.0);
+    let share = events as f64 / workers as f64;
+    let stock = AdmissionConfig::rate_limited(per_conn_rate);
+    AdmissionConfig {
+        source_burst: stock.source_burst.min(share / 8.0).max(256.0),
+        ..stock
     }
 }
 
@@ -722,20 +746,13 @@ fn main() {
     }
 
     // ---- phase 2: 2× overload ------------------------------------------
+    // Token buckets sized to half the demonstrated per-worker rate: a
+    // deliberate 2× overload.
+    let admission = overload_admission(sat.events_per_sec(), events.len(), workers);
     let overload = if args.no_overload {
         None
     } else {
-        // Token buckets sized to half the demonstrated per-worker rate:
-        // a deliberate 2× overload.
-        let per_conn_rate = (sat.events_per_sec() / (2.0 * workers as f64)).max(1.0);
-        let report = run_phase(
-            &graph,
-            config,
-            events,
-            workers,
-            AdmissionConfig::rate_limited(per_conn_rate),
-            args.batch,
-        );
+        let report = run_phase(&graph, config, events, workers, admission, args.batch);
         println!(
             "  overload(2x): shed rate {:.3} ({} of {} events), max retry hint {}µs, {}",
             report.shed_rate(),
@@ -764,9 +781,7 @@ fn main() {
     let retry = if args.no_overload {
         None
     } else {
-        let per_conn_rate = (sat.events_per_sec() / (2.0 * workers as f64)).max(1.0);
-        let report =
-            run_resilient_retry(&graph, config, events, workers, per_conn_rate, args.batch);
+        let report = run_resilient_retry(&graph, config, events, workers, admission, args.batch);
         println!(
             "  retry(2x, hint-honoring): {} rounds, {} first-round sheds, max hint {}µs, \
              all {} events admitted in {:.2}s",

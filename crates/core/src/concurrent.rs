@@ -166,7 +166,10 @@ impl ConcurrentEngine {
     /// at 16× that (the paper's "retain the most recent edges" pruning):
     /// only the most recent witnesses can matter, so older entries on
     /// ultra-hot targets are dead weight.
-    pub fn new(graph: FollowGraph, config: DetectorConfig) -> Result<Self> {
+    ///
+    /// `graph` is an owned [`FollowGraph`] or an `Arc` of one; several
+    /// engines given clones of one `Arc` share a single `S`.
+    pub fn new(graph: impl Into<Arc<FollowGraph>>, config: DetectorConfig) -> Result<Self> {
         ConcurrentEngine::with_registry(graph, config, Registry::new())
     }
 
@@ -175,7 +178,7 @@ impl ConcurrentEngine {
     /// branch, which is the control arm of the instrumentation overhead
     /// guard (`hotpath -- --obs-only`).
     pub fn with_registry(
-        graph: FollowGraph,
+        graph: impl Into<Arc<FollowGraph>>,
         config: DetectorConfig,
         registry: Registry,
     ) -> Result<Self> {
@@ -184,7 +187,7 @@ impl ConcurrentEngine {
             .with_entry_cap(entry_cap_for(config.max_witnesses));
         Ok(ConcurrentEngine {
             id: NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed),
-            graph: RwLock::new(Arc::new(graph)),
+            graph: RwLock::new(graph.into()),
             store,
             config,
             events: registry.counter("engine_events"),

@@ -52,24 +52,21 @@
 //!
 //! ## Modules
 //!
-//! * [`intersect`] — two-sorted-list intersection: merge, galloping, an
-//!   adaptive switch (ablation B1), and runtime-dispatched SIMD variants.
-//!   Generic over the element type; the hot path runs them over dense
-//!   `u32` ids, which is what the SIMD arms vectorize. The detector's
-//!   delta kernel gallops only its long lists (see [`threshold`]).
-//! * [`simd`] — the x86-64 vector inner loops (SSE2 baseline, AVX2 by
-//!   runtime detection, scalar everywhere else) plus the per-process
-//!   dispatch and the [`simd::SimdElem`] lane-view trait.
-//! * [`threshold`] — the general `k`-of-`n` form ("more than k of them"):
-//!   values appearing in at least `k` of `n` sorted lists, via scan-count,
-//!   heap merge, pivot-skipping with count-based early exit (the
-//!   celebrity-skew specialist), its loser-tree variant for high fan-in,
-//!   or an adaptive switch (ablation B2); and the delta form the detector
-//!   runs, [`threshold::threshold_fresh`], which keeps only values in a
-//!   fresh list. It scans short lists and gallops long ones: a list at
-//!   most [`threshold::FRESH_SCAN_CROSSOVER`]× the surviving values is
+//! * [`intersect`] — the galloping frontier search ([`intersect::gallop_to`]
+//!   and its runtime-dispatched twin [`intersect::gallop_to_simd`]) the
+//!   threshold kernel probes long lists with. Generic over the element
+//!   type; the hot path runs it over dense `u32` ids.
+//! * [`simd`] — the x86-64 count-below bodies behind that search (SSE2
+//!   baseline, AVX2 by runtime detection, scalar everywhere else) plus
+//!   the per-process dispatch and the [`simd::SimdElem`] lane-view trait.
+//! * [`threshold`] — the `k`-of-`n` form ("more than k of them") in the
+//!   delta shape the detector runs, [`threshold::threshold_fresh`]:
+//!   values in at least `k` of `n` sorted lists and in at least one fresh
+//!   list. It scans short lists and gallops long ones: a list at most
+//!   [`threshold::FRESH_SCAN_CROSSOVER`]× the surviving values is
 //!   counted in one pass against their membership bitset, a longer one
-//!   by galloping per value.
+//!   by galloping per value. [`threshold::threshold_naive`] is the
+//!   brute-force reference.
 //! * [`detector`] — [`DiamondDetector`]: one event in, candidates out,
 //!   working in dense-id space from witness lookup to candidate emission;
 //!   hosts the read-only kernel.
@@ -94,4 +91,3 @@ pub mod threshold;
 pub use concurrent::{ConcurrentEngine, ConcurrentStats};
 pub use detector::DiamondDetector;
 pub use simd::{simd_level, SimdElem, SimdLevel};
-pub use threshold::ThresholdAlgo;

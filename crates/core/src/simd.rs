@@ -1,8 +1,8 @@
 //! Runtime-dispatched x86-64 SIMD kernels over `u32` lanes.
 //!
-//! The detector's hot kernels compare dense `u32` ids (PR 1 made that so
-//! precisely to unlock vectorization). This module holds the vector inner
-//! loops and the dispatch that picks them:
+//! The detector's threshold kernel compares dense `u32` ids, a layout
+//! chosen partly to unlock vectorization. This module holds the vector
+//! inner loop it uses and the dispatch that picks it:
 //!
 //! * **Detection** happens once per process ([`simd_level`]): AVX2 via
 //!   `is_x86_feature_detected!`, SSE2 as the x86-64 baseline, scalar
@@ -11,24 +11,23 @@
 //!   this to keep the portable code from rotting.
 //! * **Lane views** come from [`SimdElem`]: element types that are
 //!   layout-identical to `u32` (the dense ids) expose their slices as raw
-//!   lanes; everything else (`u64`, [`UserId`]) reports no view and the
-//!   callers in [`crate::intersect`] fall back to the scalar generics.
-//! * **Kernels**: a block all-pairs equality intersection
-//!   ([`intersect_u32`]: compare 4/8 elements of each side at once via
-//!   rotated `cmpeq`, advance like a merge), and a galloping frontier
-//!   advance ([`gallop_to_u32`]) whose final bracket is resolved by a
-//!   vectorized count-below scan instead of the last ~6 rounds of branchy
-//!   binary search.
+//!   lanes; everything else (`u64`, [`UserId`]) reports no view and
+//!   [`crate::intersect::gallop_to_simd`] falls back to the scalar
+//!   generic.
+//! * **Kernel**: a galloping frontier advance (`gallop_to_u32`) whose
+//!   final bracket is resolved by a vectorized count-below scan
+//!   (`count_lt`, SSE2 and AVX2 bodies) instead of the last ~6 rounds of
+//!   branchy binary search.
 //!
-//! All kernels require the same input contract as their scalar twins in
-//! [`crate::intersect`]: slices sorted ascending and deduplicated. The
-//! differential proptests in `intersect.rs` pin every vector path to its
-//! scalar twin over adversarial inputs.
+//! The kernel requires the same input contract as its scalar twin
+//! [`crate::intersect::gallop_to`]: slices sorted ascending and
+//! deduplicated. The differential proptests in `intersect.rs` pin the
+//! dispatched path to the scalar twin, and the tests below pin each
+//! `count_lt` body to the scalar count.
 //!
-//! **Adding an arm**: implement the `#[target_feature]` inner loop, extend
-//! [`SimdLevel`] and `detect()`, and add the dispatch branch in the three
-//! `match simd_level()` sites. Keep the scalar tail shared — the vector
-//! loops only handle full blocks.
+//! **Adding an arm**: implement the `#[target_feature]` `count_lt` body,
+//! extend [`SimdLevel`] and `detect()`, and add its branch to the one
+//! `match simd_level()` in `count_lt`.
 #![allow(unsafe_code)]
 
 use magicrecs_types::{DenseId, UserId};
@@ -196,186 +195,12 @@ pub(crate) fn gallop_to_u32(list: &[u32], from: usize, target: u32) -> usize {
     lo + count_lt(&list[lo..hi], target)
 }
 
-/// Merge-shaped intersection of two sorted deduplicated lane slices,
-/// invoking `emit` for each common value in ascending order.
-///
-/// Full 4/8-lane blocks run through the all-pairs vector loops; the
-/// remainder falls through to a scalar two-pointer merge, so lane-boundary
-/// stragglers follow exactly the scalar semantics.
-pub(crate) fn intersect_u32(a: &[u32], b: &[u32], mut emit: impl FnMut(u32)) {
-    #[cfg(target_arch = "x86_64")]
-    let (i, j) = match simd_level() {
-        // SAFETY: AVX2 verified by the dispatcher for this process.
-        SimdLevel::Avx2 => unsafe { intersect_blocks_avx2(a, b, &mut emit) },
-        // SAFETY: SSE2 is part of the x86-64 baseline.
-        SimdLevel::Sse2 => unsafe { intersect_blocks_sse2(a, b, &mut emit) },
-        SimdLevel::Scalar => (0, 0),
-    };
-    #[cfg(not(target_arch = "x86_64"))]
-    let (i, j) = (0, 0);
-    merge_tail(a, b, i, j, &mut emit);
-}
-
-/// Scalar two-pointer merge from the positions a block loop stopped at —
-/// also the whole input under forced-scalar dispatch. One definition so
-/// the dispatched path and the tier-pinned tests cannot drift apart.
-fn merge_tail(a: &[u32], b: &[u32], mut i: usize, mut j: usize, emit: &mut impl FnMut(u32)) {
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                emit(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-}
-
-/// Galloping intersection over lane slices: vector bracket finish per
-/// probe ([`gallop_to_u32`]), `emit` per common value in ascending order.
-pub(crate) fn intersect_gallop_u32(a: &[u32], b: &[u32], mut emit: impl FnMut(u32)) {
-    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let mut frontier = 0usize;
-    for &x in small {
-        frontier = gallop_to_u32(large, frontier, x);
-        if frontier >= large.len() {
-            break;
-        }
-        if large[frontier] == x {
-            emit(x);
-            frontier += 1;
-        }
-    }
-}
-
 // ---- x86-64 inner loops ---------------------------------------------------
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
     use super::*;
     use std::arch::x86_64::*;
-
-    /// All-pairs block intersection, 4 lanes per side (SSE2).
-    ///
-    /// Each round compares an aligned-length block of `a` against every
-    /// rotation of a block of `b` (`cmpeq` × 4); the movemask names the
-    /// matching `a` lanes in ascending order. Blocks advance on their max
-    /// element exactly like a two-pointer merge advances on single
-    /// elements, which is what makes the scan exhaustive: a block pair is
-    /// only retired when nothing later on the other side can match it.
-    /// Equality compares are sign-agnostic, so no bias is needed here.
-    ///
-    /// Returns the scalar-tail resume positions `(i, j)`.
-    ///
-    /// # Safety
-    /// Caller must ensure SSE2 is available (x86-64 baseline).
-    pub(super) unsafe fn intersect_blocks_sse2(
-        a: &[u32],
-        b: &[u32],
-        emit: &mut impl FnMut(u32),
-    ) -> (usize, usize) {
-        let (mut i, mut j) = (0usize, 0usize);
-        let (an, bn) = (a.len() & !3, b.len() & !3);
-        while i < an && j < bn {
-            // Cheap block reject: under length skew most blocks of the
-            // longer list fall entirely below the other side's frontier —
-            // two scalar compares retire 4 lanes without any vector work.
-            if b[j + 3] < a[i] {
-                j += 4;
-                continue;
-            }
-            if a[i + 3] < b[j] {
-                i += 4;
-                continue;
-            }
-            let va = _mm_loadu_si128(a.as_ptr().add(i) as *const __m128i);
-            let vb = _mm_loadu_si128(b.as_ptr().add(j) as *const __m128i);
-            let eq0 = _mm_cmpeq_epi32(va, vb);
-            let eq1 = _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0b00_11_10_01));
-            let eq2 = _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0b01_00_11_10));
-            let eq3 = _mm_cmpeq_epi32(va, _mm_shuffle_epi32(vb, 0b10_01_00_11));
-            let any = _mm_or_si128(_mm_or_si128(eq0, eq1), _mm_or_si128(eq2, eq3));
-            let mut mask = _mm_movemask_ps(_mm_castsi128_ps(any)) as u32;
-            while mask != 0 {
-                let lane = mask.trailing_zeros() as usize;
-                emit(a[i + lane]);
-                mask &= mask - 1;
-            }
-            let amax = a[i + 3];
-            let bmax = b[j + 3];
-            if amax <= bmax {
-                i += 4;
-            }
-            if bmax <= amax {
-                j += 4;
-            }
-        }
-        (i, j)
-    }
-
-    /// Rotation index tables for the AVX2 all-pairs compare (rotation r
-    /// maps lane k to lane (k + r) mod 8).
-    const ROT8: [[i32; 8]; 7] = [
-        [1, 2, 3, 4, 5, 6, 7, 0],
-        [2, 3, 4, 5, 6, 7, 0, 1],
-        [3, 4, 5, 6, 7, 0, 1, 2],
-        [4, 5, 6, 7, 0, 1, 2, 3],
-        [5, 6, 7, 0, 1, 2, 3, 4],
-        [6, 7, 0, 1, 2, 3, 4, 5],
-        [7, 0, 1, 2, 3, 4, 5, 6],
-    ];
-
-    /// All-pairs block intersection, 8 lanes per side (AVX2). Same
-    /// structure and advance rule as the SSE2 loop.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn intersect_blocks_avx2(
-        a: &[u32],
-        b: &[u32],
-        emit: &mut impl FnMut(u32),
-    ) -> (usize, usize) {
-        let (mut i, mut j) = (0usize, 0usize);
-        let (an, bn) = (a.len() & !7, b.len() & !7);
-        while i < an && j < bn {
-            // Cheap block reject (see the SSE2 loop): skip non-overlapping
-            // blocks before paying for the 8-rotation compare.
-            if b[j + 7] < a[i] {
-                j += 8;
-                continue;
-            }
-            if a[i + 7] < b[j] {
-                i += 8;
-                continue;
-            }
-            let va = _mm256_loadu_si256(a.as_ptr().add(i) as *const __m256i);
-            let vb = _mm256_loadu_si256(b.as_ptr().add(j) as *const __m256i);
-            let mut any = _mm256_cmpeq_epi32(va, vb);
-            for idx in &ROT8 {
-                let perm =
-                    _mm256_permutevar8x32_epi32(vb, _mm256_loadu_si256(idx.as_ptr() as *const _));
-                any = _mm256_or_si256(any, _mm256_cmpeq_epi32(va, perm));
-            }
-            let mut mask = _mm256_movemask_ps(_mm256_castsi256_ps(any)) as u32;
-            while mask != 0 {
-                let lane = mask.trailing_zeros() as usize;
-                emit(a[i + lane]);
-                mask &= mask - 1;
-            }
-            let amax = a[i + 7];
-            let bmax = b[j + 7];
-            if amax <= bmax {
-                i += 8;
-            }
-            if bmax <= amax {
-                j += 8;
-            }
-        }
-        (i, j)
-    }
 
     /// Vector count-below over ≤ a-few-blocks windows. x86 integer
     /// compares are signed, so lanes are biased by `i32::MIN` to preserve
@@ -425,103 +250,65 @@ mod x86 {
 }
 
 #[cfg(target_arch = "x86_64")]
-use x86::{count_lt_avx2, count_lt_sse2, intersect_blocks_avx2, intersect_blocks_sse2};
+use x86::{count_lt_avx2, count_lt_sse2};
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn scalar_intersect(a: &[u32], b: &[u32]) -> Vec<u32> {
-        a.iter().copied().filter(|x| b.contains(x)).collect()
+    /// Windows for the count-below bodies: empty, shorter than one block,
+    /// lane-boundary remainders around 4 and 8, a full `SCAN_WINDOW`, and
+    /// values above `i32::MAX` (the unsigned-order bias).
+    fn windows() -> Vec<Vec<u32>> {
+        vec![
+            vec![],
+            vec![5],
+            (0..3).collect(),
+            (0..4).collect(),
+            (0..5).collect(),
+            (0..7).collect(),
+            (0..8).collect(),
+            (0..9).collect(),
+            (0..SCAN_WINDOW as u32).map(|v| v * 3).collect(),
+            vec![
+                0,
+                1,
+                2,
+                i32::MAX as u32,
+                1 << 31,
+                u32::MAX - 9,
+                u32::MAX - 1,
+                u32::MAX,
+            ],
+        ]
     }
 
-    /// A tier-pinned block inner loop under test.
-    #[cfg(target_arch = "x86_64")]
-    type BlockKernel = unsafe fn(&[u32], &[u32], &mut dyn FnMut(u32)) -> (usize, usize);
-
-    /// Runs one inner loop plus the shared scalar tail, like
-    /// [`intersect_u32`] but pinned to a specific tier (so both vector
-    /// paths are exercised regardless of the process dispatch level).
-    #[cfg(target_arch = "x86_64")]
-    fn run_pinned(a: &[u32], b: &[u32], blocks: BlockKernel) -> Vec<u32> {
-        let mut out = Vec::new();
-        let mut emit = |v: u32| out.push(v);
-        // SAFETY: callers pass kernels whose features they verified.
-        let (i, j) = unsafe { blocks(a, b, &mut emit) };
-        merge_tail(a, b, i, j, &mut emit);
-        out
-    }
-
-    fn cases() -> Vec<(Vec<u32>, Vec<u32>)> {
-        let mut cases = vec![
-            (vec![], vec![]),
-            (vec![5], vec![5]),
-            (vec![5], vec![6]),
-            (vec![1, 3, 5, 7], vec![2, 3, 5, 8]),
-            // Exactly one block per side, all equal.
-            ((0..8).collect(), (0..8).collect()),
-            // Matches straddling the 4- and 8-lane block edges.
-            ((0..37).collect(), (3..41).step_by(1).collect()),
-            (
-                (0..64).map(|v| v * 3).collect(),
-                (0..64).map(|v| v * 2).collect(),
-            ),
-            // Values above i32::MAX: unsigned-order stress for count_lt.
-            (
-                vec![1, u32::MAX - 9, u32::MAX - 1, u32::MAX],
-                vec![0, 2, u32::MAX - 9, u32::MAX],
-            ),
-            // Long disjoint stretches then a match at the very end.
-            (
-                (0..100).map(|v| v * 2).chain([1001]).collect(),
-                (0..100).map(|v| v * 2 + 1).chain([1001]).collect(),
-            ),
-        ];
-        // Skewed: short probe list against a long strided list.
-        cases.push((
-            vec![3, 299, 2_997, 50_000, 1_000_000],
-            (0..200_000u32).map(|v| v * 3).collect(),
-        ));
-        cases
-    }
+    const TARGETS: [u32; 9] = [0, 1, 4, 5, 8, 100, 1 << 31, u32::MAX - 1, u32::MAX];
 
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn sse2_blocks_match_scalar() {
-        for (a, b) in cases() {
-            let expect = scalar_intersect(&a, &b);
-            let got = run_pinned(&a, &b, |a, b, e| unsafe {
-                x86::intersect_blocks_sse2(a, b, &mut |v| e(v))
-            });
-            assert_eq!(got, expect, "a={a:?} b={b:?}");
+    fn count_lt_sse2_matches_scalar() {
+        for w in windows() {
+            for t in TARGETS {
+                // SAFETY: SSE2 is part of the x86-64 baseline.
+                let got = unsafe { x86::count_lt_sse2(&w, t) };
+                assert_eq!(got, count_lt_scalar(&w, t), "window={w:?} target={t}");
+            }
         }
     }
 
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn avx2_blocks_match_scalar() {
+    fn count_lt_avx2_matches_scalar() {
         if !std::arch::is_x86_feature_detected!("avx2") {
             return;
         }
-        for (a, b) in cases() {
-            let expect = scalar_intersect(&a, &b);
-            let got = run_pinned(&a, &b, |a, b, e| unsafe {
-                x86::intersect_blocks_avx2(a, b, &mut |v| e(v))
-            });
-            assert_eq!(got, expect, "a={a:?} b={b:?}");
-        }
-    }
-
-    #[test]
-    fn dispatched_intersect_matches_scalar() {
-        for (a, b) in cases() {
-            let expect = scalar_intersect(&a, &b);
-            let mut got = Vec::new();
-            intersect_u32(&a, &b, |v| got.push(v));
-            assert_eq!(got, expect, "a={a:?} b={b:?}");
-            let mut gallop = Vec::new();
-            intersect_gallop_u32(&a, &b, |v| gallop.push(v));
-            assert_eq!(gallop, expect, "gallop a={a:?} b={b:?}");
+        for w in windows() {
+            for t in TARGETS {
+                // SAFETY: AVX2 checked above.
+                let got = unsafe { x86::count_lt_avx2(&w, t) };
+                assert_eq!(got, count_lt_scalar(&w, t), "window={w:?} target={t}");
+            }
         }
     }
 

@@ -6,306 +6,27 @@
 //! k** of the `n` sorted follower lists `S[B₁] … S[Bₙ]`. (For `k = n = 2`
 //! this is plain intersection.)
 //!
-//! All kernels are generic over the element type (`Copy + Ord + Hash`) so
-//! the detector can run them over dense `u32` ids — half the memory
-//! traffic of raw `u64` user ids — while tests and offline consumers can
-//! still use them over [`magicrecs_types::UserId`].
-//!
-//! Algorithms (ablation B2):
-//!
-//! * [`threshold_scan_count`] — hash-count every element of every list;
-//!   O(total) with a small constant, wins at large `n` with uniform
-//!   lengths.
-//! * [`threshold_heap_merge`] — `n`-way merge via binary heap, counting
-//!   runs of equal values; O(total · log n) but allocation-light and
-//!   cache-friendly at tiny `n`.
-//! * [`threshold_pivot_skip`] — pivot-generation from the `n − k + 1`
-//!   shortest lists with galloping cursors and count-based early exit:
-//!   a candidate is abandoned the moment `(lists remaining) < (k − hits)`,
-//!   so whole suffixes of celebrity-sized lists are never touched. This is
-//!   the skew winner: cost scales with the *short* lists plus
-//!   O(log) probes into the long ones, not with total input size. Pivots
-//!   come from a linear min-scan over the generator lists — O(g) per
-//!   pivot, unbeatable for a handful of generators.
-//! * [`threshold_pivot_tree`] — the same skip/early-exit structure with
-//!   pivots drawn from a **loser (tournament) tree** over the generator
-//!   lists: O(log g) per cursor advance instead of O(g) per pivot, which
-//!   is what lifts the old 16-generator cap on the adaptive choice and
-//!   lets pivot generation win at high fan-in too.
-//! * adaptive ([`threshold_intersect`] with [`ThresholdAlgo::Adaptive`]) —
-//!   picks a pivot kernel under celebrity skew (linear min-scan at few
-//!   generators, loser tree above), the heap at tiny fan-in, scan-count
-//!   otherwise; see [`ThresholdAlgo::Adaptive`] for the measured
-//!   crossovers.
-//!
-//! The detector runs none of these whole-set kernels. It runs the delta
-//! form, [`threshold_fresh`]: only values that also appear in a *fresh*
-//! list (a witness whose edge is the event's own), generated from the
-//! fresh lists or from the pivot lists, whichever is shorter, and counted
-//! against each other list by a bitset scan when the list is short and
-//! by galloping when it is long. The
-//! algorithms above remain the kernel-level ablation (B2) and the
-//! reference the detector's property tests recompute against.
-//!
-//! The pivot kernels advance their per-list cursors through
+//! The detector runs the delta form of that query, [`threshold_fresh`]:
+//! only values that also appear in a *fresh* list (a witness whose edge is
+//! the event's own), generated from the fresh lists or from the `n − k + 1`
+//! shortest lists, whichever is shorter, merged through a loser tree, and
+//! counted against each other list by a bitset scan when the list is short
+//! and by galloping when it is long. The long-list probes advance through
 //! [`gallop_to_simd`], so on dense-id lists every probe's final bracket is
 //! resolved by the vectorized count-below scan (see [`crate::simd`] for
-//! the dispatch story; `MAGICRECS_FORCE_SCALAR=1` pins the scalar twins).
+//! the dispatch story; `MAGICRECS_FORCE_SCALAR=1` pins the scalar twin).
 //!
-//! All return `(value, count)` pairs sorted by value, counts being the
-//! exact number of lists containing the value (ties are deterministic).
+//! The kernel is generic over the element type ([`SimdElem`]) so the
+//! detector runs it over dense `u32` ids — half the memory traffic of raw
+//! `u64` user ids — while tests and offline consumers can still use it
+//! over [`magicrecs_types::UserId`]. [`threshold_naive`] is the
+//! brute-force reference the property tests recompute against.
+//!
+//! Both return `(value, count)` pairs sorted by value, counts being the
+//! exact number of lists containing the value.
 
 use crate::intersect::{gallop_to, gallop_to_simd};
 use crate::simd::SimdElem;
-use magicrecs_types::FxHashMap;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::hash::Hash;
-
-/// Largest fan-in the heap is ever picked for (its per-element cost grows
-/// with log n; see ablation B2).
-const HEAP_MAX_LISTS: usize = 8;
-
-/// Largest total input size the heap is ever picked for. The heap's edge
-/// over scan-count is avoiding the per-call hash-map allocation, which
-/// only pays while the inputs are small; on the balanced 8×2000 fixture
-/// (16k total) scan-count beats the heap ~3× despite that allocation.
-const HEAP_MAX_TOTAL: usize = 8192;
-
-/// Adaptive picks a pivot kernel when the `k − 1` longest lists hold at
-/// least this many times the entries of all other lists combined: the
-/// excluded tail is exactly what pivot-skip never walks, so its dominance
-/// is the win condition (a celebrity witness among ordinary ones).
-const PIVOT_DOMINANCE_RATIO: usize = 4;
-
-/// Generator count above which the loser tree's O(log g) pivot updates
-/// always beat the linear min-scan's O(g) pass, regardless of volume.
-const PIVOT_TREE_MIN_GENERATORS: usize = 8;
-
-/// Generator-side volume (total entries across the generator lists) at
-/// which the tree wins even at small fan-in: its build allocations
-/// amortize over the pivot walk, and per-pivot it replays only the lists
-/// that matched instead of min-scanning and galloping every generator.
-/// Below this, per-event allocation dominates and the linear scan stays
-/// ahead (the Zipf steady-trace events).
-const PIVOT_TREE_MIN_VOLUME: usize = 512;
-
-/// Which threshold algorithm to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ThresholdAlgo {
-    /// Hash-count (ScanCount).
-    ScanCount,
-    /// n-way heap merge.
-    HeapMerge,
-    /// Pivot generation from the `n − k + 1` shortest lists via linear
-    /// min-scan, galloping cursors, count-based early exit.
-    PivotSkip,
-    /// Pivot generation through a loser (tournament) tree over the
-    /// generator lists — same skip semantics, O(log g) per cursor advance.
-    PivotTree,
-    /// A pivot kernel when the `k − 1` longest lists dominate the rest by
-    /// `PIVOT_DOMINANCE_RATIO` (4×): the loser tree at high fan-in
-    /// (> `PIVOT_TREE_MIN_GENERATORS` generators — no cap anymore) or
-    /// sizable generator volume (≥ `PIVOT_TREE_MIN_VOLUME` entries), the
-    /// linear min-scan for few small generators. Otherwise the heap while
-    /// both fan-in (`HEAP_MAX_LISTS`) and total input (`HEAP_MAX_TOTAL`)
-    /// stay small, and scan-count beyond. Crossovers measured by ablation
-    /// B2 and guarded by the hotpath bench (`adaptive` must stay within
-    /// 1.2× of the best arm on the balanced and celebrity fixtures).
-    #[default]
-    Adaptive,
-}
-
-/// Runs the selected algorithm.
-pub fn threshold_intersect<V: SimdElem + Hash>(
-    algo: ThresholdAlgo,
-    lists: &[&[V]],
-    k: usize,
-    out: &mut Vec<(V, u32)>,
-) {
-    match algo {
-        ThresholdAlgo::ScanCount => threshold_scan_count(lists, k, out),
-        ThresholdAlgo::HeapMerge => threshold_heap_merge(lists, k, out),
-        ThresholdAlgo::PivotSkip => threshold_pivot_skip(lists, k, out),
-        ThresholdAlgo::PivotTree => threshold_pivot_tree(lists, k, out),
-        ThresholdAlgo::Adaptive => match pivot_choice(lists, k) {
-            Some(ThresholdAlgo::PivotTree) => threshold_pivot_tree(lists, k, out),
-            Some(_) => threshold_pivot_skip(lists, k, out),
-            None => {
-                let total: usize = lists.iter().map(|l| l.len()).sum();
-                if lists.len() <= HEAP_MAX_LISTS && total <= HEAP_MAX_TOTAL {
-                    threshold_heap_merge(lists, k, out)
-                } else {
-                    threshold_scan_count(lists, k, out)
-                }
-            }
-        },
-    }
-}
-
-/// Adaptive's skew test: a pivot kernel wins when the `k − 1` longest
-/// lists (which it excludes from pivot generation and usually never
-/// walks) dominate the total volume. Returns which pivot variant to use —
-/// the loser tree once the generator side is either wide (fan-in no
-/// longer caps the choice) or voluminous enough to amortize the tree
-/// build — or `None` when skew does not pay at all.
-fn pivot_choice<V>(lists: &[&[V]], k: usize) -> Option<ThresholdAlgo> {
-    let n = lists.len();
-    if k < 2 || n < k {
-        return None;
-    }
-    let excl = k - 1;
-    let (total, excluded) = if excl > 8 {
-        // Unusual k: pay a sort rather than grow the fixed buffer.
-        let mut lengths: Vec<usize> = lists.iter().map(|l| l.len()).collect();
-        lengths.sort_unstable();
-        let total: usize = lengths.iter().sum();
-        let excluded: usize = lengths[n - excl..].iter().sum();
-        (total, excluded)
-    } else {
-        // Track the k−1 largest lengths in a tiny descending insertion
-        // buffer: zero allocation on the per-event path.
-        let mut top = [0usize; 8];
-        let mut total = 0usize;
-        for l in lists {
-            total += l.len();
-            let mut v = l.len();
-            for slot in top[..excl].iter_mut() {
-                if v > *slot {
-                    std::mem::swap(&mut v, slot);
-                }
-            }
-        }
-        (total, top[..excl].iter().sum())
-    };
-    let kept = total - excluded;
-    if excluded < PIVOT_DOMINANCE_RATIO * kept.max(1) {
-        return None;
-    }
-    let generators = n - k + 1;
-    if generators > PIVOT_TREE_MIN_GENERATORS || kept >= PIVOT_TREE_MIN_VOLUME {
-        Some(ThresholdAlgo::PivotTree)
-    } else {
-        Some(ThresholdAlgo::PivotSkip)
-    }
-}
-
-/// Hash-count variant: one pass over every list, then filter by `k`.
-pub fn threshold_scan_count<V: SimdElem + Hash>(lists: &[&[V]], k: usize, out: &mut Vec<(V, u32)>) {
-    if k == 0 || lists.len() < k {
-        return;
-    }
-    let total: usize = lists.iter().map(|l| l.len()).sum();
-    let mut counts: FxHashMap<V, u32> = FxHashMap::default();
-    counts.reserve(total.min(1 << 16));
-    for list in lists {
-        for &v in *list {
-            *counts.entry(v).or_insert(0) += 1;
-        }
-    }
-    let base = out.len();
-    out.extend(counts.into_iter().filter(|&(_, c)| c as usize >= k));
-    out[base..].sort_unstable_by_key(|&(v, _)| v);
-}
-
-/// Heap-merge variant: pop runs of equal minimal values across lists.
-pub fn threshold_heap_merge<V: SimdElem + Hash>(lists: &[&[V]], k: usize, out: &mut Vec<(V, u32)>) {
-    if k == 0 || lists.len() < k {
-        return;
-    }
-    // Heap of (next value, list index); cursors track per-list positions.
-    let mut heap: BinaryHeap<Reverse<(V, usize)>> = BinaryHeap::with_capacity(lists.len());
-    let mut cursors = vec![0usize; lists.len()];
-    for (i, list) in lists.iter().enumerate() {
-        if let Some(&v) = list.first() {
-            heap.push(Reverse((v, i)));
-        }
-    }
-    while let Some(&Reverse((value, _))) = heap.peek() {
-        let mut count = 0u32;
-        while let Some(&Reverse((v, i))) = heap.peek() {
-            if v != value {
-                break;
-            }
-            heap.pop();
-            count += 1;
-            cursors[i] += 1;
-            if let Some(&next) = lists[i].get(cursors[i]) {
-                heap.push(Reverse((next, i)));
-            }
-        }
-        if count as usize >= k {
-            out.push((value, count));
-        }
-    }
-}
-
-/// Pivot-skipping threshold intersection — the skew specialist.
-///
-/// Any value present in at least `k` of `n` lists must appear in at least
-/// one of the `n − k + 1` **shortest** lists (only `k − 1` lists are
-/// excluded from that set). Those short lists therefore generate candidate
-/// pivots in ascending order; each pivot is counted across all lists from
-/// shortest to longest by galloping that list's cursor forward, and — the
-/// key win — counting stops the moment
-/// `(lists remaining) < (k − hits so far)`: the pivot can no longer reach
-/// `k`, so the longest (celebrity) lists are usually never probed at all.
-/// Cursors advance monotonically and lazily, so skipped suffixes cost
-/// nothing even across pivots.
-pub fn threshold_pivot_skip<V: SimdElem + Hash>(lists: &[&[V]], k: usize, out: &mut Vec<(V, u32)>) {
-    let n = lists.len();
-    if k == 0 || n < k {
-        return;
-    }
-    // Process lists shortest-first so the early-exit check trims the
-    // expensive tails.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_unstable_by_key(|&i| lists[i].len());
-    let generators = n - k + 1;
-    let mut cursors = vec![0usize; n];
-
-    loop {
-        // Next pivot: the smallest un-consumed value across the generator
-        // lists. n is small (witness fan-in), so a linear min is cheaper
-        // than a heap.
-        let mut pivot: Option<V> = None;
-        for &li in &order[..generators] {
-            if let Some(&v) = lists[li].get(cursors[li]) {
-                pivot = Some(match pivot {
-                    Some(p) if p <= v => p,
-                    _ => v,
-                });
-            }
-        }
-        let Some(pivot) = pivot else { break };
-
-        let mut hits = 0u32;
-        for (pos, &li) in order.iter().enumerate() {
-            // Early exit: even if every remaining list matched, the pivot
-            // cannot reach k. Only non-generator (long) lists can be cut
-            // here, so every generator always advances past the pivot and
-            // the pivot sequence stays strictly increasing.
-            let remaining = n - pos;
-            if (hits as usize) + remaining < k {
-                break;
-            }
-            let c = gallop_to_simd(lists[li], cursors[li], pivot);
-            if let Some(&v) = lists[li].get(c) {
-                if v == pivot {
-                    hits += 1;
-                    cursors[li] = c + 1;
-                    continue;
-                }
-            }
-            cursors[li] = c;
-        }
-        if hits as usize >= k {
-            // The counting loop only breaks below k, so reaching k means
-            // every list was probed: `hits` is the exact count.
-            out.push((pivot, hits));
-        }
-    }
-}
 
 /// A loser (tournament) tree over the generator lists' head values.
 ///
@@ -313,10 +34,9 @@ pub fn threshold_pivot_skip<V: SimdElem + Hash>(lists: &[&[V]], k: usize, out: &
 /// the match below it and the overall winner (the minimum head across
 /// generators) sits at the root. After the winner's list cursor advances,
 /// one leaf-to-root replay — O(log g) compares against stored losers —
-/// restores the invariant, instead of the O(g) min-scan the linear pivot
-/// generator pays per pivot. Exhausted lists hold a `None` key, which
-/// compares as +∞; ties break on the lower leaf index so the pivot
-/// sequence is deterministic.
+/// restores the invariant, instead of an O(g) min-scan per value.
+/// Exhausted lists hold a `None` key, which compares as +∞; ties break on
+/// the lower leaf index so the merge order is deterministic.
 #[derive(Debug)]
 struct LoserTree<V> {
     /// Loser leaf index per internal node (1-based heap layout; node 0
@@ -347,13 +67,6 @@ impl<V> Default for LoserTree<V> {
 }
 
 impl<V: Copy + Ord> LoserTree<V> {
-    /// Builds the tree from per-leaf initial keys.
-    fn new(keys: impl IntoIterator<Item = Option<V>>) -> Self {
-        let mut tree = LoserTree::default();
-        tree.rebuild(keys);
-        tree
-    }
-
     /// Rebuilds the tree over new per-leaf keys, reusing its buffers.
     fn rebuild(&mut self, keys: impl IntoIterator<Item = Option<V>>) {
         self.keys.clear();
@@ -424,67 +137,6 @@ impl<V: Copy + Ord> LoserTree<V> {
     }
 }
 
-/// Pivot-skipping threshold intersection with loser-tree pivot generation
-/// — the high-fan-in skew specialist.
-///
-/// Identical skip semantics, pivot sequence, and output to
-/// [`threshold_pivot_skip`] (property-tested equivalence at 2–64
-/// generators); only the pivot source differs. The linear variant pays an
-/// O(g) min-scan per pivot across the `g = n − k + 1` generator lists;
-/// here the generators feed a [`LoserTree`], so producing the next pivot
-/// and advancing the lists that contained the last one costs O(log g)
-/// per advance. The `k − 1` longest lists stay outside the tree and are
-/// only probed (with early exit) exactly as in the linear variant.
-pub fn threshold_pivot_tree<V: SimdElem + Hash>(lists: &[&[V]], k: usize, out: &mut Vec<(V, u32)>) {
-    let n = lists.len();
-    if k == 0 || n < k {
-        return;
-    }
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_unstable_by_key(|&i| lists[i].len());
-    let generators = n - k + 1;
-    let mut cursors = vec![0usize; n];
-    let mut tree = LoserTree::new(
-        order[..generators]
-            .iter()
-            .map(|&li| lists[li].first().copied()),
-    );
-
-    while let Some(pivot) = tree.winner_key() {
-        // Count the pivot across the generators: successive tournament
-        // winners with an equal key are exactly the generator lists
-        // containing it; each advances by one and replays its path.
-        let mut hits = 0u32;
-        while tree.winner_key() == Some(pivot) {
-            let li = order[tree.winner_leaf()];
-            cursors[li] += 1;
-            tree.replace_winner(lists[li].get(cursors[li]).copied());
-            hits += 1;
-        }
-
-        // Probe the k − 1 excluded (long) lists, shortest first, with the
-        // same count-based early exit as the linear variant.
-        for (pos, &li) in order.iter().enumerate().skip(generators) {
-            let remaining = n - pos;
-            if (hits as usize) + remaining < k {
-                break;
-            }
-            let c = gallop_to_simd(lists[li], cursors[li], pivot);
-            if let Some(&v) = lists[li].get(c) {
-                if v == pivot {
-                    hits += 1;
-                    cursors[li] = c + 1;
-                    continue;
-                }
-            }
-            cursors[li] = c;
-        }
-        if hits as usize >= k {
-            out.push((pivot, hits));
-        }
-    }
-}
-
 /// Marks a generated value's count once it has met a fresh list.
 const FRESH_HIT: u32 = 1 << 31;
 
@@ -552,8 +204,8 @@ impl<V> Default for FreshScratch<V> {
 /// value:
 ///
 /// * the fresh lists — a qualifying value is in one by definition;
-/// * the `n − k + 1` shortest lists — a value in `k` lists is in one of
-///   them (the pivot set of [`threshold_pivot_skip`]).
+/// * the `n − k + 1` shortest lists (the pivot lists) — a value in `k`
+///   lists is in one of them, since only `k − 1` lists are left out.
 ///
 /// The kernel takes whichever holds fewer entries, so a fresh celebrity
 /// list is never the generator, and merges the generator lists (through a
@@ -825,116 +477,56 @@ mod tests {
         v.iter().map(|&n| UserId(n)).collect()
     }
 
-    fn run(algo: ThresholdAlgo, lists: &[Vec<u64>], k: usize) -> Vec<(u64, u32)> {
-        let owned: Vec<Vec<UserId>> = lists.iter().map(|l| ids(l)).collect();
-        let slices: Vec<&[UserId]> = owned.iter().map(|l| l.as_slice()).collect();
-        let mut out = Vec::new();
-        threshold_intersect(algo, &slices, k, &mut out);
-        out.into_iter().map(|(v, c)| (v.raw(), c)).collect()
+    /// [`threshold_fresh`] with every list fresh: the full k-of-n count.
+    fn run_all_fresh(lists: &[Vec<u64>], k: usize) -> Vec<(u64, u32)> {
+        let fresh = vec![true; lists.len()];
+        run_fresh(lists, &fresh, k, &mut FreshScratch::default())
     }
 
-    const ALGOS: [ThresholdAlgo; 5] = [
-        ThresholdAlgo::ScanCount,
-        ThresholdAlgo::HeapMerge,
-        ThresholdAlgo::PivotSkip,
-        ThresholdAlgo::PivotTree,
-        ThresholdAlgo::Adaptive,
-    ];
-
     #[test]
-    fn two_of_two_is_intersection() {
+    fn threshold_fresh_two_of_two_is_intersection() {
         let lists = vec![vec![1, 2, 3, 5], vec![2, 3, 4]];
-        for algo in ALGOS {
-            assert_eq!(run(algo, &lists, 2), vec![(2, 2), (3, 2)], "{algo:?}");
-        }
+        assert_eq!(run_all_fresh(&lists, 2), vec![(2, 2), (3, 2)]);
     }
 
     #[test]
-    fn two_of_three_majority() {
+    fn threshold_fresh_two_of_three_majority() {
         let lists = vec![vec![1, 2, 3], vec![2, 3, 4], vec![3, 4, 5]];
-        for algo in ALGOS {
-            assert_eq!(
-                run(algo, &lists, 2),
-                vec![(2, 2), (3, 3), (4, 2)],
-                "{algo:?}"
-            );
-        }
+        assert_eq!(run_all_fresh(&lists, 2), vec![(2, 2), (3, 3), (4, 2)]);
     }
 
     #[test]
-    fn three_of_three_strict() {
+    fn threshold_fresh_three_of_three_strict() {
         let lists = vec![vec![1, 2, 3], vec![2, 3, 4], vec![3, 4, 5]];
-        for algo in ALGOS {
-            assert_eq!(run(algo, &lists, 3), vec![(3, 3)], "{algo:?}");
-        }
+        assert_eq!(run_all_fresh(&lists, 3), vec![(3, 3)]);
     }
 
     #[test]
-    fn k_larger_than_list_count_is_empty() {
+    fn threshold_fresh_k_larger_than_list_count_is_empty() {
         let lists = vec![vec![1, 2], vec![1, 2]];
-        for algo in ALGOS {
-            assert_eq!(run(algo, &lists, 3), vec![], "{algo:?}");
-        }
+        assert_eq!(run_all_fresh(&lists, 3), vec![]);
     }
 
     #[test]
-    fn k_zero_is_empty() {
+    fn threshold_fresh_k_zero_is_empty() {
         let lists = vec![vec![1], vec![1]];
-        for algo in ALGOS {
-            assert_eq!(run(algo, &lists, 0), vec![], "{algo:?}");
-        }
+        assert_eq!(run_all_fresh(&lists, 0), vec![]);
     }
 
     #[test]
-    fn empty_lists_ignored() {
+    fn threshold_fresh_empty_lists_ignored() {
         let lists = vec![vec![], vec![1, 2], vec![2, 3]];
-        for algo in ALGOS {
-            assert_eq!(run(algo, &lists, 2), vec![(2, 2)], "{algo:?}");
-        }
+        assert_eq!(run_all_fresh(&lists, 2), vec![(2, 2)]);
     }
 
     #[test]
-    fn single_list_k_one() {
+    fn threshold_fresh_single_list_k_one() {
         let lists = vec![vec![7, 9]];
-        for algo in ALGOS {
-            assert_eq!(run(algo, &lists, 1), vec![(7, 1), (9, 1)], "{algo:?}");
-        }
+        assert_eq!(run_all_fresh(&lists, 1), vec![(7, 1), (9, 1)]);
     }
 
     #[test]
-    fn many_lists_trigger_scan_count_path() {
-        // 20 equal-length lists > HEAP_MAX_LISTS, no skew: adaptive takes
-        // the scan-count branch.
-        let lists: Vec<Vec<u64>> = (0..20).map(|i| vec![42, 100 + i]).collect();
-        for algo in ALGOS {
-            let got = run(algo, &lists, 20);
-            assert_eq!(got, vec![(42, 20)], "{algo:?}");
-        }
-    }
-
-    #[test]
-    fn pivot_skip_on_celebrity_skew() {
-        // Two tiny lists against one huge list; k = 2. The huge list's
-        // suffix past the last short-list hit must never matter.
-        let celeb: Vec<u64> = (0..100_000).map(|i| i * 2).collect();
-        // 10 is in all three lists; 1_001 and 50_001 are odd (not in the
-        // celebrity's even-stride list) and shared by the two short lists.
-        let lists = vec![vec![10, 1_001, 50_001], vec![10, 1_001, 50_001], celeb];
-        for algo in [
-            ThresholdAlgo::PivotSkip,
-            ThresholdAlgo::PivotTree,
-            ThresholdAlgo::Adaptive,
-        ] {
-            assert_eq!(
-                run(algo, &lists, 2),
-                vec![(10, 3), (1_001, 2), (50_001, 2)],
-                "{algo:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn pivot_skip_exact_counts_on_duplicated_membership() {
+    fn threshold_fresh_exact_counts_on_duplicated_membership() {
         // Values in all lists, some in exactly k, some in fewer.
         let lists = vec![
             vec![1, 5, 9],
@@ -942,10 +534,7 @@ mod tests {
             vec![1, 3, 9],
             vec![1, 9, 11],
         ];
-        assert_eq!(
-            run(ThresholdAlgo::PivotSkip, &lists, 2),
-            vec![(1, 4), (5, 2), (9, 4)]
-        );
+        assert_eq!(run_all_fresh(&lists, 2), vec![(1, 4), (5, 2), (9, 4)]);
     }
 
     #[test]
@@ -958,36 +547,36 @@ mod tests {
     }
 
     #[test]
-    fn output_appended_not_cleared() {
+    fn threshold_fresh_output_appended_not_cleared() {
         let owned = [ids(&[1]), ids(&[1])];
         let slices: Vec<&[UserId]> = owned.iter().map(|l| l.as_slice()).collect();
         let mut out = vec![(UserId(99), 9u32)];
-        threshold_intersect(ThresholdAlgo::Adaptive, &slices, 2, &mut out);
-        assert_eq!(out[0], (UserId(99), 9));
-        assert_eq!(out[1], (UserId(1), 2));
+        threshold_fresh(
+            &slices,
+            &[true, true],
+            2,
+            &mut FreshScratch::default(),
+            &mut out,
+        );
+        assert_eq!(out, vec![(UserId(99), 9), (UserId(1), 2)]);
     }
 
-    /// High fan-in forces the loser-tree pivot source through multi-level
-    /// replays (65 generator lists → a 128-leaf tree).
+    /// High fan-in with every list fresh: the pivot lists generate, so the
+    /// loser tree merges up to 65 generator lists through multi-level
+    /// replays (a 128-leaf tree).
     #[test]
-    fn pivot_tree_at_high_fan_in() {
+    fn threshold_fresh_loser_tree_at_high_fan_in() {
         let lists: Vec<Vec<u64>> = (0..66u64)
             .map(|i| vec![i, 100 + (i % 7), 200, 300 + i * 2])
             .collect();
+        let owned: Vec<Vec<UserId>> = lists.iter().map(|l| ids(l)).collect();
+        let slices: Vec<&[UserId]> = owned.iter().map(|l| l.as_slice()).collect();
         for k in [1usize, 2, 3, 30, 66] {
-            let owned: Vec<Vec<UserId>> = lists.iter().map(|l| ids(l)).collect();
-            let slices: Vec<&[UserId]> = owned.iter().map(|l| l.as_slice()).collect();
-            let expect = threshold_naive(&slices, k);
-            let mut got = Vec::new();
-            threshold_pivot_tree(&slices, k, &mut got);
-            assert_eq!(
-                got.iter().map(|&(v, c)| (v.raw(), c)).collect::<Vec<_>>(),
-                expect
-                    .iter()
-                    .map(|&(v, c)| (v.raw(), c))
-                    .collect::<Vec<_>>(),
-                "k={k}"
-            );
+            let expect: Vec<(u64, u32)> = threshold_naive(&slices, k)
+                .into_iter()
+                .map(|(v, c)| (v.raw(), c))
+                .collect();
+            assert_eq!(run_all_fresh(&lists, k), expect, "k={k}");
         }
     }
 
@@ -1063,7 +652,7 @@ mod tests {
         for k in 1..=4 {
             assert_eq!(
                 run_fresh(&lists, &[true; 4], k, &mut scratch),
-                run(ThresholdAlgo::Adaptive, &lists, k),
+                fresh_naive(&lists, &[true; 4], k),
                 "k={k}"
             );
         }
@@ -1193,33 +782,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn all_algorithms_match_naive(
-            raw in proptest::collection::vec(
-                proptest::collection::vec(0u64..64, 0..40),
-                0..12,
-            ),
-            k in 1usize..6,
-        ) {
-            let lists: Vec<Vec<u64>> = raw
-                .into_iter()
-                .map(|mut l| {
-                    l.sort_unstable();
-                    l.dedup();
-                    l
-                })
-                .collect();
-            let owned: Vec<Vec<UserId>> = lists.iter().map(|l| ids(l)).collect();
-            let slices: Vec<&[UserId]> = owned.iter().map(|l| l.as_slice()).collect();
-            let expect: Vec<(u64, u32)> = threshold_naive(&slices, k)
-                .into_iter()
-                .map(|(v, c)| (v.raw(), c))
-                .collect();
-            for algo in ALGOS {
-                prop_assert_eq!(&run(algo, &lists, k), &expect, "{:?}", algo);
-            }
-        }
-
         /// The delta kernel equals the naive k-of-n count filtered to
         /// values in a fresh list, for any fresh subset and either
         /// generator; one scratch serves both calls.
@@ -1299,66 +861,6 @@ mod tests {
                 &run_fresh_dense_with(&lists[..n_short], &fresh[..n_short], k, &mut scratch),
                 &expect
             );
-        }
-
-        /// Loser-tree pivot generation is sequence-equivalent to the
-        /// linear min-scan: identical `(value, count)` output (and thus an
-        /// identical ascending pivot sequence) at 2–64 generator lists.
-        #[test]
-        fn pivot_tree_matches_pivot_skip_at_2_to_64_generators(
-            raw in proptest::collection::vec(
-                proptest::collection::vec(0u64..200, 0..30),
-                2..68,
-            ),
-            k in 1usize..6,
-        ) {
-            let k = k.min(raw.len());
-            // Generators = n − k + 1, so this sweep covers 2..=64
-            // generator lists around every k.
-            let lists: Vec<Vec<u64>> = raw
-                .into_iter()
-                .map(|mut l| {
-                    l.sort_unstable();
-                    l.dedup();
-                    l
-                })
-                .collect();
-            let owned: Vec<Vec<UserId>> = lists.iter().map(|l| ids(l)).collect();
-            let slices: Vec<&[UserId]> = owned.iter().map(|l| l.as_slice()).collect();
-            let mut linear = Vec::new();
-            threshold_pivot_skip(&slices, k, &mut linear);
-            let mut tree = Vec::new();
-            threshold_pivot_tree(&slices, k, &mut tree);
-            prop_assert_eq!(linear, tree);
-        }
-
-        /// Pivot-skip against naive on adversarially skewed inputs: a few
-        /// short lists plus one long stride list, arbitrary k.
-        #[test]
-        fn pivot_skip_matches_naive_under_skew(
-            shorts in proptest::collection::vec(
-                proptest::collection::vec(0u64..4_000, 0..12),
-                1..5,
-            ),
-            stride in 1u64..7,
-            long_len in 100usize..2_000,
-            k in 1usize..6,
-        ) {
-            let mut lists: Vec<Vec<u64>> = shorts
-                .into_iter()
-                .map(|mut l| {
-                    l.sort_unstable();
-                    l.dedup();
-                    l
-                })
-                .collect();
-            lists.push((0..long_len as u64).map(|i| i * stride).collect());
-            let owned: Vec<Vec<UserId>> = lists.iter().map(|l| ids(l)).collect();
-            let slices: Vec<&[UserId]> = owned.iter().map(|l| l.as_slice()).collect();
-            let expect = threshold_naive(&slices, k);
-            let mut got = Vec::new();
-            threshold_pivot_skip(&slices, k, &mut got);
-            prop_assert_eq!(got, expect);
         }
     }
 }

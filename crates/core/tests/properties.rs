@@ -3,8 +3,8 @@
 //! against a full recompute, first-emission timing, and scratch-buffer
 //! hygiene.
 
-use magicrecs_core::threshold::{lists_containing, threshold_intersect};
-use magicrecs_core::{ConcurrentEngine, DiamondDetector, ThresholdAlgo};
+use magicrecs_core::threshold::{lists_containing, threshold_naive};
+use magicrecs_core::{ConcurrentEngine, DiamondDetector};
 use magicrecs_graph::{FollowGraph, GraphBuilder};
 use magicrecs_temporal::TemporalEdgeStore;
 use magicrecs_types::{Candidate, DenseId, DetectorConfig, Duration, EdgeEvent, Timestamp, UserId};
@@ -22,9 +22,9 @@ fn build_graph(edges: &[(u64, u64)]) -> FollowGraph {
 }
 
 /// The detector's bottom half recomputed from scratch: cap and sort the
-/// witnesses, run a full `threshold_intersect(Adaptive)` over every capped
-/// witness's follower list, apply the filters, keep only candidates with a
-/// fresh witness when `fresh_only`, then the per-event cap.
+/// witnesses, count every capped witness's follower list with the
+/// brute-force `threshold_naive`, apply the filters, keep only candidates
+/// with a fresh witness when `fresh_only`, then the per-event cap.
 fn full_recompute(
     s: &FollowGraph,
     cfg: &DetectorConfig,
@@ -48,8 +48,7 @@ fn full_recompute(
         .iter()
         .map(|&(b, _)| s.dense_of(b).map_or(&[][..], |d| s.followers_dense(d)))
         .collect();
-    let mut matches = Vec::new();
-    threshold_intersect(ThresholdAlgo::Adaptive, &lists, cfg.k, &mut matches);
+    let matches = threshold_naive(&lists, cfg.k);
     let dense_target = s.dense_of(target);
     let mut out = Vec::new();
     for (a, _) in matches {

@@ -1,46 +1,42 @@
-//! Plan execution against the online graph infrastructure.
+//! Plan execution on the online engine.
 //!
-//! [`MotifEngine`] interprets one [`Plan`] step-by-step over a shared
-//! static graph and a private dynamic store (each motif program keeps its
-//! own `D` — different motifs have different windows and kind filters,
-//! matching the paper's "additional programs that use the graph
-//! infrastructure, which may need to be augmented to include other data
-//! structures").
+//! A diamond-family plan is a [`magicrecs_types::DetectorConfig`], so
+//! [`MotifEngine`] runs it on the same [`ConcurrentEngine`] that serves
+//! the hand-coded detector: the plan's kind filter sits in front, and
+//! everything after it — the `D` upsert, witness fetch and cap, the delta
+//! threshold, the filters and emission — is the engine's. A declarative
+//! motif therefore emits exactly what the hand-coded detector with the
+//! same parameters emits, by construction. Each program keeps its own `D`
+//! (different motifs have different windows and kind filters, matching
+//! the paper's "additional programs that use the graph infrastructure,
+//! which may need to be augmented to include other data structures") over
+//! a shared `S`.
 //!
 //! [`MotifSuite`] runs several programs over one shared graph — the
 //! multi-motif deployment §3 envisions.
 
-use crate::plan::{Plan, PlanStep};
+use crate::plan::Plan;
 use crate::planner::plan_motif;
 use crate::spec::MotifSpec;
-use magicrecs_core::threshold::{lists_containing, threshold_fresh, FreshScratch};
+use magicrecs_core::ConcurrentEngine;
 use magicrecs_graph::FollowGraph;
-use magicrecs_temporal::TemporalEdgeStore;
-use magicrecs_types::{Candidate, Counter, DenseId, EdgeEvent, Result, Timestamp, UserId};
+use magicrecs_types::{Candidate, EdgeEvent, Result, Timestamp};
 use std::sync::Arc;
 
-/// An executable motif program: plan + private dynamic store.
+/// An executable motif program: the plan's kind filter in front of an
+/// engine with its own dynamic store.
 #[derive(Debug)]
 pub struct MotifEngine {
     plan: Plan,
-    graph: Arc<FollowGraph>,
-    store: TemporalEdgeStore,
-    events: Counter,
-    emitted: Counter,
+    engine: ConcurrentEngine,
 }
 
 impl MotifEngine {
     /// Compiles `spec` and binds it to the shared graph.
     pub fn new(spec: &MotifSpec, graph: Arc<FollowGraph>) -> Result<Self> {
         let plan = plan_motif(spec)?;
-        let store = TemporalEdgeStore::with_window(plan.window);
-        Ok(MotifEngine {
-            plan,
-            graph,
-            store,
-            events: Counter::new(),
-            emitted: Counter::new(),
-        })
+        let engine = ConcurrentEngine::new(graph, plan.config)?;
+        Ok(MotifEngine { plan, engine })
     }
 
     /// Parses, compiles, and binds a textual spec in one step.
@@ -61,123 +57,31 @@ impl MotifEngine {
 
     /// Events this program accepted (post kind filter).
     pub fn events_processed(&self) -> u64 {
-        self.events.get()
+        self.engine.stats().events
     }
 
     /// Candidates emitted.
     pub fn candidates_emitted(&self) -> u64 {
-        self.emitted.get()
+        self.engine.stats().candidates
     }
 
-    /// Interprets the plan over one event.
-    pub fn on_event(&mut self, event: EdgeEvent) -> Vec<Candidate> {
+    /// Runs one event through the kind filter and, if accepted, the
+    /// engine.
+    pub fn on_event(&self, event: EdgeEvent) -> Vec<Candidate> {
         if !self.plan.accepts_kind(event.kind) {
             return Vec::new();
         }
-        self.events.incr();
-
-        let t = event.created_at;
-        let mut witnesses: Vec<(UserId, Timestamp)> = Vec::new();
-        // Follower lists and match counting run in dense-id space, like
-        // the hand-written detector; raw ids reappear only at emission.
-        let mut lists: Vec<&[DenseId]> = Vec::new();
-        let mut matches: Vec<(DenseId, u32)> = Vec::new();
-        let mut out: Vec<Candidate> = Vec::new();
-        let dense_dst = self.graph.dense_of(event.dst);
-
-        // Interpreter registers are loaded lazily by the steps; each step
-        // may abort the remainder of the plan.
-        for step in &self.plan.steps {
-            match step {
-                PlanStep::IngestDynamic => {
-                    if event.kind.is_insertion() {
-                        self.store.insert(event.src, event.dst, t);
-                    } else {
-                        self.store.remove(event.src, event.dst);
-                        return Vec::new(); // removals never emit
-                    }
-                }
-                PlanStep::LoadWitnesses => {
-                    self.store.witnesses_into(event.dst, t, &mut witnesses);
-                }
-                PlanStep::RequireWitnesses(k) => {
-                    if witnesses.len() < *k {
-                        return Vec::new();
-                    }
-                }
-                PlanStep::CapWitnesses(cap) => {
-                    if witnesses.len() > *cap {
-                        witnesses.sort_unstable_by_key(|&(b, at)| (std::cmp::Reverse(at), b));
-                        witnesses.truncate(*cap);
-                    }
-                    witnesses.sort_unstable_by_key(|&(b, _)| b);
-                }
-                PlanStep::LoadFollowerLists => {
-                    // If no cap step ran, still canonicalize order.
-                    if !witnesses.windows(2).all(|w| w[0].0 <= w[1].0) {
-                        witnesses.sort_unstable_by_key(|&(b, _)| b);
-                    }
-                    lists = witnesses
-                        .iter()
-                        .map(|&(b, _)| {
-                            self.graph
-                                .dense_of(b)
-                                .map_or(&[] as &[DenseId], |db| self.graph.followers_dense(db))
-                        })
-                        .collect();
-                }
-                PlanStep::ThresholdCount(k) => {
-                    // The hand-coded detector's contract: only `A`s that
-                    // meet a fresh witness (timestamp = the event's).
-                    let fresh: Vec<bool> = witnesses.iter().map(|&(_, at)| at == t).collect();
-                    let mut scratch = FreshScratch::default();
-                    threshold_fresh(&lists, &fresh, *k, &mut scratch, &mut matches);
-                    if matches.is_empty() {
-                        return Vec::new();
-                    }
-                }
-                PlanStep::FilterSelf => {
-                    matches.retain(|&(a, _)| Some(a) != dense_dst);
-                }
-                PlanStep::FilterWitnesses => {
-                    matches.retain(|&(a, _)| {
-                        let raw = self.graph.user_of(a);
-                        witnesses.binary_search_by_key(&raw, |&(b, _)| b).is_err()
-                    });
-                }
-                PlanStep::FilterAlreadyFollowing => {
-                    matches.retain(|&(a, _)| {
-                        !dense_dst.is_some_and(|dc| self.graph.follows_dense(a, dc))
-                    });
-                }
-                PlanStep::EmitCandidates => {
-                    for &(a, _) in &matches {
-                        let wit: Vec<UserId> = lists_containing(&lists, a)
-                            .into_iter()
-                            .map(|i| witnesses[i as usize].0)
-                            .collect();
-                        out.push(Candidate {
-                            user: self.graph.user_of(a),
-                            target: event.dst,
-                            witnesses: wit,
-                            triggered_at: t,
-                        });
-                    }
-                }
-            }
-        }
-        self.emitted.add(out.len() as u64);
-        out
+        self.engine.on_event(event)
     }
 
     /// Forces dynamic-store expiry.
-    pub fn advance(&mut self, now: Timestamp) {
-        self.store.advance(now);
+    pub fn advance(&self, now: Timestamp) {
+        self.engine.advance(now);
     }
 
-    /// The private dynamic store (size accounting).
-    pub fn store(&self) -> &TemporalEdgeStore {
-        &self.store
+    /// The engine running this program (its store, stats and metrics).
+    pub fn engine(&self) -> &ConcurrentEngine {
+        &self.engine
     }
 }
 
@@ -219,12 +123,11 @@ impl MotifSuite {
 
     /// Feeds one event to every program, returning `(motif name,
     /// candidate)` pairs in registration order.
-    pub fn on_event(&mut self, event: EdgeEvent) -> Vec<(String, Candidate)> {
+    pub fn on_event(&self, event: EdgeEvent) -> Vec<(String, Candidate)> {
         let mut out = Vec::new();
-        for engine in &mut self.engines {
-            let name = engine.name().to_string();
+        for engine in &self.engines {
             for c in engine.on_event(event) {
-                out.push((name.clone(), c));
+                out.push((engine.name().to_string(), c));
             }
         }
         out
@@ -240,7 +143,7 @@ impl MotifSuite {
 mod tests {
     use super::*;
     use magicrecs_graph::GraphBuilder;
-    use magicrecs_types::{Duration, EdgeKind};
+    use magicrecs_types::{Duration, EdgeKind, UserId};
 
     fn u(n: u64) -> UserId {
         UserId(n)
@@ -261,7 +164,7 @@ mod tests {
 
     #[test]
     fn declarative_diamond_reproduces_figure1() {
-        let mut m = MotifEngine::from_text(DIAMOND2, figure1()).unwrap();
+        let m = MotifEngine::from_text(DIAMOND2, figure1()).unwrap();
         assert!(m
             .on_event(EdgeEvent::follow(u(11), u(22), ts(10)))
             .is_empty());
@@ -285,7 +188,8 @@ mod tests {
             ScenarioConfig::small().with_duration(Duration::from_secs(15)),
         );
         // Hand-coded engine with matching parameters (cap 64 = planner's
-        // default witness cap).
+        // default witness cap). Equal by construction — the plan runs on a
+        // `ConcurrentEngine` — so this pins the spec → config compilation.
         let cfg = DetectorConfig {
             k: 2,
             tau: Duration::from_secs(600),
@@ -296,7 +200,7 @@ mod tests {
         let engine = ConcurrentEngine::new(g.clone(), cfg).unwrap();
         let expected: Vec<Candidate> = engine.on_events(trace.events());
 
-        let mut declarative = MotifEngine::from_text(
+        let declarative = MotifEngine::from_text(
             "motif d { A -> B : static; B -> C : dynamic within 600s; \
              trigger B -> C; emit (A, C) when count(B) >= 2; }",
             Arc::new(g),
@@ -313,7 +217,7 @@ mod tests {
     fn kind_filtered_motif_ignores_follows() {
         let src = "motif co { A -> B : static; B -> C : dynamic within 600s kinds retweet; \
                    trigger B -> C; emit (A, C) when count(B) >= 2; }";
-        let mut m = MotifEngine::from_text(src, figure1()).unwrap();
+        let m = MotifEngine::from_text(src, figure1()).unwrap();
         // Plain follows do not feed this motif.
         m.on_event(EdgeEvent::follow(u(11), u(22), ts(10)));
         let r = m.on_event(EdgeEvent::follow(u(12), u(22), ts(20)));
@@ -334,7 +238,7 @@ mod tests {
 
     #[test]
     fn unfollow_retracts_in_declarative_engine() {
-        let mut m = MotifEngine::from_text(DIAMOND2, figure1()).unwrap();
+        let m = MotifEngine::from_text(DIAMOND2, figure1()).unwrap();
         m.on_event(EdgeEvent::follow(u(11), u(22), ts(10)));
         m.on_event(EdgeEvent::unfollow(u(11), u(22), ts(15)));
         let r = m.on_event(EdgeEvent::follow(u(12), u(22), ts(20)));
@@ -345,7 +249,7 @@ mod tests {
     fn window_respected() {
         let src = "motif fast { A -> B : static; B -> C : dynamic within 30s; \
                    trigger B -> C; emit (A, C) when count(B) >= 2; }";
-        let mut m = MotifEngine::from_text(src, figure1()).unwrap();
+        let m = MotifEngine::from_text(src, figure1()).unwrap();
         m.on_event(EdgeEvent::follow(u(11), u(22), ts(10)));
         let r = m.on_event(EdgeEvent::follow(u(12), u(22), ts(45)));
         assert!(r.is_empty(), "35s gap must exceed the 30s window");
@@ -396,10 +300,10 @@ mod tests {
 
     #[test]
     fn advance_prunes_private_store() {
-        let mut m = MotifEngine::from_text(DIAMOND2, figure1()).unwrap();
+        let m = MotifEngine::from_text(DIAMOND2, figure1()).unwrap();
         m.on_event(EdgeEvent::follow(u(11), u(22), ts(10)));
-        assert!(m.store().resident_entries() > 0);
+        assert!(m.engine().store().resident_entries() > 0);
         m.advance(ts(100_000));
-        assert_eq!(m.store().resident_entries(), 0);
+        assert_eq!(m.engine().store().resident_entries(), 0);
     }
 }

@@ -95,7 +95,7 @@ mod tests {
         assert_eq!(specs.len(), 4);
         for spec in &specs {
             let plan = plan_motif(spec).unwrap();
-            assert!(!plan.steps.is_empty(), "{} has an empty plan", spec.name);
+            assert_eq!(plan.config.k, spec.emit.min_count, "{}", spec.name);
         }
     }
 

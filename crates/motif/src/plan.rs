@@ -1,74 +1,25 @@
-//! Physical plans: an ordered list of executable steps plus an
-//! `EXPLAIN`-style renderer.
+//! Physical plans: the online detector configuration a spec compiles to,
+//! plus an `EXPLAIN`-style renderer.
 //!
-//! The planner compiles a [`crate::MotifSpec`] into a [`Plan`]; the
-//! executor interprets the steps in order against the graph
-//! infrastructure. Steps operate on a small, fixed register set (the
-//! event, the witness list, the follower lists, the match list) — the
-//! shape every diamond-family motif shares.
+//! The planner compiles a [`crate::MotifSpec`] into a [`Plan`]. Every
+//! diamond-family motif shares one operator pipeline — the one
+//! [`magicrecs_core::ConcurrentEngine`] runs — so a plan is that
+//! pipeline's parameters ([`DetectorConfig`]) and the trigger's kind
+//! filter; [`Plan::explain`] lists the operators those parameters select.
 
-use magicrecs_types::{Duration, EdgeKind};
-use std::fmt;
-
-/// One executable operator.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PlanStep {
-    /// Apply the event to the dynamic store (insert/remove), honoring the
-    /// plan's kind filter. Non-matching events abort the plan.
-    IngestDynamic,
-    /// witnesses ← distinct in-window sources of `event.dst`.
-    LoadWitnesses,
-    /// Abort unless `witnesses.len() >= k`.
-    RequireWitnesses(usize),
-    /// Keep only the `n` most recent witnesses.
-    CapWitnesses(usize),
-    /// lists ← static follower list of each witness.
-    LoadFollowerLists,
-    /// matches ← values in ≥ k of the lists, at least one of them a fresh
-    /// witness's (the event's own timestamp) — the delta threshold.
-    ThresholdCount(usize),
-    /// Drop the event target from matches.
-    FilterSelf,
-    /// Drop matches that are themselves witnesses.
-    FilterWitnesses,
-    /// Drop matches that already statically follow the target.
-    FilterAlreadyFollowing,
-    /// Materialize matches as candidates.
-    EmitCandidates,
-}
-
-impl fmt::Display for PlanStep {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PlanStep::IngestDynamic => write!(f, "IngestDynamic[D.insert/remove]"),
-            PlanStep::LoadWitnesses => write!(f, "LoadWitnesses[D lookup by target]"),
-            PlanStep::RequireWitnesses(k) => write!(f, "RequireWitnesses[n >= {k}]"),
-            PlanStep::CapWitnesses(n) => write!(f, "CapWitnesses[{n} most recent]"),
-            PlanStep::LoadFollowerLists => write!(f, "LoadFollowerLists[S lookup per witness]"),
-            PlanStep::ThresholdCount(k) => {
-                write!(f, "ThresholdCount[sorted-list intersection, k = {k}]")
-            }
-            PlanStep::FilterSelf => write!(f, "FilterSelf"),
-            PlanStep::FilterWitnesses => write!(f, "FilterWitnesses"),
-            PlanStep::FilterAlreadyFollowing => write!(f, "FilterAlreadyFollowing[S probe]"),
-            PlanStep::EmitCandidates => write!(f, "EmitCandidates"),
-        }
-    }
-}
+use magicrecs_types::{DetectorConfig, EdgeKind};
 
 /// An executable motif plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Plan {
     /// Motif name (from the spec).
     pub name: String,
-    /// Recency window of the trigger edge.
-    pub window: Duration,
-    /// Distinct-witness threshold.
-    pub k: usize,
     /// Event kinds the trigger edge accepts (`None` = all insertions).
     pub kinds: Option<Vec<EdgeKind>>,
-    /// Operators in execution order.
-    pub steps: Vec<PlanStep>,
+    /// The detector parameters: trigger window → `tau`, `count(W) >= k`
+    /// → `k`, witness cap → `max_witnesses`, `allow existing` →
+    /// `!skip_existing`.
+    pub config: DetectorConfig,
 }
 
 impl Plan {
@@ -87,6 +38,31 @@ impl Plan {
         }
     }
 
+    /// The operators the engine runs per accepted event, in order.
+    fn operators(&self) -> Vec<String> {
+        let c = &self.config;
+        let mut ops = vec![
+            "IngestDynamic[D.insert/remove]".to_string(),
+            "LoadWitnesses[D lookup by target]".to_string(),
+            format!("RequireWitnesses[n >= {}]", c.k),
+        ];
+        if let Some(cap) = c.max_witnesses {
+            ops.push(format!("CapWitnesses[{cap} most recent]"));
+        }
+        ops.push("LoadFollowerLists[S lookup per witness]".to_string());
+        ops.push(format!(
+            "ThresholdCount[sorted-list intersection, k = {}]",
+            c.k
+        ));
+        ops.push("FilterSelf".to_string());
+        if c.skip_existing {
+            ops.push("FilterWitnesses".to_string());
+            ops.push("FilterAlreadyFollowing[S probe]".to_string());
+        }
+        ops.push("EmitCandidates".to_string());
+        ops
+    }
+
     /// Renders the plan in `EXPLAIN` style.
     pub fn explain(&self) -> String {
         use std::fmt::Write;
@@ -95,8 +71,8 @@ impl Plan {
             out,
             "PLAN {} (window = {}, k = {}, kinds = {})",
             self.name,
-            self.window,
-            self.k,
+            self.config.tau,
+            self.config.k,
             match &self.kinds {
                 None => "any".to_string(),
                 Some(ks) => ks
@@ -106,8 +82,8 @@ impl Plan {
                     .join("|"),
             }
         );
-        for (i, step) in self.steps.iter().enumerate() {
-            let _ = writeln!(out, "  {i:>2}. {step}");
+        for (i, op) in self.operators().iter().enumerate() {
+            let _ = writeln!(out, "  {i:>2}. {op}");
         }
         out
     }
@@ -116,22 +92,19 @@ impl Plan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use magicrecs_types::Duration;
 
     fn plan() -> Plan {
         Plan {
             name: "diamond".into(),
-            window: Duration::from_secs(600),
-            k: 3,
             kinds: Some(vec![EdgeKind::Follow]),
-            steps: vec![
-                PlanStep::IngestDynamic,
-                PlanStep::LoadWitnesses,
-                PlanStep::RequireWitnesses(3),
-                PlanStep::LoadFollowerLists,
-                PlanStep::ThresholdCount(3),
-                PlanStep::FilterSelf,
-                PlanStep::EmitCandidates,
-            ],
+            config: DetectorConfig {
+                k: 3,
+                tau: Duration::from_secs(600),
+                max_witnesses: None,
+                max_candidates_per_event: None,
+                skip_existing: false,
+            },
         }
     }
 
@@ -164,6 +137,17 @@ mod tests {
         assert!(text.contains("PLAN diamond"));
         assert!(text.contains("window = 600.000s"));
         assert!(text.contains("ThresholdCount"));
-        assert_eq!(text.lines().count(), 1 + p.steps.len());
+        assert!(!text.contains("CapWitnesses"));
+        assert!(!text.contains("FilterWitnesses"));
+        assert_eq!(text.lines().count(), 1 + 7);
+
+        // A witness cap and `skip_existing` each add their operators.
+        let mut full = plan();
+        full.config.max_witnesses = Some(64);
+        full.config.skip_existing = true;
+        let text = full.explain();
+        assert!(text.contains("CapWitnesses[64 most recent]"));
+        assert!(text.contains("FilterAlreadyFollowing"));
+        assert_eq!(text.lines().count(), 1 + 10);
     }
 }

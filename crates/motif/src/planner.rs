@@ -14,14 +14,17 @@
 //! over `k`, `τ`, and event kinds. Specs outside the family (extra edges,
 //! longer paths, emitting a witness) are rejected with a diagnostic naming
 //! the unsupported feature — the honest frontier of a young query planner.
+//!
+//! A plannable spec compiles to the online detector's own parameters
+//! ([`DetectorConfig`]): the trigger window becomes `tau`, `count(W) >= k`
+//! becomes `k`, the witness cap (default: the production detector's)
+//! becomes `max_witnesses`, and `allow existing` clears `skip_existing`.
+//! Parameters the detector refuses (`k < 2`, a zero window) are rejected
+//! here with its diagnostic.
 
-use crate::plan::{Plan, PlanStep};
+use crate::plan::Plan;
 use crate::spec::{Layer, MotifSpec};
-use magicrecs_types::{Error, Result};
-
-/// Default witness cap inserted into plans (mirrors
-/// `DetectorConfig::production`).
-const DEFAULT_WITNESS_CAP: usize = 64;
+use magicrecs_types::{DetectorConfig, Error, Result};
 
 /// Compiles `spec` into a [`Plan`].
 pub fn plan_motif(spec: &MotifSpec) -> Result<Plan> {
@@ -85,27 +88,24 @@ pub fn plan_motif(spec: &MotifSpec) -> Result<Plan> {
     }
 
     let k = spec.emit.min_count;
-    let cap = spec.witness_cap.unwrap_or(DEFAULT_WITNESS_CAP).max(k);
-    let mut steps = vec![
-        PlanStep::IngestDynamic,
-        PlanStep::LoadWitnesses,
-        PlanStep::RequireWitnesses(k),
-        PlanStep::CapWitnesses(cap),
-        PlanStep::LoadFollowerLists,
-        PlanStep::ThresholdCount(k),
-        PlanStep::FilterSelf,
-    ];
-    if !spec.allow_existing {
-        steps.push(PlanStep::FilterWitnesses);
-        steps.push(PlanStep::FilterAlreadyFollowing);
-    }
-    steps.push(PlanStep::EmitCandidates);
+    let cap = spec
+        .witness_cap
+        .or(DetectorConfig::production().max_witnesses)
+        .map(|cap| cap.max(k));
+    let config = DetectorConfig {
+        k,
+        tau: window,
+        max_witnesses: cap,
+        max_candidates_per_event: None,
+        skip_existing: !spec.allow_existing,
+    };
+    config
+        .validate()
+        .map_err(|e| Error::MotifPlan(format!("unsupported by the online detector: {e}")))?;
     Ok(Plan {
         name: spec.name.clone(),
-        window,
-        k,
         kinds: trigger.kinds.clone(),
-        steps,
+        config,
     })
 }
 
@@ -125,11 +125,14 @@ mod tests {
     fn plans_the_diamond() {
         let spec = parse_motif(&diamond_src(3)).unwrap();
         let plan = plan_motif(&spec).unwrap();
-        assert_eq!(plan.k, 3);
-        assert_eq!(plan.window, magicrecs_types::Duration::from_secs(600));
-        assert_eq!(plan.steps.first(), Some(&PlanStep::IngestDynamic));
-        assert_eq!(plan.steps.last(), Some(&PlanStep::EmitCandidates));
-        assert!(plan.steps.contains(&PlanStep::ThresholdCount(3)));
+        assert_eq!(
+            plan.config,
+            DetectorConfig {
+                k: 3,
+                tau: magicrecs_types::Duration::from_secs(600),
+                ..DetectorConfig::production()
+            }
+        );
     }
 
     #[test]
@@ -202,7 +205,7 @@ mod tests {
     fn witness_cap_at_least_k() {
         let spec = parse_motif(&diamond_src(100)).unwrap();
         let plan = plan_motif(&spec).unwrap();
-        assert!(plan.steps.contains(&PlanStep::CapWitnesses(100)));
+        assert_eq!(plan.config.max_witnesses, Some(100));
     }
 
     #[test]
@@ -213,7 +216,7 @@ mod tests {
         )
         .unwrap();
         let plan = plan_motif(&spec).unwrap();
-        assert!(plan.steps.contains(&PlanStep::CapWitnesses(8)));
+        assert_eq!(plan.config.max_witnesses, Some(8));
     }
 
     #[test]
@@ -224,8 +227,15 @@ mod tests {
         )
         .unwrap();
         let plan = plan_motif(&spec).unwrap();
-        assert!(!plan.steps.contains(&PlanStep::FilterWitnesses));
-        assert!(!plan.steps.contains(&PlanStep::FilterAlreadyFollowing));
+        assert!(!plan.config.skip_existing);
+        assert!(!plan.explain().contains("FilterWitnesses"));
+    }
+
+    #[test]
+    fn parameters_the_detector_refuses_are_rejected() {
+        let spec = parse_motif(&diamond_src(1)).unwrap();
+        let err = plan_motif(&spec).unwrap_err();
+        assert!(err.to_string().contains("k must be at least 2"), "{err}");
     }
 
     #[test]

@@ -53,8 +53,8 @@ fn main() {
         println!(
             "Registered `{}` (window {}, k = {})",
             engine.name(),
-            engine.plan().window,
-            engine.plan().k
+            engine.plan().config.tau,
+            engine.plan().config.k
         );
         suite.register(engine);
     }

@@ -49,7 +49,7 @@
 //! let graph = Arc::new(builder.build());
 //!
 //! // Same diamond, declared in text and compiled to a query plan.
-//! let mut motif = MotifEngine::from_text(
+//! let motif = MotifEngine::from_text(
 //!     "motif diamond {
 //!          A -> B : static;
 //!          B -> C : dynamic within 600s kinds follow;

@@ -108,7 +108,7 @@ proptest! {
             "motif m {{ A -> B : static; B -> C : dynamic within 200s; \
              trigger B -> C; emit (A, C) when count(B) >= {k}; }}"
         );
-        let mut m = MotifEngine::from_text(&src, Arc::new(graph)).unwrap();
+        let m = MotifEngine::from_text(&src, Arc::new(graph)).unwrap();
         let mut got = Vec::new();
         for &e in &events {
             got.extend(m.on_event(e));

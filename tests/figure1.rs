@@ -115,7 +115,7 @@ fn two_hop_baselines_reproduce_figure1() {
 
 #[test]
 fn declarative_motif_reproduces_figure1() {
-    let mut m = MotifEngine::from_text(
+    let m = MotifEngine::from_text(
         "motif d { A -> B : static; B -> C : dynamic within 600s; \
          trigger B -> C; emit (A, C) when count(B) >= 2; }",
         Arc::new(figure1_graph()),
