@@ -18,20 +18,19 @@
 //!   epoch-aligned [`checkpoint`]s of the temporal store, and segment
 //!   reclamation once the store's own window pruning passes a segment's
 //!   max timestamp.
-//! * **Crash recovery** ([`recovery`]) — [`recovery::PersistentEngine`]
-//!   and [`recovery::PersistentConcurrentEngine`] both wrap the one
-//!   `magicrecs_core::ConcurrentEngine` and differ only in WAL layout and
-//!   checkpoint cadence: the former drives it from one owner over a
-//!   single dense `wal-` log and checkpoints inline every
-//!   `checkpoint_every` events; the latter shares it across threads over
-//!   per-partition WALs keyed by the hash route and checkpoints without
-//!   quiescing. Both restore the snapshot chain and the latest
-//!   checkpoint chain, replay
-//!   the WAL tail with notification emission suppressed (no duplicate
-//!   deliveries), then hand off to live ingest. After a crash at *any*
-//!   record boundary, the recovered candidate stream is byte-identical to
-//!   an uninterrupted run's (test-enforced by the kill-point matrix).
-//! * **Non-quiescent checkpoints** — the shared engine checkpoints `D`
+//! * **Crash recovery** ([`recovery`]) — one persistent engine,
+//!   [`recovery::PersistentConcurrentEngine`]: the one
+//!   `magicrecs_core::ConcurrentEngine` shared across threads over
+//!   per-partition WALs keyed by the hash route, checkpointed without
+//!   quiescing. [`recovery::PersistentEngine`] is that engine at one
+//!   partition for a single owner, checkpointing inline every
+//!   `checkpoint_every` events. Recovery restores the snapshot chain and
+//!   the latest checkpoint chain, replays the WAL tail with notification
+//!   emission suppressed (no duplicate deliveries), then hands off to
+//!   live ingest. After a crash at *any* record boundary, the recovered
+//!   candidate stream is byte-identical to an uninterrupted run's
+//!   (test-enforced by the kill-point matrix).
+//! * **Non-quiescent checkpoints** — the engine checkpoints `D`
 //!   *while ingest runs*: each WAL partition is cut behind its own brief
 //!   fence (appends to that route stall for the export, every other
 //!   partition keeps ingesting) and the file records a **fence vector**;
@@ -50,9 +49,15 @@
 //!   s-delta-…0007-…0008.mgrd                GraphDelta 7 → 8
 //!   d-ckpt-00000000000000004096.mgck        full D checkpoint through seq 4096
 //!   d-ckpt-00000000000000005120.mgci        incremental delta, base 4096
-//!   wal-00000000000000000000.wal            sequential WAL segments …
-//!   wal-p3-00000000000000001042.wal         … or per-partition (route 3)
+//!   wal-p0-00000000000000000000.wal         WAL segment of partition 0
+//!   wal-p3-00000000000000001042.wal         … of partition 3 (route 3)
 //! ```
+//!
+//! Every WAL is per-partition (`wal-p<i>-`; a [`PersistentEngine`] has
+//! one partition, `wal-p0-`). The retired single-log layout
+//! (`wal-<20 digits>.wal`) is not replayed: `open` refuses a directory
+//! holding such a segment with a typed [`magicrecs_types::Error::Corrupt`]
+//! naming the file, and touches nothing.
 //!
 //! WAL segment format (`MGWL`):
 //!

@@ -1,25 +1,26 @@
 //! Crash recovery: snapshot chain + `D` checkpoint + WAL tail replay.
 //!
-//! Both persistent engines wrap the one [`ConcurrentEngine`] and differ
-//! only in WAL layout and checkpoint cadence: [`PersistentEngine`] drives
-//! it from one owner over a single dense `wal-` log and checkpoints
-//! inline every `checkpoint_every` events; [`PersistentConcurrentEngine`]
-//! shares it across threads over per-partition WALs keyed by the hash
-//! route and checkpoints without quiescing ingest. Both follow the same
-//! lifecycle:
+//! There is one persistent engine, [`PersistentConcurrentEngine`]: the
+//! one [`ConcurrentEngine`] shared across threads over per-partition
+//! WALs (`wal-p<i>-…`) keyed by the hash route, checkpointed without
+//! quiescing ingest. [`PersistentEngine`] is that engine at **one**
+//! partition, owned by one caller, which checkpoints inline every
+//! `checkpoint_every` events instead of running a [`CheckpointDriver`].
+//! The lifecycle:
 //!
 //! 1. **create** — publish the base `S` snapshot, start an empty WAL;
 //! 2. **ingest** — every event is appended to the WAL *before* the engine
-//!    applies it (write-ahead), checkpoints of `D` land every
-//!    `checkpoint_every` events, and [`advance`](PersistentEngine::advance)
-//!    reclaims WAL segments the window pruning + checkpoint have both
-//!    passed;
+//!    applies it (write-ahead), checkpoints of `D` land on the cadence,
+//!    and [`advance`](PersistentConcurrentEngine::advance) reclaims WAL
+//!    segments the window pruning + checkpoint have both passed;
 //! 3. **open** (after a crash or restart) — reload base + delta chain,
 //!    restore the newest `D` checkpoint **chain** (full + incremental
 //!    deltas), replay each WAL partition's tail above its fence through
 //!    the store with **notification emission suppressed** (replay mutates
 //!    `D` only — no candidate is ever delivered twice), then hand off to
-//!    live ingest at the exact sequence the log ends.
+//!    live ingest at the exact sequence the log ends. A directory that
+//!    still holds segments of the retired single-log layout
+//!    (`wal-<20 digits>.wal`) is refused, untouched.
 //!
 //! ## The parity contract
 //!
@@ -31,8 +32,7 @@
 //! engine itself documents for `advance`. Replay applies `D`
 //! mutations without re-running detection: in-window witness sets depend
 //! only on the per-target insert/remove sequence, which the WAL preserves
-//! per target (globally for [`PersistentEngine`]; per hash-route
-//! partition — and targets are route-sticky — for [`PersistentConcurrentEngine`]).
+//! per hash-route partition — and targets are route-sticky.
 //!
 //! ## The fence-vector consistency contract
 //!
@@ -69,7 +69,7 @@ use crate::checkpoint::{
 };
 use crate::snapshot::{RebasePolicy, SnapshotStore};
 use crate::vfs::{std_vfs, Vfs};
-use crate::wal::{self, route_partition, FsyncPolicy, SharedWal, Wal, WalOptions};
+use crate::wal::{self, route_partition, FsyncPolicy, SharedWal, WalOptions};
 use magicrecs_core::ConcurrentEngine;
 use magicrecs_graph::{CapStrategy, FollowGraph, GraphDelta};
 use magicrecs_types::{Candidate, DetectorConfig, EdgeEvent, Error, Result, Timestamp, UserId};
@@ -88,9 +88,10 @@ pub struct PersistOptions {
     /// Events between automatic `D` checkpoints (0 disables — the WAL
     /// then replays from its beginning and is never reclaimed).
     ///
-    /// [`PersistentEngine`] checkpoints inline from its ingest path.
-    /// [`PersistentConcurrentEngine`] keeps ingest wait-free and leaves
-    /// the cadence to a [`CheckpointDriver`] (or explicit
+    /// Only [`PersistentEngine`] reads it: the wrapper checkpoints inline
+    /// from its own ingest path. A shared [`PersistentConcurrentEngine`]
+    /// keeps ingest wait-free, so its cadence needs a
+    /// [`CheckpointDriver`] (or explicit
     /// [`PersistentConcurrentEngine::checkpoint`] calls) — checkpoints
     /// there never require quiescing, see the fence-vector contract in
     /// the module docs.
@@ -146,8 +147,6 @@ pub struct RecoveryReport {
     pub torn_tail: bool,
 }
 
-const SEQ_WAL_PREFIX: &str = "wal-";
-
 /// How many replayed events accumulate before a batched store apply —
 /// bounds the replay buffer while still amortizing shard locking.
 const REPLAY_APPLY_CHUNK: usize = 4096;
@@ -159,8 +158,7 @@ const REPLAY_APPLY_CHUNK: usize = 4096;
 struct ChainState {
     /// Id (= covered sequence) of the chain tip.
     tip_id: u64,
-    /// The tip's per-partition fence vector (length = WAL partitions;
-    /// `[tip_id + 1]` for the sequential engine).
+    /// The tip's per-partition fence vector (length = WAL partitions).
     fences: Vec<u64>,
     /// Deltas stacked on the newest full.
     chain_len: usize,
@@ -171,6 +169,17 @@ struct ChainState {
 }
 
 impl ChainState {
+    /// A chain restarted by a full checkpoint `tip_id` of `bytes`.
+    fn full(tip_id: u64, fences: Vec<u64>, bytes: u64) -> ChainState {
+        ChainState {
+            tip_id,
+            fences,
+            chain_len: 0,
+            full_bytes: bytes,
+            delta_bytes: 0,
+        }
+    }
+
     fn from_chain(chain: &CheckpointChain) -> ChainState {
         ChainState {
             tip_id: chain.last_seq,
@@ -222,10 +231,9 @@ fn incremental(policy: RebasePolicy) -> bool {
 /// [`magicrecs_temporal::EdgeStore::insert_batch`]-shaped apply without
 /// ever materializing a second full copy of the checkpoint), returning
 /// `(fences, chain_state, entries_restored)` — the per-partition WAL
-/// replay bounds shared by both engines' recovery paths. `parts` is the
-/// WAL partition count the fence vector must match (a stored
-/// single-fence vector broadcasts — v1 checkpoints and sequential-engine
-/// files carry one fence).
+/// replay bounds. `parts` is the WAL partition count the fence vector
+/// must match (a stored single-fence vector broadcasts — v1 checkpoints
+/// carry one fence).
 fn restore_checkpoint(
     dir: &Path,
     parts: usize,
@@ -282,52 +290,16 @@ fn ensure_no_stale_state(dir: &Path, snapshots: &SnapshotStore) -> Result<()> {
     Ok(())
 }
 
-/// The snapshot-refresh step both persistent engines share: applies
-/// `delta` to `engine`'s current `S`, durably publishes it, then installs
-/// the refreshed graph and advances `epoch`, then rebases the on-disk
-/// chain per `rebase`. A delta that does not extend `epoch`, or that
-/// [`FollowGraph::apply_delta`] refuses, fails before anything reaches
-/// disk; callers serialize publishes, so the installed graph is always
-/// the one the delta was applied to.
-fn publish_delta(
-    engine: &ConcurrentEngine,
-    snapshots: &SnapshotStore,
-    rebase: RebasePolicy,
-    epoch: &mut u64,
-    delta: &GraphDelta,
-) -> Result<()> {
-    if delta.base_epoch != *epoch {
-        return Err(Error::Invariant(format!(
-            "delta base epoch {} does not extend current epoch {}",
-            delta.base_epoch, epoch
-        )));
-    }
-    let refreshed = engine.graph().apply_delta(delta)?;
-    snapshots.publish_delta(delta)?;
-    engine.swap_graph(refreshed);
-    *epoch = delta.target_epoch;
-    if snapshots.should_rebase(rebase)? {
-        snapshots.publish_base(*epoch, &engine.graph())?;
-        snapshots.compact()?;
-    }
-    Ok(())
-}
-
-/// The single-owner engine with durability: [`ConcurrentEngine`] +
-/// snapshot store + one dense write-ahead log + inline checkpoints.
-#[derive(Debug)]
+/// The single-owner persistent engine: a [`PersistentConcurrentEngine`]
+/// over **one** WAL partition that checkpoints inline, from its own
+/// ingest path, every `checkpoint_every` events. Owners that call it
+/// through `&mut self` (a replica unit behind its lock, a benchmark
+/// loop) get the checkpoint cadence without a [`CheckpointDriver`]
+/// thread.
 pub struct PersistentEngine {
-    engine: ConcurrentEngine,
-    wal: Wal,
-    snapshots: SnapshotStore,
-    vfs: Arc<dyn Vfs>,
-    dir: PathBuf,
-    epoch: u64,
+    shared: PersistentConcurrentEngine,
     checkpoint_every: u64,
     since_checkpoint: u64,
-    rebase: RebasePolicy,
-    /// The on-disk checkpoint chain (tip id, fences, rebase accounting).
-    chain: Option<ChainState>,
 }
 
 impl PersistentEngine {
@@ -357,29 +329,9 @@ impl PersistentEngine {
         opts: PersistOptions,
         vfs: Arc<dyn Vfs>,
     ) -> Result<Self> {
-        let snapshots = SnapshotStore::with_vfs(dir, Arc::clone(&vfs))?;
-        // Refuse before sweeping: a refused directory keeps even its
-        // .tmp crash artifacts for open()-based recovery or inspection.
-        ensure_no_stale_state(dir, &snapshots)?;
-        crate::fsutil::sweep_tmp_files(vfs.as_ref(), dir)?;
-        snapshots.publish_base(epoch, &graph)?;
-        let wal = Wal::create_with_vfs(dir, SEQ_WAL_PREFIX, opts.wal(), Arc::clone(&vfs))?;
-        let engine = ConcurrentEngine::new(graph, config)?;
-        if incremental(opts.rebase) {
-            engine.store().enable_dirty_tracking();
-        }
-        Ok(PersistentEngine {
-            engine,
-            wal,
-            snapshots,
-            vfs,
-            dir: dir.to_path_buf(),
-            epoch,
-            checkpoint_every: opts.checkpoint_every,
-            since_checkpoint: 0,
-            rebase: opts.rebase,
-            chain: None,
-        })
+        let shared =
+            PersistentConcurrentEngine::create_with_vfs(dir, graph, epoch, config, 1, opts, vfs)?;
+        Ok(Self::wrap(shared, opts))
     }
 
     /// Recovers from `dir`: snapshot chain → checkpoint → WAL tail replay
@@ -402,68 +354,17 @@ impl PersistentEngine {
         opts: PersistOptions,
         vfs: Arc<dyn Vfs>,
     ) -> Result<(Self, RecoveryReport)> {
-        let snapshots = SnapshotStore::with_vfs(dir, Arc::clone(&vfs))?;
-        // Crash artifacts (interrupted durable publishes) die here, at
-        // the point that owns recovery cleanup.
-        crate::fsutil::sweep_tmp_files(vfs.as_ref(), dir)?;
-        let loaded = snapshots.load_latest(cap)?;
-        let engine = ConcurrentEngine::new(loaded.graph, config)?;
+        let (shared, report) =
+            PersistentConcurrentEngine::open_with_vfs(dir, config, cap, 1, opts, vfs)?;
+        Ok((Self::wrap(shared, opts), report))
+    }
 
-        let (fences, chain, checkpoint_entries) =
-            restore_checkpoint(dir, 1, |events| engine.apply_to_store_batch(events))?;
-        let min_seq = fences[0];
-        let checkpoint_seq = chain.as_ref().map(|c| c.tip_id);
-        // Tracking must be live *before* tail replay: replayed mutations
-        // are exactly what the next delta checkpoint has to export.
-        if incremental(opts.rebase) {
-            engine.store().enable_dirty_tracking();
+    fn wrap(shared: PersistentConcurrentEngine, opts: PersistOptions) -> Self {
+        PersistentEngine {
+            shared,
+            checkpoint_every: opts.checkpoint_every,
+            since_checkpoint: 0,
         }
-
-        let mut replayed = 0u64;
-        // Contiguity-checked: the sequential log is dense from seq 0, so
-        // a hole (lost middle segment) must refuse recovery rather than
-        // silently rebuild `D` without those events. Applies land in
-        // bounded batches (the replay fast path — no per-event store
-        // round trip).
-        let mut replay_buf: Vec<EdgeEvent> = Vec::with_capacity(REPLAY_APPLY_CHUNK);
-        let stats = wal::replay_contiguous(dir, SEQ_WAL_PREFIX, min_seq, |record| {
-            replay_buf.push(record.event);
-            replayed += 1;
-            if replay_buf.len() >= REPLAY_APPLY_CHUNK {
-                engine.apply_to_store_batch(&replay_buf);
-                replay_buf.clear();
-            }
-        })?;
-        engine.apply_to_store_batch(&replay_buf);
-        // Floor at the checkpoint's coverage: a fully-reclaimed log must
-        // not restart sequences at 0 below what the checkpoint claims —
-        // a later recovery's `min_seq` filter would silently skip them.
-        let wal =
-            Wal::open_with_floor_vfs(dir, SEQ_WAL_PREFIX, opts.wal(), min_seq, Arc::clone(&vfs))?;
-        let report = RecoveryReport {
-            snapshot_epoch: loaded.epoch,
-            deltas_applied: loaded.deltas_applied,
-            checkpoint_seq,
-            replayed,
-            checkpoint_entries,
-            next_seq: wal.next_seq(),
-            torn_tail: stats.torn_tail,
-        };
-        Ok((
-            PersistentEngine {
-                engine,
-                wal,
-                snapshots,
-                vfs,
-                dir: dir.to_path_buf(),
-                epoch: loaded.epoch,
-                checkpoint_every: opts.checkpoint_every,
-                since_checkpoint: 0,
-                rebase: opts.rebase,
-                chain,
-            },
-            report,
-        ))
     }
 
     /// Processes one event durably: WAL append first (write-ahead), then
@@ -471,40 +372,37 @@ impl PersistentEngine {
     /// events. The single-event wrapper over
     /// [`PersistentEngine::on_events_into`].
     pub fn on_event(&mut self, event: EdgeEvent) -> Result<Vec<Candidate>> {
-        let mut out = Vec::new();
-        self.on_events_into(std::slice::from_ref(&event), &mut out)?;
-        Ok(out)
+        self.on_events(std::slice::from_ref(&event))
     }
 
-    /// Processes a micro-batch durably: the **whole batch is
-    /// written ahead with one group commit** ([`Wal::append_batch`] — one
-    /// `write(2)`, one fsync-policy pass) before any detection runs, so
-    /// the batch is a single durability point; then the engine detects
-    /// the slice ([`ConcurrentEngine::on_events_into`], identical candidates to N
-    /// single events). Checkpoint cadence is counted in *events*, not
-    /// batches — a batch that crosses the cadence boundary checkpoints at
-    /// its end (the cadence is a replay-cost bound, not a semantic
-    /// boundary; the kill-point matrix covers batches straddling it).
+    /// Processes a micro-batch durably — one group commit, then
+    /// detection ([`PersistentConcurrentEngine::on_events_into`]).
+    /// Checkpoint cadence is counted in *events*, not batches — a batch
+    /// that crosses the cadence boundary checkpoints at its end (the
+    /// cadence is a replay-cost bound, not a semantic boundary; the
+    /// kill-point matrix covers batches straddling it).
     pub fn on_events_into(
         &mut self,
         events: &[EdgeEvent],
         out: &mut Vec<Candidate>,
     ) -> Result<usize> {
-        self.wal.append_batch(events)?;
-        let emitted = self.engine.on_events_into(events, out);
+        let emitted = self.shared.on_events_into(events, out)?;
         self.count_toward_checkpoint(events.len())?;
         Ok(emitted)
     }
 
-    /// Appends a micro-batch shipped from another replica's WAL without
-    /// running detection: the same group commit and checkpoint cadence
-    /// as [`PersistentEngine::on_events_into`], with `D` maintained by
-    /// [`ConcurrentEngine::apply_events`]. A follower's `D`, sequence and on-disk
-    /// log therefore stay identical to the leader's, which is what lets
-    /// it be promoted at its durable sequence.
+    /// [`PersistentEngine::on_events_into`] collecting into a fresh
+    /// vector.
+    pub fn on_events(&mut self, events: &[EdgeEvent]) -> Result<Vec<Candidate>> {
+        let mut out = Vec::new();
+        self.on_events_into(events, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`PersistentConcurrentEngine::apply_shipped`] under the same
+    /// checkpoint cadence as [`PersistentEngine::on_events_into`].
     pub fn apply_shipped(&mut self, events: &[EdgeEvent]) -> Result<()> {
-        self.wal.append_batch(events)?;
-        self.engine.apply_events(events);
+        self.shared.apply_shipped(events)?;
         self.count_toward_checkpoint(events.len())
     }
 
@@ -517,168 +415,45 @@ impl PersistentEngine {
         Ok(())
     }
 
-    /// [`PersistentEngine::on_events_into`] collecting into a fresh
-    /// vector.
-    pub fn on_events(&mut self, events: &[EdgeEvent]) -> Result<Vec<Candidate>> {
-        let mut out = Vec::new();
-        self.on_events_into(events, &mut out)?;
-        Ok(out)
-    }
-
-    /// Writes a `D` checkpoint covering everything appended so far. With
-    /// a non-disabled [`RebasePolicy`] the checkpoint is **incremental**
-    /// where the chain allows: only targets dirtied since the previous
-    /// cut are written (as a delta chained on the last full), rebasing to
-    /// a fresh full per the policy. Restoring the chain is equivalent to
-    /// restoring one full checkpoint taken at the same cut.
+    /// Writes a `D` checkpoint covering everything appended so far
+    /// ([`PersistentConcurrentEngine::checkpoint`]: incremental where the
+    /// [`RebasePolicy`] allows) and restarts the cadence count.
     pub fn checkpoint(&mut self) -> Result<()> {
-        let next = self.wal.next_seq();
-        if next == 0 {
-            return Ok(()); // nothing to cover
-        }
-        let covered = next - 1;
-        if self.chain.as_ref().is_some_and(|c| c.tip_id == covered) {
-            self.since_checkpoint = 0;
-            return Ok(()); // tip already covers every assigned sequence
-        }
-        // Durability order: records must be on disk before a checkpoint
-        // claims to cover them (else a crash could reclaim-then-lose).
-        self.wal.sync()?;
-        let fences = vec![next];
-        let full = self
-            .chain
-            .as_ref()
-            .is_none_or(|c| c.wants_full(self.rebase));
-        if full {
-            let mut entries = Vec::new();
-            self.engine.store().export_entries(&mut entries);
-            // A full covers every target, so standing dirty marks are
-            // consumed here; kept as an undo log in case the write fails
-            // (losing marks would silently drop targets from the next
-            // delta).
-            let drained = self.engine.store().clear_dirty_where(|_| true);
-            match write_checkpoint_fenced_with(
-                &self.dir,
-                entries,
-                covered,
-                &fences,
-                self.vfs.as_ref(),
-            ) {
-                Ok((_, bytes)) => {
-                    self.chain = Some(ChainState {
-                        tip_id: covered,
-                        fences,
-                        chain_len: 0,
-                        full_bytes: bytes,
-                        delta_bytes: 0,
-                    });
-                }
-                Err(e) => {
-                    self.engine.store().mark_dirty_many(drained);
-                    return Err(e);
-                }
-            }
-        } else {
-            let mut entries = Vec::new();
-            let mut tombstones = Vec::new();
-            let mut drained = Vec::new();
-            self.engine.store().drain_dirty_exports(
-                |_| true,
-                &mut entries,
-                &mut tombstones,
-                &mut drained,
-            );
-            let base_id = self.chain.as_ref().expect("delta requires a chain").tip_id;
-            match write_delta_checkpoint_with(
-                &self.dir,
-                entries,
-                tombstones,
-                covered,
-                base_id,
-                &fences,
-                self.vfs.as_ref(),
-            ) {
-                Ok((_, bytes)) => {
-                    let c = self.chain.as_mut().expect("delta requires a chain");
-                    c.tip_id = covered;
-                    c.fences = fences;
-                    c.chain_len += 1;
-                    c.delta_bytes += bytes;
-                    c.publish_dirty_ratio();
-                }
-                Err(e) => {
-                    self.engine.store().mark_dirty_many(drained);
-                    return Err(e);
-                }
-            }
-        }
+        self.shared.checkpoint()?;
         self.since_checkpoint = 0;
         Ok(())
     }
 
-    /// Advances window expiry and reclaims WAL segments that are both
-    /// past the retention window and covered by the checkpoint chain tip.
-    pub fn advance(&mut self, now: Timestamp) -> Result<usize> {
-        self.engine.advance(now);
-        match &self.chain {
-            Some(c) => {
-                let cutoff = now.saturating_sub(self.engine.store().window());
-                self.wal.reclaim_before(cutoff, c.tip_id)
-            }
-            None => Ok(0),
-        }
-    }
-
-    /// Applies and durably publishes a snapshot delta. The delta must
-    /// extend the current epoch. It is applied to the current `S` first
-    /// (a delta [`FollowGraph::apply_delta`] refuses never reaches disk,
-    /// so it cannot poison the next recovery), then the delta file joins
-    /// the chain on disk, then the refreshed `S` is installed.
+    /// The shared engine underneath: maintenance calls ([`advance`],
+    /// [`publish_graph_delta`], `epoch`, `checkpoint_tip`) take `&self`
+    /// there and need no wrapper of their own.
     ///
-    /// When the chain outgrows the configured [`RebasePolicy`], the
-    /// current graph is republished as a fresh base at the new epoch and
-    /// the superseded files are compacted — recovery cost stays bounded
-    /// by the policy, and orphaned (delta-removed) vertices leave the
-    /// on-disk interner with the rebase.
-    pub fn publish_graph_delta(&mut self, delta: &GraphDelta) -> Result<()> {
-        publish_delta(
-            &self.engine,
-            &self.snapshots,
-            self.rebase,
-            &mut self.epoch,
-            delta,
-        )
+    /// [`advance`]: PersistentConcurrentEngine::advance
+    /// [`publish_graph_delta`]: PersistentConcurrentEngine::publish_graph_delta
+    pub fn shared(&self) -> &PersistentConcurrentEngine {
+        &self.shared
     }
 
-    /// The current snapshot epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The wrapped engine.
+    /// The wrapped detection engine.
     pub fn engine(&self) -> &ConcurrentEngine {
-        &self.engine
+        self.shared.engine()
+    }
+
+    /// Segment-name prefix of the engine's one WAL partition — what a
+    /// replica ships ([`crate::segment_catalog`],
+    /// [`crate::wal::segment_path`]).
+    pub fn wal_prefix() -> String {
+        SharedWal::prefix(0)
     }
 
     /// The WAL sequence the next event will receive.
     pub fn next_seq(&self) -> u64 {
-        self.wal.next_seq()
-    }
-
-    /// Id (covered sequence) of the checkpoint chain tip, if any.
-    pub fn checkpoint_tip(&self) -> Option<u64> {
-        self.chain.as_ref().map(|c| c.tip_id)
-    }
-
-    /// On-disk WAL segment count (bounded by τ + checkpoint cadence once
-    /// reclamation runs).
-    pub fn wal_segments(&self) -> usize {
-        self.wal.segment_count()
+        self.shared.next_seq()
     }
 
     /// Flushes and closes the WAL (also happens on drop).
     pub fn close(self) -> Result<()> {
-        self.wal.close()
+        self.shared.close()
     }
 }
 
@@ -704,15 +479,11 @@ pub struct PersistentConcurrentEngine {
     vfs: Arc<dyn Vfs>,
     dir: PathBuf,
     rebase: RebasePolicy,
-    state: Mutex<ConcurrentPersistState>,
+    /// Snapshot epoch; its lock serializes graph-delta publishes.
+    epoch: Mutex<u64>,
     /// Checkpoint chain state, serialized separately from the snapshot
     /// epoch lock so a long fenced export never blocks delta publishes.
     ckpt: Mutex<Option<ChainState>>,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct ConcurrentPersistState {
-    epoch: u64,
 }
 
 impl PersistentConcurrentEngine {
@@ -741,6 +512,8 @@ impl PersistentConcurrentEngine {
         vfs: Arc<dyn Vfs>,
     ) -> Result<Self> {
         let snapshots = SnapshotStore::with_vfs(dir, Arc::clone(&vfs))?;
+        // Refuse before sweeping: a refused directory keeps even its
+        // .tmp crash artifacts for open()-based recovery or inspection.
         ensure_no_stale_state(dir, &snapshots)?;
         crate::fsutil::sweep_tmp_files(vfs.as_ref(), dir)?;
         snapshots.publish_base(epoch, &graph)?;
@@ -756,14 +529,16 @@ impl PersistentConcurrentEngine {
             vfs,
             dir: dir.to_path_buf(),
             rebase: opts.rebase,
-            state: Mutex::new(ConcurrentPersistState { epoch }),
+            epoch: Mutex::new(epoch),
             ckpt: Mutex::new(None),
         })
     }
 
     /// Recovers from `dir`: snapshot chain, checkpoint, then all
     /// partitions' WAL tails replayed in merged sequence order with
-    /// emission suppressed.
+    /// emission suppressed. A directory holding segments of the retired
+    /// single-log layout is refused with [`Error::Corrupt`] naming the
+    /// file, before anything in it is touched.
     pub fn open(
         dir: &Path,
         config: DetectorConfig,
@@ -783,6 +558,7 @@ impl PersistentConcurrentEngine {
         opts: PersistOptions,
         vfs: Arc<dyn Vfs>,
     ) -> Result<(Self, RecoveryReport)> {
+        wal::refuse_retired_layout(dir)?;
         let snapshots = SnapshotStore::with_vfs(dir, Arc::clone(&vfs))?;
         crate::fsutil::sweep_tmp_files(vfs.as_ref(), dir)?;
         let loaded = snapshots.load_latest(cap)?;
@@ -811,8 +587,9 @@ impl PersistentConcurrentEngine {
             }
         })?;
         engine.apply_to_store_batch(&replay_buf);
-        // Same floor rationale as the sequential path: never resume the
-        // global sequence below what the checkpoint covers.
+        // Floor at the checkpoint's coverage: a fully-reclaimed log must
+        // not restart sequences below what the checkpoint claims — a
+        // later recovery's fence filter would silently skip them.
         let wal =
             SharedWal::open_with_floor_vfs(dir, parts, opts.wal(), min_seq, Arc::clone(&vfs))?;
         // Seal the recovered state behind a fresh checkpoint before any
@@ -827,11 +604,13 @@ impl PersistentConcurrentEngine {
         // (holes above the newest surviving record need no seal either —
         // those sequences are simply reassigned to new events). The seal
         // is always a *full* checkpoint — it restarts the chain, with
-        // each partition fenced at its own recovered tail.
+        // each partition fenced at its own recovered tail. A torn tail
+        // needs it only beside other partitions: one partition's
+        // repaired log resumes exactly at the tear, leaving no hole.
         let dense_span = stats
             .last_seq
             .map_or(0, |last| (last + 1).saturating_sub(min_seq));
-        let tolerated_damage = stats.torn_tail || replayed < dense_span;
+        let tolerated_damage = (stats.torn_tail && parts > 1) || replayed < dense_span;
         match wal.next_seq() {
             0 => {}
             next if !tolerated_damage || checkpoint_seq == Some(next - 1) => {}
@@ -849,13 +628,7 @@ impl PersistentConcurrentEngine {
                 // Everything the seal exported is clean now; replay's
                 // dirty marks would only re-export it in the next delta.
                 engine.store().clear_dirty_where(|_| true);
-                chain = Some(ChainState {
-                    tip_id: next - 1,
-                    fences: seal_fences,
-                    chain_len: 0,
-                    full_bytes: bytes,
-                    delta_bytes: 0,
-                });
+                chain = Some(ChainState::full(next - 1, seal_fences, bytes));
             }
         }
         let report = RecoveryReport {
@@ -875,9 +648,7 @@ impl PersistentConcurrentEngine {
                 vfs,
                 dir: dir.to_path_buf(),
                 rebase: opts.rebase,
-                state: Mutex::new(ConcurrentPersistState {
-                    epoch: loaded.epoch,
-                }),
+                epoch: Mutex::new(loaded.epoch),
                 ckpt: Mutex::new(chain),
             },
             report,
@@ -943,6 +714,20 @@ impl PersistentConcurrentEngine {
         let mut out = Vec::new();
         self.on_events_into(events, &mut out)?;
         Ok(out)
+    }
+
+    /// Appends a micro-batch shipped from another replica's WAL without
+    /// running detection: the same group commit as
+    /// [`PersistentConcurrentEngine::on_events_into`], with `D`
+    /// maintained by [`ConcurrentEngine::apply_events`]. A follower's
+    /// `D`, sequence and on-disk log therefore stay identical to the
+    /// leader's, which is what lets it be promoted at its durable
+    /// sequence.
+    pub fn apply_shipped(&self, events: &[EdgeEvent]) -> Result<()> {
+        let (_, ticket) = self.wal.append_batch_tracked(events)?;
+        self.engine.apply_events(events);
+        drop(ticket);
+        Ok(())
     }
 
     /// Writes a `D` checkpoint **without quiescing ingest**. Partitions
@@ -1022,49 +807,31 @@ impl PersistentConcurrentEngine {
             store.mark_dirty_many(drained);
             return Ok(());
         }
-        if full {
-            match write_checkpoint_fenced_with(&self.dir, entries, id, &fences, self.vfs.as_ref()) {
-                Ok((_, bytes)) => {
-                    *chain = Some(ChainState {
-                        tip_id: id,
-                        fences,
-                        chain_len: 0,
-                        full_bytes: bytes,
-                        delta_bytes: 0,
-                    });
-                    Ok(())
-                }
-                Err(e) => {
-                    store.mark_dirty_many(drained);
-                    Err(e)
-                }
-            }
+        let written = if full {
+            write_checkpoint_fenced_with(&self.dir, entries, id, &fences, self.vfs.as_ref())
         } else {
             let base_id = chain.as_ref().expect("delta requires a chain").tip_id;
-            match write_delta_checkpoint_with(
-                &self.dir,
-                entries,
-                tombstones,
-                id,
-                base_id,
-                &fences,
-                self.vfs.as_ref(),
-            ) {
-                Ok((_, bytes)) => {
-                    let c = chain.as_mut().expect("delta requires a chain");
-                    c.tip_id = id;
-                    c.fences = fences;
-                    c.chain_len += 1;
-                    c.delta_bytes += bytes;
-                    c.publish_dirty_ratio();
-                    Ok(())
-                }
-                Err(e) => {
-                    store.mark_dirty_many(drained);
-                    Err(e)
-                }
+            let vfs = self.vfs.as_ref();
+            write_delta_checkpoint_with(&self.dir, entries, tombstones, id, base_id, &fences, vfs)
+        };
+        let bytes = match written {
+            Ok((_, bytes)) => bytes,
+            Err(e) => {
+                store.mark_dirty_many(drained);
+                return Err(e);
             }
+        };
+        match chain.as_mut().filter(|_| !full) {
+            Some(c) => {
+                c.tip_id = id;
+                c.fences = fences;
+                c.chain_len += 1;
+                c.delta_bytes += bytes;
+                c.publish_dirty_ratio();
+            }
+            None => *chain = Some(ChainState::full(id, fences, bytes)),
         }
+        Ok(())
     }
 
     /// Id (covered sequence) of the checkpoint chain tip, if any.
@@ -1088,25 +855,41 @@ impl PersistentConcurrentEngine {
         }
     }
 
-    /// Applies and durably publishes a snapshot delta (see
-    /// [`PersistentEngine::publish_graph_delta`], including the
-    /// apply-before-publish order and the automatic rebase when the chain
-    /// outgrows the configured [`RebasePolicy`]; publication is
-    /// serialized on the internal state lock).
+    /// Applies and durably publishes a snapshot delta. The delta must
+    /// extend the current epoch. It is applied to the current `S` first
+    /// (a delta [`FollowGraph::apply_delta`] refuses never reaches disk,
+    /// so it cannot poison the next recovery), then the delta file joins
+    /// the chain on disk, then the refreshed `S` is installed.
+    /// Publication is serialized on the epoch lock, so the installed
+    /// graph is always the one the delta was applied to.
+    ///
+    /// When the chain outgrows the configured [`RebasePolicy`], the
+    /// current graph is republished as a fresh base at the new epoch and
+    /// the superseded files are compacted — recovery cost stays bounded
+    /// by the policy, and orphaned (delta-removed) vertices leave the
+    /// on-disk interner with the rebase.
     pub fn publish_graph_delta(&self, delta: &GraphDelta) -> Result<()> {
-        let mut state = self.state.lock();
-        publish_delta(
-            &self.engine,
-            &self.snapshots,
-            self.rebase,
-            &mut state.epoch,
-            delta,
-        )
+        let mut epoch = self.epoch.lock();
+        if delta.base_epoch != *epoch {
+            return Err(Error::Invariant(format!(
+                "delta base epoch {} does not extend current epoch {}",
+                delta.base_epoch, *epoch
+            )));
+        }
+        let refreshed = self.engine.graph().apply_delta(delta)?;
+        self.snapshots.publish_delta(delta)?;
+        self.engine.swap_graph(refreshed);
+        *epoch = delta.target_epoch;
+        if self.snapshots.should_rebase(self.rebase)? {
+            self.snapshots.publish_base(*epoch, &self.engine.graph())?;
+            self.snapshots.compact()?;
+        }
+        Ok(())
     }
 
     /// The current snapshot epoch.
     pub fn epoch(&self) -> u64 {
-        self.state.lock().epoch
+        *self.epoch.lock()
     }
 
     /// The wrapped engine.
@@ -1122,6 +905,17 @@ impl PersistentConcurrentEngine {
     /// Syncs all WAL partitions (also useful before a planned shutdown).
     pub fn sync(&self) -> Result<()> {
         self.wal.sync_all()
+    }
+
+    /// On-disk WAL segment count across partitions (bounded by τ +
+    /// checkpoint cadence once reclamation runs).
+    pub fn wal_segments(&self) -> usize {
+        self.wal.segment_count()
+    }
+
+    /// Flushes and closes every WAL partition (also happens on drop).
+    pub(crate) fn close(self) -> Result<()> {
+        self.wal.close()
     }
 }
 
@@ -1362,11 +1156,11 @@ mod tests {
         for &e in &trace(500) {
             pe.on_event(e).unwrap();
         }
-        let segments_before = pe.wal_segments();
+        let segments_before = pe.shared().wal_segments();
         // Far future: everything is outside the window and checkpointed.
-        let removed = pe.advance(ts(10_000_000)).unwrap();
+        let removed = pe.shared().advance(ts(10_000_000)).unwrap();
         assert!(removed > 0, "reclaim should delete covered segments");
-        assert!(pe.wal_segments() < segments_before);
+        assert!(pe.shared().wal_segments() < segments_before);
         pe.close().unwrap();
 
         let (_, report) = PersistentEngine::open(
@@ -1470,11 +1264,11 @@ mod tests {
 
         // Idle period, then advance: the checkpoint covers every record
         // and the window has passed, so reclamation empties the log.
-        let (mut pe, _) =
+        let (pe, _) =
             PersistentEngine::open(t.path(), DetectorConfig::example(), CapStrategy::None, o)
                 .unwrap();
-        pe.advance(ts(10_000_000)).unwrap();
-        assert_eq!(pe.wal_segments(), 0, "fully reclaimed");
+        pe.shared().advance(ts(10_000_000)).unwrap();
+        assert_eq!(pe.shared().wal_segments(), 0, "fully reclaimed");
         assert_eq!(pe.next_seq(), n);
         pe.close().unwrap();
 
@@ -1503,6 +1297,46 @@ mod tests {
     }
 
     #[test]
+    fn one_partition_torn_tail_restart_writes_no_seal() {
+        let t = TempDir::new("pe-torn");
+        let o = PersistOptions {
+            checkpoint_every: 0,
+            ..opts()
+        };
+        let mut pe =
+            PersistentEngine::create(t.path(), small_graph(), 0, DetectorConfig::example(), o)
+                .unwrap();
+        let events = trace(100);
+        pe.on_events(&events[..60]).unwrap();
+        pe.checkpoint().unwrap();
+        pe.on_events(&events[60..]).unwrap();
+        let n = pe.next_seq();
+        pe.close().unwrap();
+        let newest = crate::wal::list_segments(t.path(), &PersistentEngine::wal_prefix())
+            .unwrap()
+            .pop()
+            .unwrap();
+        let len = std::fs::metadata(&newest).unwrap().len();
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(&newest)
+            .unwrap()
+            .set_len(len - 3)
+            .unwrap();
+        let checkpoints = || crate::checkpoint::list_checkpoints(t.path()).unwrap();
+        let before = checkpoints();
+
+        let (pe, report) =
+            PersistentEngine::open(t.path(), DetectorConfig::example(), CapStrategy::None, o)
+                .unwrap();
+        assert!(report.torn_tail);
+        assert_eq!(report.next_seq, n - 1, "the torn record is gone");
+        // The repaired log resumes at the tear, so no O(|D|) seal runs.
+        assert_eq!(checkpoints(), before);
+        assert_eq!(pe.shared().checkpoint_tip(), report.checkpoint_seq);
+    }
+
+    #[test]
     fn graph_delta_publishes_and_survives_recovery() {
         let t = TempDir::new("pe");
         let g0 = {
@@ -1516,10 +1350,10 @@ mod tests {
         let delta = GraphDelta::between(&g0, &small_graph(), 7, 8).unwrap();
         pe.on_event(EdgeEvent::follow(u(11), u(99), ts(10)))
             .unwrap();
-        pe.publish_graph_delta(&delta).unwrap();
-        assert_eq!(pe.epoch(), 8);
+        pe.shared().publish_graph_delta(&delta).unwrap();
+        assert_eq!(pe.shared().epoch(), 8);
         // Stale delta refused.
-        assert!(pe.publish_graph_delta(&delta).is_err());
+        assert!(pe.shared().publish_graph_delta(&delta).is_err());
         let r = pe
             .on_event(EdgeEvent::follow(u(12), u(99), ts(11)))
             .unwrap();
@@ -1571,9 +1405,8 @@ mod tests {
         // Vertex 9 → 99 exists only in the base; the first delta removes
         // it, orphaning both endpoints in the interner until a rebase.
         let g0 = build(&[(1, 11), (1, 12), (9, 99)]);
-        let mut pe =
-            PersistentEngine::create(t.path(), g0.clone(), 0, DetectorConfig::example(), o)
-                .unwrap();
+        let pe = PersistentEngine::create(t.path(), g0.clone(), 0, DetectorConfig::example(), o)
+            .unwrap();
         let mut current = g0;
         for epoch in 0..3u64 {
             let mut edges = edges_of(&current);
@@ -1583,10 +1416,10 @@ mod tests {
             edges.push((10 + epoch, 500 + epoch));
             let next = build(&edges);
             let delta = GraphDelta::between(&current, &next, epoch, epoch + 1).unwrap();
-            pe.publish_graph_delta(&delta).unwrap();
+            pe.shared().publish_graph_delta(&delta).unwrap();
             current = next;
         }
-        assert_eq!(pe.epoch(), 3);
+        assert_eq!(pe.shared().epoch(), 3);
         // In memory the orphan stays interned (dense ids must not move
         // mid-flight) …
         assert!(pe.engine().graph().dense_of(u(9)).is_some());
@@ -1966,7 +1799,7 @@ mod tests {
         feed(&mut pe, 60);
         pe.checkpoint().unwrap(); // rebase: fresh full, whole chain pruned
         assert_eq!((fulls(t.path()), deltas(t.path())), (1, 0));
-        assert_eq!(pe.checkpoint_tip(), Some(pe.next_seq() - 1));
+        assert_eq!(pe.shared().checkpoint_tip(), Some(pe.next_seq() - 1));
     }
 
     #[test]

@@ -309,8 +309,8 @@ fn scan_segment(path: &Path, mut on_record: impl FnMut(WalRecord, u64)) -> Resul
 /// Lists the segment files for `prefix` in `dir`, sorted by first
 /// sequence (encoded zero-padded in the name). The match is anchored to
 /// the exact segment-name shape — `<prefix><20 digits>.wal` — so the
-/// sequential prefix `wal-` does not swallow a `SharedWal`'s `wal-p3-`
-/// partition files living in the same directory.
+/// retired single-log prefix `wal-` does not swallow a `SharedWal`'s
+/// `wal-p3-` partition files living in the same directory.
 pub(crate) fn list_segments(dir: &Path, prefix: &str) -> Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let entries = std::fs::read_dir(dir).map_err(|e| io_err("wal dir", e))?;
@@ -352,11 +352,39 @@ fn existing_wal_partitions(dir: &Path) -> Result<Vec<usize>> {
     Ok(out)
 }
 
-/// Whether `dir` holds any WAL segment files at all — sequential
-/// (`wal-…`) or partitioned (`wal-p<i>-…`). Creation paths refuse such
-/// directories before publishing anything into them.
+/// Segment prefix of the retired single-log layout (`wal-<20 digits>`),
+/// which recovery no longer replays.
+const RETIRED_PREFIX: &str = "wal-";
+
+/// Whether `dir` holds any WAL segment files at all — partitioned
+/// (`wal-p<i>-…`) or of the retired single-log layout (`wal-…`).
+/// Creation paths refuse such directories before publishing anything
+/// into them.
 pub(crate) fn any_segments(dir: &Path) -> Result<bool> {
-    Ok(!list_segments(dir, "wal-")?.is_empty() || !existing_wal_partitions(dir)?.is_empty())
+    Ok(
+        !list_segments(dir, RETIRED_PREFIX)?.is_empty()
+            || !existing_wal_partitions(dir)?.is_empty(),
+    )
+}
+
+/// Refuses a directory holding segments of the retired single-log
+/// layout: opening it would restore `D` without that history. Only
+/// reads the directory.
+pub(crate) fn refuse_retired_layout(dir: &Path) -> Result<()> {
+    match list_segments(dir, RETIRED_PREFIX)?.first() {
+        Some(path) => Err(Error::Corrupt(format!(
+            "{} is a segment of the retired single-log WAL layout, which recovery \
+             no longer replays — opening would silently drop its history",
+            path.display()
+        ))),
+        None => Ok(()),
+    }
+}
+
+/// Path of the `prefix` segment whose first record is `first_seq` —
+/// the one definition of the segment file name.
+pub fn segment_path(dir: &Path, prefix: &str, first_seq: u64) -> PathBuf {
+    dir.join(format!("{prefix}{first_seq:020}.wal"))
 }
 
 /// Replays every complete record with `seq >= min_seq` for one WAL
@@ -388,41 +416,6 @@ pub fn replay(
                 )));
             }
             stats.torn_tail = true;
-        }
-    }
-    Ok(stats)
-}
-
-/// [`replay`] for a **dense-sequence** WAL (the sequential engine's,
-/// where every sequence from 0 was appended to this one prefix):
-/// additionally enforces that the replayed records are exactly
-/// `min_seq, min_seq+1, …` with no holes. A hole means a lost or deleted
-/// middle segment — silently rebuilding `D` without those events would
-/// break the recovery parity contract, so it is refused as
-/// [`Error::Corrupt`]. (Reclaimed segments never create holes here: they
-/// are only deleted up to a checkpoint, i.e. strictly below `min_seq`.)
-pub fn replay_contiguous(
-    dir: &Path,
-    prefix: &str,
-    min_seq: u64,
-    mut f: impl FnMut(WalRecord),
-) -> Result<ReplayStats> {
-    let mut expected = min_seq;
-    let stats = replay(dir, prefix, min_seq, |record| {
-        // Defer the error: replay's callback is infallible, so flag via
-        // the closure and re-check after. Records are seq-sorted, so the
-        // first mismatch is the smallest hole.
-        if record.seq == expected {
-            expected += 1;
-        }
-        f(record);
-    })?;
-    if let Some(last) = stats.last_seq {
-        if last >= min_seq && expected != last + 1 {
-            return Err(Error::Corrupt(format!(
-                "wal gap: expected contiguous sequences from {min_seq}, but replay jumped \
-                 at {expected} (log ends at {last}) — a middle segment is missing"
-            )));
         }
     }
     Ok(stats)
@@ -540,30 +533,17 @@ impl Wal {
     /// Callers replay first ([`replay`]), then open; the torn bytes the
     /// replay skipped are the same bytes this truncates.
     pub fn open(dir: &Path, prefix: &str, opts: WalOptions) -> Result<Wal> {
-        Self::open_with_floor(dir, prefix, opts, 0)
+        Self::open_with_vfs(dir, prefix, opts, std_vfs())
     }
 
-    /// [`Wal::open`] with a lower bound on the resumed sequence. Recovery
-    /// passes `checkpoint.last_seq + 1`: if every segment the checkpoint
-    /// covered has been reclaimed (an idle, fully-checkpointed log can
-    /// legitimately hold zero files), a plain scan would restart at 0 —
-    /// and new appends below the checkpoint's `last_seq` would be
-    /// silently skipped by the *next* recovery's `min_seq` filter. The
-    /// floor pins `next_seq` at or above what on-disk checkpoints claim
-    /// to cover, so sequences never regress.
-    pub fn open_with_floor(dir: &Path, prefix: &str, opts: WalOptions, floor: u64) -> Result<Wal> {
-        Self::open_with_floor_vfs(dir, prefix, opts, floor, std_vfs())
-    }
-
-    /// [`Wal::open_with_floor`] on an explicit I/O backend (see [`Vfs`]).
-    /// Tail repair (truncation + fsync of the torn newest segment) runs
+    /// [`Wal::open`] on an explicit I/O backend (see [`Vfs`]). Tail
+    /// repair (truncation + fsync of the torn newest segment) runs
     /// through the backend, so injected repair failures surface typed
     /// here instead of panicking later.
-    pub fn open_with_floor_vfs(
+    pub fn open_with_vfs(
         dir: &Path,
         prefix: &str,
         opts: WalOptions,
-        floor: u64,
         vfs: Arc<dyn Vfs>,
     ) -> Result<Wal> {
         std::fs::create_dir_all(dir).map_err(|e| io_err("wal dir create", e))?;
@@ -618,7 +598,7 @@ impl Wal {
             vfs,
             active: None,
             closed,
-            next_seq: next_seq.max(floor),
+            next_seq,
             appends_since_sync: 0,
             syncs: 0,
             scratch: Vec::new(),
@@ -820,7 +800,7 @@ impl Wal {
     /// [`Wal::append_with_seq`]); used by [`SharedWal`] when a globally
     /// assigned sequence could not be written even after a retry — the
     /// partition's durable tail must then end *below* the burned
-    /// sequence, so [`SharedWal::replay_merged`]'s gap check classifies
+    /// sequence, so [`SharedWal::replay_merged_fenced`]'s gap check classifies
     /// it as a tolerable tail loss instead of refusing recovery.
     fn poison(&mut self) {
         self.mark_poisoned("burned sequence", self.next_seq);
@@ -872,9 +852,7 @@ impl Wal {
 
     fn roll(&mut self, first_seq: u64) -> Result<()> {
         self.close_active()?;
-        let path = self
-            .dir
-            .join(format!("{}{:020}.wal", self.prefix, first_seq));
+        let path = segment_path(&self.dir, &self.prefix, first_seq);
         let mut file = self
             .vfs
             .create_new(&path)
@@ -1055,32 +1033,20 @@ pub struct SharedWal {
 #[must_use = "dropping the ticket before the store apply completes lets a fence cut between the WAL append and the apply"]
 pub struct ApplyTicket<'a> {
     pending: &'a [AtomicU64],
-    parts: TicketParts,
-}
-
-enum TicketParts {
-    One(usize),
-    Many(Vec<usize>),
+    parts: Vec<usize>,
 }
 
 impl Drop for ApplyTicket<'_> {
     fn drop(&mut self) {
-        match &self.parts {
-            TicketParts::One(p) => {
-                self.pending[*p].fetch_sub(1, Ordering::Release);
-            }
-            TicketParts::Many(ps) => {
-                for &p in ps {
-                    self.pending[p].fetch_sub(1, Ordering::Release);
-                }
-            }
+        for &p in &self.parts {
+            self.pending[p].fetch_sub(1, Ordering::Release);
         }
     }
 }
 
 impl SharedWal {
-    /// Prefix for partition `i`.
-    fn prefix(i: usize) -> String {
+    /// Segment-name prefix of partition `i`.
+    pub(crate) fn prefix(i: usize) -> String {
         format!("wal-p{i}-")
     }
 
@@ -1124,24 +1090,18 @@ impl SharedWal {
     /// exist for would silently drop the excess partitions' history, so
     /// it is refused.
     pub fn open(dir: &Path, parts: usize, opts: WalOptions) -> Result<SharedWal> {
-        Self::open_with_floor(dir, parts, opts, 0)
+        Self::open_with_floor_vfs(dir, parts, opts, 0, std_vfs())
     }
 
-    /// [`SharedWal::open`] with a lower bound on the resumed global
-    /// sequence — same contract as [`Wal::open_with_floor`]: recovery
-    /// passes `checkpoint.last_seq + 1` so fully-reclaimed partition logs
-    /// can never restart the sequence below what a checkpoint covers.
-    pub fn open_with_floor(
-        dir: &Path,
-        parts: usize,
-        opts: WalOptions,
-        floor: u64,
-    ) -> Result<SharedWal> {
-        Self::open_with_floor_vfs(dir, parts, opts, floor, std_vfs())
-    }
-
-    /// [`SharedWal::open_with_floor`] on an explicit I/O backend shared
-    /// by every partition WAL.
+    /// [`SharedWal::open`] on an explicit I/O backend shared by every
+    /// partition WAL, with a lower bound on the resumed global sequence.
+    /// Recovery passes the checkpoint's highest fence: if every segment
+    /// the checkpoint covered has been reclaimed (an idle,
+    /// fully-checkpointed log can legitimately hold zero files), a plain
+    /// scan would restart at 0 — and new appends below the checkpoint's
+    /// coverage would be silently skipped by the *next* recovery's fence
+    /// filter. The floor pins the sequence at or above what on-disk
+    /// checkpoints claim to cover, so sequences never regress.
     pub fn open_with_floor_vfs(
         dir: &Path,
         parts: usize,
@@ -1153,11 +1113,10 @@ impl SharedWal {
         Self::check_partition_count(dir, parts)?;
         let parts = (0..parts)
             .map(|i| {
-                Ok(Mutex::new(Wal::open_with_floor_vfs(
+                Ok(Mutex::new(Wal::open_with_vfs(
                     dir,
                     &Self::prefix(i),
                     opts,
-                    0,
                     Arc::clone(&vfs),
                 )?))
             })
@@ -1193,9 +1152,11 @@ impl SharedWal {
     }
 
     /// Appends `event` to the partition its target routes to, returning
-    /// the assigned global sequence.
+    /// the assigned global sequence: a one-event
+    /// [`SharedWal::append_batch`], under the same failure contract.
     pub fn append(&self, event: EdgeEvent) -> Result<u64> {
-        self.append_impl(event, false).map(|(seq, _)| seq)
+        self.append_batch_impl(std::slice::from_ref(&event), false)
+            .map(|(seq, _)| seq)
     }
 
     /// [`SharedWal::append`] that additionally registers the caller's
@@ -1205,51 +1166,29 @@ impl SharedWal {
     /// so a fence can never observe the sequence as durable while
     /// missing the in-flight apply.
     pub fn append_tracked(&self, event: EdgeEvent) -> Result<(u64, ApplyTicket<'_>)> {
-        let (seq, p) = self.append_impl(event, true)?;
-        Ok((
-            seq,
-            ApplyTicket {
-                pending: &self.pending,
-                parts: TicketParts::One(p),
-            },
-        ))
+        let (seq, parts) = self.append_batch_impl(std::slice::from_ref(&event), true)?;
+        Ok((seq, self.ticket(parts)))
     }
 
-    fn append_impl(&self, event: EdgeEvent, track: bool) -> Result<(u64, usize)> {
-        let p = route_partition(&event.dst, self.parts.len());
-        let mut wal = self.parts[p].lock();
-        // Assign inside the lock: this partition's sequences stay
-        // ascending no matter how appends interleave across partitions.
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let appended = match wal.append_with_seq(seq, event) {
-            Ok(()) => Ok(()),
-            Err(first) => {
-                // The global sequence is already consumed (other
-                // partitions may hold higher ones), so it must either
-                // land or become this partition's *permanent tail*: one
-                // retry against the rewound record boundary, and on a
-                // second failure the partition is poisoned. A poisoned
-                // partition's durable log ends below the burned
-                // sequence, which `replay_merged`'s gap check tolerates
-                // as a tail loss — without the poison, a later
-                // successful append above the hole would make recovery
-                // refuse the whole log as corrupt.
-                match wal.append_with_seq(seq, event) {
-                    Ok(()) => Ok(()),
-                    Err(_) => {
-                        wal.poison();
-                        Err(first)
-                    }
-                }
-            }
-        };
-        appended?;
-        if track {
-            // Still under the partition lock: a fence that later takes
-            // this lock is guaranteed to see the pending apply.
-            self.pending[p].fetch_add(1, Ordering::Relaxed);
+    fn ticket(&self, parts: Vec<usize>) -> ApplyTicket<'_> {
+        ApplyTicket {
+            pending: &self.pending,
+            parts,
         }
-        Ok((seq, p))
+    }
+
+    /// Returns the run `first..first + len` to the global counter after
+    /// an append that landed none of it (`wal` unpoisoned), provided no
+    /// later sequence was assigned since — always the case at one
+    /// partition, whose lock every assignment takes. The log is then
+    /// exactly as before the call, so the failure surfaces as retryable,
+    /// like a single [`Wal`]'s, instead of being retried here.
+    fn give_back(&self, wal: &Wal, first: u64, len: u64) -> bool {
+        !wal.poisoned
+            && self
+                .seq
+                .compare_exchange(first + len, first, Ordering::Relaxed, Ordering::Relaxed)
+                .is_ok()
     }
 
     /// Group commit across partitions: routes every event of `events` to
@@ -1264,18 +1203,25 @@ impl SharedWal {
     /// sub-batch keeps stream order), which is all `D` semantics need;
     /// *cross*-partition sequence interleaving differs from N single
     /// [`SharedWal::append`] calls — dense runs instead of round-robin —
-    /// but [`SharedWal::replay_merged`] orders by global sequence, so
+    /// but [`SharedWal::replay_merged_fenced`] orders by global sequence, so
     /// replay is deterministic either way.
     ///
-    /// A failed sub-batch is retried once from the exact record boundary
-    /// it reached; on a second failure the partition is poisoned so its
-    /// burned sequences read as that partition's tail loss at recovery
-    /// (same rationale as [`SharedWal::append`]). Earlier partitions'
-    /// sub-batches stay committed; like a failed single append, the
-    /// caller must treat the batch as indeterminate and restart through
-    /// recovery.
+    /// A sub-batch that fails before anything of the call landed hands
+    /// its sequences back when they are still the newest assigned (always
+    /// at one partition): the call is then a clean, retryable no-op.
+    /// Otherwise a failed sub-batch is retried once from the exact record
+    /// boundary it reached — its global sequences are consumed (another
+    /// partition holds a higher one), so they must land or become this
+    /// partition's *permanent tail*. On a second failure the partition
+    /// is poisoned: its durable log then ends below the burned
+    /// sequences, which [`SharedWal::replay_merged_fenced`]'s gap check
+    /// tolerates as a tail loss, where a later successful append above
+    /// the hole would make recovery refuse the whole log as corrupt.
+    /// Earlier partitions' sub-batches stay committed; the caller must
+    /// treat the batch as indeterminate and restart through recovery.
     pub fn append_batch(&self, events: &[EdgeEvent]) -> Result<u64> {
-        self.append_batch_impl(events, false).map(|(n, _)| n)
+        self.append_batch_impl(events, false)
+            .map(|_| events.len() as u64)
     }
 
     /// [`SharedWal::append_batch`] that registers the caller's upcoming
@@ -1286,20 +1232,18 @@ impl SharedWal {
     /// registrations are withdrawn: the caller restarts through
     /// recovery, so there is no apply for a fence to wait on.
     pub fn append_batch_tracked(&self, events: &[EdgeEvent]) -> Result<(u64, ApplyTicket<'_>)> {
-        let (n, touched) = self.append_batch_impl(events, true)?;
-        Ok((
-            n,
-            ApplyTicket {
-                pending: &self.pending,
-                parts: TicketParts::Many(touched),
-            },
-        ))
+        let (_, touched) = self.append_batch_impl(events, true)?;
+        Ok((events.len() as u64, self.ticket(touched)))
     }
 
+    /// The group commit behind every append: returns the highest
+    /// sequence the call assigned (0 for an empty call) and, when
+    /// `track`ing, the partitions holding a pending apply.
     fn append_batch_impl(&self, events: &[EdgeEvent], track: bool) -> Result<(u64, Vec<usize>)> {
         let mut touched: Vec<usize> = Vec::new();
+        let mut last = 0;
         if events.is_empty() {
-            return Ok((0, touched));
+            return Ok((last, touched));
         }
         // Pre-partition by route, preserving stream order within each
         // bucket. One pass; bucket storage is per call (amortized over
@@ -1308,6 +1252,7 @@ impl SharedWal {
         for &event in events {
             buckets[route_partition(&event.dst, self.parts.len())].push(event);
         }
+        let mut committed = false;
         for (p, bucket) in buckets.iter().enumerate() {
             if bucket.is_empty() {
                 continue;
@@ -1318,19 +1263,25 @@ impl SharedWal {
             // across partitions.
             let first = self.seq.fetch_add(bucket.len() as u64, Ordering::Relaxed);
             if let Err(first_err) = wal.append_batch_with_first_seq(first, bucket) {
-                // If nothing landed the partition is unpoisoned and the
-                // whole run retries once (the single-append contract). A
+                // While nothing of the call has landed, a still-newest run
+                // goes back to the counter and the call fails cleanly.
+                let given_back = !committed && self.give_back(&wal, first, bucket.len() as u64);
+                // Otherwise, if nothing of this run landed the partition
+                // is unpoisoned and the whole run retries once. A
                 // *partial* landing already poisoned the partition, so
-                // the retry below fails immediately and the second
-                // poison() is a no-op — either way a still-failing run's
-                // burned tail becomes this partition's permanent durable
-                // end, which recovery tolerates (see `SharedWal::append`).
-                let landed = (wal.next_seq().saturating_sub(first) as usize).min(bucket.len());
-                if wal
-                    .append_batch_with_first_seq(first + landed as u64, &bucket[landed..])
-                    .is_err()
-                {
-                    wal.poison();
+                // the retry fails immediately and the second poison() is
+                // a no-op — either way a still-failing run's burned tail
+                // becomes this partition's permanent durable end, which
+                // recovery tolerates (see `SharedWal::append`).
+                let retried = !given_back && {
+                    let landed = (wal.next_seq().saturating_sub(first) as usize).min(bucket.len());
+                    wal.append_batch_with_first_seq(first + landed as u64, &bucket[landed..])
+                        .is_ok()
+                };
+                if !retried {
+                    if !given_back {
+                        wal.poison();
+                    }
                     // Withdraw partial registrations: no apply will
                     // follow a failed batch, so leaving them would hang
                     // every future fence on the touched partitions.
@@ -1340,14 +1291,16 @@ impl SharedWal {
                     return Err(first_err);
                 }
             }
+            committed = true;
+            last = first + bucket.len() as u64 - 1;
             if track {
-                // Under the partition lock, same rationale as
-                // `append_tracked`.
+                // Still under the partition lock: a fence that later
+                // takes this lock is guaranteed to see the pending apply.
                 self.pending[p].fetch_add(1, Ordering::Relaxed);
                 touched.push(p);
             }
         }
-        Ok((events.len() as u64, touched))
+        Ok((last, touched))
     }
 
     /// The next global sequence to be assigned.
@@ -1359,6 +1312,19 @@ impl SharedWal {
     pub fn sync_all(&self) -> Result<()> {
         for p in &self.parts {
             p.lock().sync()?;
+        }
+        Ok(())
+    }
+
+    /// On-disk segment count across partitions.
+    pub(crate) fn segment_count(&self) -> usize {
+        self.parts.iter().map(|p| p.lock().segment_count()).sum()
+    }
+
+    /// Flushes and syncs (per policy) every partition, consuming the log.
+    pub(crate) fn close(self) -> Result<()> {
+        for p in self.parts {
+            p.into_inner().close()?;
         }
         Ok(())
     }
@@ -1425,20 +1391,12 @@ impl SharedWal {
     }
 
     /// Reclaims fully-pruned, fully-checkpointed segments on every
-    /// partition. Returns segments deleted.
-    pub fn reclaim_before(&self, cutoff: Timestamp, checkpoint_seq: u64) -> Result<usize> {
-        let mut removed = 0;
-        for p in &self.parts {
-            removed += p.lock().reclaim_before(cutoff, checkpoint_seq)?;
-        }
-        Ok(removed)
-    }
-
-    /// [`SharedWal::reclaim_before`] against a per-partition fence
-    /// vector: partition `i`'s segments are covered through
-    /// `fences[i] - 1`, so each partition reclaims against its *own*
-    /// fence instead of one global covered sequence. A zero fence means
-    /// the chain covers nothing of that partition — nothing reclaims.
+    /// partition against a per-partition fence vector: partition `i`'s
+    /// segments are covered through `fences[i] - 1` ([`Wal::reclaim_before`]),
+    /// so each partition reclaims against its *own* fence instead of one
+    /// global covered sequence. A zero fence means the chain covers
+    /// nothing of that partition — nothing reclaims. Returns segments
+    /// deleted.
     pub fn reclaim_before_fenced(&self, cutoff: Timestamp, fences: &[u64]) -> Result<usize> {
         assert_eq!(fences.len(), self.parts.len(), "fence vector length");
         let mut removed = 0;
@@ -1451,25 +1409,31 @@ impl SharedWal {
         Ok(removed)
     }
 
-    /// Replays all partitions' records with `seq >= min_seq`, merged into
-    /// global sequence order. Per-target order is what `D` semantics need
+    /// Replays all partitions' records, merged into global sequence
+    /// order, against a per-partition fence vector as recorded by a
+    /// non-quiescent checkpoint: partition `i` replays records with
+    /// `seq >= fences[i]`. Per-target order is what `D` semantics need
     /// and per-partition order already provides it (targets are
     /// partition-sticky); the global sort additionally makes replay
     /// deterministic.
     ///
     /// Gap detection: global sequences are assigned densely across
-    /// partitions, so after merging, every sequence in
-    /// `[min_seq, min-over-partitions(last durable seq)]` must be
-    /// present. A sequence missing from that range cannot be any
+    /// partitions. Sequences below `max(fences)` are legitimately absent
+    /// from the merge (each is either covered by its own partition's
+    /// fence or belongs to another partition entirely), so density is
+    /// demanded on `[max(fences), min-over-partitions(last durable
+    /// seq)]`, where every surviving sequence must appear regardless of
+    /// routing. A sequence missing from that range cannot be any
     /// partition's torn/unsynced tail (every partition's log provably
     /// extends past it), so it means a lost or deleted middle segment —
     /// refused as [`Error::Corrupt`] rather than silently rebuilding `D`
     /// without that history. Gaps *above* the minimum tail are tolerated:
     /// they are exactly the crash signature of independently-synced
-    /// partition tails. The check only runs when every partition holds at
-    /// least one surviving record — a record-less partition's losses are
-    /// indistinguishable from never-routed silence, so any hole could be
-    /// its lost tail.
+    /// partition tails. At one partition this is plain contiguity from
+    /// the fence to the log's end. The check only runs when every
+    /// partition holds at least one surviving record — a record-less
+    /// partition's losses are indistinguishable from never-routed
+    /// silence, so any hole could be its lost tail.
     ///
     /// Memory: the merge materializes every replayed record before
     /// sorting, so peak memory is O(records past the checkpoint) —
@@ -1477,27 +1441,6 @@ impl SharedWal {
     /// With checkpoints disabled (`checkpoint_every = 0`) it is the whole
     /// history; a streaming k-way merge is the upgrade path if that
     /// configuration ever needs large logs.
-    pub fn replay_merged(
-        dir: &Path,
-        parts: usize,
-        min_seq: u64,
-        f: impl FnMut(WalRecord),
-    ) -> Result<ReplayStats> {
-        Self::replay_merged_fenced(dir, parts, &vec![min_seq; parts], f)
-    }
-
-    /// [`SharedWal::replay_merged`] against a per-partition fence
-    /// vector, as recorded by a non-quiescent checkpoint: partition
-    /// `i` replays records with `seq >= fences[i]`.
-    ///
-    /// The density check adapts to the cut's shape: sequences below
-    /// `max(fences)` are legitimately absent from the merge (each is
-    /// either covered by its own partition's fence or belongs to another
-    /// partition entirely), so density is demanded only on
-    /// `[max(fences), min-over-partitions(last durable seq)]`, where
-    /// every surviving sequence must appear regardless of routing. With
-    /// a uniform fence vector this degenerates to exactly the
-    /// single-`min_seq` check.
     pub fn replay_merged_fenced(
         dir: &Path,
         parts: usize,
@@ -1749,7 +1692,8 @@ mod tests {
         shared.sync_all().unwrap();
         drop(shared);
         let mut records = Vec::new();
-        let stats = SharedWal::replay_merged(t.path(), 4, 0, |r| records.push(r)).unwrap();
+        let stats =
+            SharedWal::replay_merged_fenced(t.path(), 4, &[0; 4], |r| records.push(r)).unwrap();
         assert_eq!(stats.records, 500);
         assert!(records.windows(2).all(|w| w[0].seq < w[1].seq));
         // Per-target stickiness: each target's records live in one prefix.
@@ -1760,27 +1704,52 @@ mod tests {
     }
 
     #[test]
-    fn missing_middle_segment_is_a_gap_for_contiguous_replay() {
+    fn missing_middle_segment_is_a_gap_at_one_partition() {
         let t = TempDir::new("wal");
         let opts = WalOptions {
             segment_bytes: 128,
             ..WalOptions::default()
         };
-        let mut wal = Wal::create(t.path(), "wal-", opts).unwrap();
+        let shared = SharedWal::create(t.path(), 1, opts).unwrap();
         for i in 0..100 {
-            wal.append(ev(i)).unwrap();
+            shared.append(ev(i)).unwrap();
         }
-        wal.close().unwrap();
-        let segments = list_segments(t.path(), "wal-").unwrap();
+        shared.close().unwrap();
+        let segments = list_segments(t.path(), &SharedWal::prefix(0)).unwrap();
         assert!(segments.len() >= 3);
         std::fs::remove_file(&segments[1]).unwrap();
         // Plain replay (the sparse-sequence per-partition primitive)
         // cannot see the hole…
-        assert!(replay(t.path(), "wal-", 0, |_| {}).is_ok());
-        // …but the dense-sequence recovery path refuses it.
-        let err = replay_contiguous(t.path(), "wal-", 0, |_| {}).unwrap_err();
+        assert!(replay(t.path(), &SharedWal::prefix(0), 0, |_| {}).is_ok());
+        // …but the merged recovery path refuses it: one partition's log
+        // must be dense from the fence to its end.
+        let err = SharedWal::replay_merged_fenced(t.path(), 1, &[0], |_| {}).unwrap_err();
         assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
         assert!(err.to_string().contains("gap"), "{err}");
+    }
+
+    #[test]
+    fn one_partition_failed_append_gives_its_sequences_back() {
+        use crate::vfs::{FaultPlan, FaultVfs};
+        let t = TempDir::new("wal");
+        let fv = FaultVfs::new_disarmed(FaultPlan::fail_nth_write(1));
+        let shared =
+            SharedWal::create_with_vfs(t.path(), 1, WalOptions::default(), Arc::new(fv.clone()))
+                .unwrap();
+        shared.append_batch(&[ev(0), ev(1)]).unwrap();
+        fv.set_armed(true);
+        // The failed call lands nothing, so it hands its run back and
+        // surfaces the error instead of retrying behind the caller…
+        assert!(shared.append_batch(&[ev(2), ev(3)]).is_err());
+        assert_eq!(fv.fired_count(), 1);
+        assert_eq!(shared.next_seq(), 2);
+        // …and stays as retryable as a single log's failed append.
+        shared.append_batch(&[ev(2), ev(3)]).unwrap();
+        shared.append(ev(4)).unwrap();
+        shared.close().unwrap();
+        let mut seqs = Vec::new();
+        SharedWal::replay_merged_fenced(t.path(), 1, &[0], |r| seqs.push(r.seq)).unwrap();
+        assert_eq!(seqs, (0..5).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -1790,32 +1759,34 @@ mod tests {
             segment_bytes: 128,
             ..WalOptions::default()
         };
-        let mut wal = Wal::create(t.path(), "wal-", opts).unwrap();
+        let shared = SharedWal::create(t.path(), 1, opts).unwrap();
         for i in 0..50 {
-            wal.append(ev(i)).unwrap();
+            shared.append(ev(i)).unwrap();
         }
-        wal.close().unwrap();
         // Checkpoint covered everything, window long passed: every
         // segment is reclaimable and the directory legitimately empties.
-        let mut wal = Wal::open(t.path(), "wal-", opts).unwrap();
-        assert!(wal.reclaim_before(ts(1_000), 49).unwrap() > 0);
-        assert_eq!(wal.segment_count(), 0);
-        drop(wal);
-        assert!(list_segments(t.path(), "wal-").unwrap().is_empty());
+        shared.close().unwrap();
+        let shared = SharedWal::open(t.path(), 1, opts).unwrap();
+        assert!(shared.reclaim_before_fenced(ts(1_000), &[50]).unwrap() > 0);
+        assert_eq!(shared.segment_count(), 0);
+        drop(shared);
+        assert!(list_segments(t.path(), &SharedWal::prefix(0))
+            .unwrap()
+            .is_empty());
         // A plain scan restarts at 0 — that is the hazard the floor
         // exists for: new appends below the checkpoint's coverage would
-        // be skipped by the next recovery's min_seq filter.
-        assert_eq!(Wal::open(t.path(), "wal-", opts).unwrap().next_seq(), 0);
-        let mut wal = Wal::open_with_floor(t.path(), "wal-", opts, 50).unwrap();
-        assert_eq!(wal.next_seq(), 50);
-        assert_eq!(wal.append(ev(50)).unwrap(), 50);
-        wal.close().unwrap();
+        // be skipped by the next recovery's fence filter.
+        assert_eq!(SharedWal::open(t.path(), 1, opts).unwrap().next_seq(), 0);
+        let open_at = |floor| SharedWal::open_with_floor_vfs(t.path(), 1, opts, floor, std_vfs());
+        let shared = open_at(50).unwrap();
+        assert_eq!(shared.next_seq(), 50);
+        assert_eq!(shared.append(ev(50)).unwrap(), 50);
+        shared.close().unwrap();
         // The new record is visible to a replay resuming past the
         // checkpoint, and the floor is a no-op when the scan is ahead.
-        let (records, _) = collect(t.path(), "wal-", 50);
+        let (records, _) = collect(t.path(), &SharedWal::prefix(0), 50);
         assert_eq!(records.len(), 1);
-        let wal = Wal::open_with_floor(t.path(), "wal-", opts, 7).unwrap();
-        assert_eq!(wal.next_seq(), 51);
+        assert_eq!(open_at(7).unwrap().next_seq(), 51);
     }
 
     #[test]
@@ -1840,7 +1811,7 @@ mod tests {
         std::fs::remove_file(&victim[1]).unwrap();
         // …but the merged view knows the lost records sit below every
         // partition's durable tail and refuses.
-        let err = SharedWal::replay_merged(t.path(), 4, 0, |_| {}).unwrap_err();
+        let err = SharedWal::replay_merged_fenced(t.path(), 4, &[0; 4], |_| {}).unwrap_err();
         assert!(matches!(err, Error::Corrupt(_)), "{err:?}");
         assert!(err.to_string().contains("gap"), "{err}");
     }
@@ -1865,7 +1836,7 @@ mod tests {
         assert!(segs.len() >= 2);
         std::fs::remove_file(segs.last().unwrap()).unwrap();
         let mut n = 0u64;
-        let stats = SharedWal::replay_merged(t.path(), 4, 0, |_| n += 1).unwrap();
+        let stats = SharedWal::replay_merged_fenced(t.path(), 4, &[0; 4], |_| n += 1).unwrap();
         assert!(n < 500, "tail records are gone");
         assert_eq!(stats.records, n);
     }
@@ -1891,7 +1862,7 @@ mod tests {
             std::fs::remove_file(seg).unwrap();
         }
         let mut n = 0u64;
-        let stats = SharedWal::replay_merged(t.path(), 4, 0, |_| n += 1).unwrap();
+        let stats = SharedWal::replay_merged_fenced(t.path(), 4, &[0; 4], |_| n += 1).unwrap();
         assert!(n > 0 && n < 500);
         assert_eq!(stats.records, n);
     }
@@ -1931,8 +1902,9 @@ mod tests {
             shared.append(ev(i)).unwrap();
         }
         drop(shared);
-        // `wal-` must not match `wal-p0-…`: a sequential WAL can be
-        // created beside partition logs and sees only its own records.
+        // `wal-` must not match `wal-p0-…`: the retired-layout check
+        // (and a plain `wal-` log beside partition logs) sees only
+        // `wal-<20 digits>` segments.
         let mut seq = Wal::create(t.path(), "wal-", WalOptions::default()).unwrap();
         seq.append(ev(0)).unwrap();
         seq.close().unwrap();
@@ -1951,7 +1923,7 @@ mod tests {
         // Fewer partitions than the directory holds: silently dropping
         // p2/p3's history is refused…
         assert!(SharedWal::open(t.path(), 2, WalOptions::default()).is_err());
-        assert!(SharedWal::replay_merged(t.path(), 2, 0, |_| {}).is_err());
+        assert!(SharedWal::replay_merged_fenced(t.path(), 2, &[0; 2], |_| {}).is_err());
         // …while the true count (or a larger one) still opens.
         assert!(SharedWal::open(t.path(), 4, WalOptions::default()).is_ok());
         assert!(SharedWal::open(t.path(), 8, WalOptions::default()).is_ok());
@@ -2139,7 +2111,8 @@ mod tests {
         }
         // Merged replay is gap-free and complete.
         let mut n = 0u64;
-        let stats = SharedWal::replay_merged(t_batch.path(), 4, 0, |_| n += 1).unwrap();
+        let stats =
+            SharedWal::replay_merged_fenced(t_batch.path(), 4, &[0; 4], |_| n += 1).unwrap();
         assert_eq!(n, 500);
         assert!(!stats.torn_tail);
         let reopened = SharedWal::open(t_batch.path(), 4, opts).unwrap();
@@ -2258,7 +2231,7 @@ mod tests {
         // durable tail — the uniform-replay guarantee, preserved.
         let uniform: Vec<u64> = {
             let mut v = Vec::new();
-            SharedWal::replay_merged(t.path(), 2, f0, |r| v.push(r.seq)).unwrap();
+            SharedWal::replay_merged_fenced(t.path(), 2, &[f0; 2], |r| v.push(r.seq)).unwrap();
             v
         };
         let fenced_above: Vec<u64> = seqs.iter().copied().filter(|&s| s >= f0).collect();

@@ -172,7 +172,7 @@ proptest! {
         }
         let mut n = 0u64;
         let mut last: Option<u64> = None;
-        let stats = SharedWal::replay_merged(t_batch.path(), parts, 0, |r| {
+        let stats = SharedWal::replay_merged_fenced(t_batch.path(), parts, &vec![0; parts], |r| {
             assert!(last.is_none_or(|l| l < r.seq), "merged replay out of order");
             last = Some(r.seq);
             n += 1;

@@ -1,9 +1,10 @@
 //! Crash-recovery kill-point matrix: truncate the WAL at **every** record
 //! boundary of a long replay, recover, and assert candidate-stream parity
-//! with an uninterrupted run — for both persistent wrappers of the one
-//! [`ConcurrentEngine`]: the single-owner [`PersistentEngine`] (one dense
-//! WAL) and the shared [`PersistentConcurrentEngine`] (per-partition
-//! WALs).
+//! with an uninterrupted run — for the single-owner [`PersistentEngine`]
+//! (one WAL partition, inline checkpoints) and the shared
+//! [`PersistentConcurrentEngine`] at four partitions. The uninterrupted
+//! run is a [`ConcurrentEngine`] twin, itself checked once per fixture
+//! against the independent brute-force [`BatchOracle`].
 //!
 //! Parity argument: recovery at boundary `k` must be semantically
 //! identical to an uninterrupted engine that has processed exactly `k`
@@ -23,12 +24,14 @@
 //! reduced in debug so tier-1 `cargo test` stays fast.
 //! `MAGICRECS_KILLPOINT_FULL=1` forces the full matrix anywhere.
 
+use magicrecs_baseline::BatchOracle;
 use magicrecs_core::ConcurrentEngine;
 use magicrecs_graph::{CapStrategy, FollowGraph, GraphBuilder, GraphDelta};
 use magicrecs_persist::wal::record_boundaries;
 use magicrecs_persist::{
     FaultMode, FaultOp, FaultPlan, FaultSpec, FaultVfs, FsyncPolicy, PersistOptions,
-    PersistentConcurrentEngine, PersistentEngine, RecordBoundary, SharedWal, TempDir,
+    PersistentConcurrentEngine, PersistentEngine, RecordBoundary, SharedWal, SnapshotStore,
+    TempDir, Wal, WalOptions,
 };
 use magicrecs_types::{Candidate, DetectorConfig, EdgeEvent, Error, Timestamp, UserId};
 use std::fs::OpenOptions;
@@ -95,6 +98,20 @@ fn opts() -> PersistOptions {
         checkpoint_every: 512,
         rebase: magicrecs_persist::RebasePolicy::DISABLED,
     }
+}
+
+/// Pins the matrices' reference stream — a [`ConcurrentEngine`] twin —
+/// to the independent brute-force oracle on the same graph and trace,
+/// so a bug the twin shares with the persistent engines cannot hide.
+fn assert_reference_matches_oracle(events: &[EdgeEvent], per_event: &[Vec<Candidate>]) {
+    let oracle = BatchOracle::new(config())
+        .unwrap()
+        .replay(&motif_graph(), events);
+    assert_eq!(
+        per_event.concat(),
+        oracle,
+        "engine twin diverges from the oracle"
+    );
 }
 
 /// Wipes `to` and re-copies every file from `from`.
@@ -209,6 +226,7 @@ fn kill_point_matrix_sequential() {
     // Uninterrupted reference run, per-event candidates recorded.
     let reference = ConcurrentEngine::new(motif_graph(), cfg).unwrap();
     let per_event: Vec<Vec<Candidate>> = events.iter().map(|&e| reference.on_event(e)).collect();
+    assert_reference_matches_oracle(&events, &per_event);
     let fired = per_event.iter().filter(|c| !c.is_empty()).count();
     assert!(
         fired * 5 > n,
@@ -237,7 +255,7 @@ fn kill_point_matrix_sequential() {
     }
     pe.close().unwrap();
 
-    let boundaries = record_boundaries(live.path(), "wal-").unwrap();
+    let boundaries = SharedWal::record_boundaries(live.path(), 1).unwrap();
     assert_eq!(boundaries.len(), n, "every event logs one record");
 
     let scratch = TempDir::new("kp-seq-scratch");
@@ -301,6 +319,7 @@ fn kill_point_slice_batched_group_commit() {
 
     let reference = ConcurrentEngine::new(motif_graph(), cfg).unwrap();
     let per_event: Vec<Vec<Candidate>> = events.iter().map(|&e| reference.on_event(e)).collect();
+    assert_reference_matches_oracle(&events, &per_event);
 
     let live = TempDir::new("kp-gc");
     let manual = PersistOptions {
@@ -331,7 +350,7 @@ fn kill_point_slice_batched_group_commit() {
 
     // Group commit is byte-compatible with single appends, so the
     // boundary scan sees one record per event, exactly like the matrix.
-    let boundaries = record_boundaries(live.path(), "wal-").unwrap();
+    let boundaries = SharedWal::record_boundaries(live.path(), 1).unwrap();
     assert_eq!(boundaries.len(), n);
 
     let scratch = TempDir::new("kp-gc-scratch");
@@ -378,6 +397,7 @@ fn kill_point_matrix_concurrent() {
 
     let reference = ConcurrentEngine::new(motif_graph(), cfg).unwrap();
     let per_event: Vec<Vec<Candidate>> = events.iter().map(|&e| reference.on_event(e)).collect();
+    assert_reference_matches_oracle(&events, &per_event);
 
     let live = TempDir::new("kp-conc");
     let archive_dir = TempDir::new("kp-conc-ckpts");
@@ -962,21 +982,21 @@ fn refused_graph_delta_is_not_made_durable() {
     let good = GraphDelta::new(0, 1, vec![(u(0), u(106))], vec![]).unwrap();
 
     let t = TempDir::new("refused-delta-seq");
-    let mut pe = PersistentEngine::create(t.path(), motif_graph(), 0, config(), opts()).unwrap();
-    assert!(pe.publish_graph_delta(&bad).is_err());
-    assert_eq!(pe.epoch(), 0);
+    let pe = PersistentEngine::create(t.path(), motif_graph(), 0, config(), opts()).unwrap();
+    assert!(pe.shared().publish_graph_delta(&bad).is_err());
+    assert_eq!(pe.shared().epoch(), 0);
     assert_eq!(delta_files(t.path()), 0, "refused delta reached disk");
     pe.close().unwrap();
-    let (mut pe, report) =
+    let (pe, report) =
         PersistentEngine::open(t.path(), config(), CapStrategy::None, opts()).unwrap();
     assert_eq!(report.snapshot_epoch, 0);
-    pe.publish_graph_delta(&good).unwrap();
-    assert_eq!(pe.epoch(), 1);
+    pe.shared().publish_graph_delta(&good).unwrap();
+    assert_eq!(pe.shared().epoch(), 1);
     assert_eq!(delta_files(t.path()), 1);
     pe.close().unwrap();
     let (pe, report) =
         PersistentEngine::open(t.path(), config(), CapStrategy::None, opts()).unwrap();
-    assert_eq!((pe.epoch(), report.deltas_applied), (1, 1));
+    assert_eq!((pe.shared().epoch(), report.deltas_applied), (1, 1));
 
     let t = TempDir::new("refused-delta-conc");
     let pe = PersistentConcurrentEngine::create(t.path(), motif_graph(), 0, config(), 2, opts())
@@ -995,4 +1015,49 @@ fn refused_graph_delta_is_not_made_durable() {
     let (pe, report) =
         PersistentConcurrentEngine::open(t.path(), config(), CapStrategy::None, 2, opts()).unwrap();
     assert_eq!((pe.epoch(), report.deltas_applied), (1, 1));
+}
+
+/// A directory in the retired single-log layout (`wal-<20 digits>.wal`
+/// segments) is refused with a typed error naming the segment — never
+/// restored without that history — and the refusal touches nothing, not
+/// even the `.tmp` leftovers recovery would otherwise sweep.
+#[test]
+fn open_refuses_retired_single_log_layout() {
+    let t = TempDir::new("retired-layout");
+    SnapshotStore::new(t.path())
+        .unwrap()
+        .publish_base(0, &motif_graph())
+        .unwrap();
+    let mut old = Wal::create(t.path(), "wal-", WalOptions::default()).unwrap();
+    for &e in &matrix_trace(20) {
+        old.append(e).unwrap();
+    }
+    old.close().unwrap();
+    std::fs::write(t.path().join("d-ckpt-interrupted.tmp"), b"torn").unwrap();
+    let listing = || {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(t.path())
+            .unwrap()
+            .map(|e| {
+                let e = e.unwrap();
+                let name = e.file_name().to_string_lossy().into_owned();
+                (name, std::fs::read(e.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    };
+    let before = listing();
+
+    let err = PersistentEngine::open(t.path(), config(), CapStrategy::None, opts())
+        .err()
+        .expect("retired layout must be refused");
+    assert!(
+        matches!(&err, Error::Corrupt(msg) if msg.contains("wal-00000000000000000000.wal")),
+        "typed refusal naming the segment: {err:?}"
+    );
+    assert_eq!(
+        listing(),
+        before,
+        "refusal must leave the directory as it was"
+    );
 }

@@ -21,13 +21,13 @@
 //! ```
 //!
 //! Each node ([`Node`]) hosts one **unit** per partition it replicates:
-//! a `PersistentEngine` (WAL + incremental checkpoints + live detector)
-//! fenced by an `EpochGate`. Followers tail the leader's `MGWL`
-//! segments (`SegmentsReq`/`SegmentFetch`), re-validate every CRC and
-//! sequence through `ShipDecoder`, and append through their *own*
-//! engine — so a follower is always exactly "the leader at sequence
-//! `d`" for its durable watermark `d`, and promotion is just flipping
-//! the gate.
+//! a `PersistentEngine` (one `wal-p0-` WAL partition + incremental
+//! checkpoints + live detector) fenced by an `EpochGate`. Followers
+//! tail the leader's `MGWL` segments (`SegmentsReq`/`SegmentFetch`),
+//! re-validate every CRC and sequence through `ShipDecoder`, and
+//! append through their *own* engine — so a follower is always exactly
+//! "the leader at sequence `d`" for its durable watermark `d`, and
+//! promotion is just flipping the gate.
 //!
 //! ## Replication contract
 //!
@@ -88,4 +88,4 @@ pub use client::RoutedClient;
 pub use config::{ClusterMap, NodeSpec, PartitionSpec};
 pub use coordinator::Coordinator;
 pub use metrics::{replica_metrics, ReplicaMetrics};
-pub use node::{fixture_graph, Node, NodeConfig, NodeHandle, UnitState, WAL_PREFIX};
+pub use node::{fixture_graph, Node, NodeConfig, NodeHandle, UnitState};

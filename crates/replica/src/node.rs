@@ -1,9 +1,10 @@
 //! The replica node runtime: a blocking, thread-per-connection server
 //! hosting one **partition unit** per partition this node replicates.
 //!
-//! A unit is a [`PersistentEngine`] (WAL + incremental checkpoints +
-//! detector state) fenced by an [`EpochGate`]. The same unit serves in
-//! both roles:
+//! A unit is a [`PersistentEngine`] — the one persistent engine at a
+//! single WAL partition (`wal-p0-` segments, incremental checkpoints,
+//! detector state) — behind a `Mutex` and fenced by an [`EpochGate`].
+//! The same unit serves in both roles:
 //!
 //! * **leading** — `RouteBind`/`Ingest` are admitted through the gate,
 //!   applied with group commit (`FsyncPolicy::Always`, so the durable
@@ -21,7 +22,9 @@
 //!
 //! Both roles serve the read-only shipping plane (`SegmentsReq` /
 //! `SegmentFetch` / `StateListReq` / `StateFetch`), so a rebalance
-//! target can bootstrap from whichever replica is cheapest.
+//! target can bootstrap from whichever replica is cheapest. The segment
+//! names come from `magicrecs-persist` ([`PersistentEngine::wal_prefix`],
+//! [`segment_path`]); this module never spells them out.
 //! `SegmentsReq` is a long-poll: when the unit holds nothing past the
 //! requested sequence, the reply waits until the next batch is durable
 //! or [`NodeConfig::poll_interval`] expires.
@@ -30,12 +33,13 @@
 //!
 //! "Acked" means the client saw `IngestAck` — so a batch admitted
 //! before a demotion must either complete *and be counted in the fence
-//! the coordinator waits on*, or be refused. The ingest path therefore
-//! re-checks the gate **inside** the engine lock, and `RoleChange
-//! {leader: false}` takes the engine lock *before* flipping the gate:
-//! any in-flight batch finishes first (and is covered by the returned
-//! fence), and any batch still waiting on the lock re-checks the gate
-//! and is refused. Nothing is ever acked above the fence.
+//! the coordinator waits on*, or be refused. The unit's engine `Mutex`
+//! is that fence, not a leftover of a single-threaded engine: the
+//! ingest path re-checks the gate **inside** the engine lock, and
+//! `RoleChange{leader: false}` takes the engine lock *before* flipping
+//! the gate: any in-flight batch finishes first (and is covered by the
+//! returned fence), and any batch still waiting on the lock re-checks
+//! the gate and is refused. Nothing is ever acked above the fence.
 //!
 //! ## Promotion
 //!
@@ -60,6 +64,7 @@ use magicrecs_gen::{GraphGen, GraphGenConfig};
 use magicrecs_graph::{CapStrategy, FollowGraph};
 use magicrecs_obs::recorder;
 use magicrecs_obs::TraceKind;
+use magicrecs_persist::wal::segment_path;
 use magicrecs_persist::{segment_catalog, FsyncPolicy, PersistOptions, PersistentEngine};
 use magicrecs_server::wire::{decode, encode, Frame, ReplStatus, WireErrorCode, MAX_CHUNK_LEN};
 use magicrecs_types::{DetectorConfig, Error, Result, Timestamp, UserId};
@@ -67,10 +72,6 @@ use magicrecs_types::{DetectorConfig, Error, Result, Timestamp, UserId};
 use crate::config::ClusterMap;
 use crate::metrics::{replica_metrics, ReplicaMetrics};
 use crate::tail::{start_tail, TailHandle};
-
-/// On-disk WAL segment prefix — the MGWL naming contract
-/// (`wal-<20-digit first seq>.wal`) shared with `magicrecs-persist`.
-pub const WAL_PREFIX: &str = "wal-";
 
 /// Everything a node process needs to come up.
 #[derive(Debug, Clone)]
@@ -640,7 +641,7 @@ fn handle_frame(
             // Long-poll: a caught-up follower gets its reply when the
             // next batch is durable, not on its next timer tick.
             unit.wait_past(from_seq, inner.cfg.poll_interval, &inner.shutdown);
-            let catalog = segment_catalog(&unit.dir, WAL_PREFIX)?;
+            let catalog = segment_catalog(&unit.dir, &PersistentEngine::wal_prefix())?;
             let segments = catalog.iter().map(|s| (s.first_seq, s.bytes)).collect();
             send(
                 stream,
@@ -664,8 +665,8 @@ fn handle_frame(
                 )?;
                 return Ok(true);
             };
-            let name = format!("{WAL_PREFIX}{first_seq:020}.wal");
-            let bytes = read_slice(&unit.dir.join(&name), offset, max_len)?;
+            let path = segment_path(&unit.dir, &PersistentEngine::wal_prefix(), first_seq);
+            let bytes = read_slice(&path, offset, max_len)?;
             match bytes {
                 Some(bytes) => send(
                     stream,
@@ -679,7 +680,7 @@ fn handle_frame(
                 None => reply_err(
                     stream,
                     WireErrorCode::Internal,
-                    format!("no such segment {name}"),
+                    format!("no such segment {}", path.display()),
                 )?,
             }
         }

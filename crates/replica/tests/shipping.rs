@@ -201,7 +201,7 @@ fn follower_refuses_history_gap_with_typed_trace() {
         }
         engine.checkpoint().unwrap();
         assert!(
-            engine.wal_segments() > 2,
+            engine.shared().wal_segments() > 2,
             "need several segments to punch a hole"
         );
         engine.close().unwrap();
