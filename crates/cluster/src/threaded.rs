@@ -97,37 +97,41 @@ pub struct ThreadedRunReport {
     /// Events broadcast (per partition).
     pub events: u64,
     /// Wall-clock time from first send to last gather.
-    pub wall: std::time::Duration,
+    pub wall: Duration,
+}
+
+/// `n` per second of `wall` (infinite for a zero-length run).
+fn per_sec(n: f64, wall: Duration) -> f64 {
+    if wall.as_secs_f64() > 0.0 {
+        n / wall.as_secs_f64()
+    } else {
+        f64::INFINITY
+    }
 }
 
 impl ThreadedRunReport {
     /// Aggregate events processed per second across all partitions
     /// (events × partitions / wall).
     pub fn aggregate_events_per_sec(&self, partitions: usize) -> f64 {
-        if self.wall.as_secs_f64() > 0.0 {
-            (self.events as f64 * partitions as f64) / self.wall.as_secs_f64()
-        } else {
-            f64::INFINITY
-        }
+        per_sec(self.events as f64 * partitions as f64, self.wall)
     }
 
     /// Stream-rate throughput: distinct events per second the cluster
     /// keeps up with.
     pub fn stream_events_per_sec(&self) -> f64 {
-        if self.wall.as_secs_f64() > 0.0 {
-            self.events as f64 / self.wall.as_secs_f64()
-        } else {
-            f64::INFINITY
-        }
+        per_sec(self.events as f64, self.wall)
     }
 }
 
 /// Outcome of a durable shared-engine run
-/// ([`SharedEngineCluster::run_trace_persistent`]).
+/// ([`SharedEngineCluster::run_trace_persistent`]). The candidates went
+/// to the run's sink, batch by batch; the report keeps none of them.
 #[derive(Debug, Clone)]
 pub struct PersistentRunReport {
-    /// The threaded run outcome (candidates, events, wall).
-    pub run: ThreadedRunReport,
+    /// Events sent to the workers.
+    pub events: u64,
+    /// Wall-clock time from first send to the last worker's exit.
+    pub wall: Duration,
     /// Checkpoints the background [`CheckpointDriver`] completed while
     /// the workers ingested (plus the catch-up cut at drain, if the
     /// cadence demanded one).
@@ -137,6 +141,14 @@ pub struct PersistentRunReport {
     /// poll, so a non-zero count with a clean run means degraded
     /// reclamation, not lost data.
     pub checkpoint_failures: u64,
+}
+
+impl PersistentRunReport {
+    /// Stream-rate throughput: distinct events per second the cluster
+    /// keeps up with.
+    pub fn stream_events_per_sec(&self) -> f64 {
+        per_sec(self.events as f64, self.wall)
+    }
 }
 
 /// A cluster of partition worker threads.
@@ -394,16 +406,23 @@ impl SharedEngineCluster {
     /// routing equals partition routing, so at most the one worker whose
     /// targets are being exported waits.
     ///
+    /// Each worker hands `sink` the candidates of every drained batch, in
+    /// event order within the batch, and keeps nothing: a caller that
+    /// wants the stream collects it (batches from different workers
+    /// interleave), a throughput-only caller counts or drops it. The
+    /// candidates are those of [`SharedEngineCluster::run_trace`] and of
+    /// a single-thread engine.
+    ///
     /// After the stream drains, the driver is given a bounded grace
     /// period to bring the chain tip within one cadence of the durable
     /// tail (so a restart replays at most `checkpoint_every` events),
-    /// then the WAL is synced. Candidates are identical to
-    /// [`SharedEngineCluster::run_trace`] and to a single-thread engine.
+    /// then the WAL is synced.
     pub fn run_trace_persistent(
         &self,
         dir: &Path,
         opts: PersistOptions,
         events: &[EdgeEvent],
+        sink: impl Fn(&[Candidate]) + Sync,
     ) -> Result<PersistentRunReport> {
         let engine = Arc::new(PersistentConcurrentEngine::create(
             dir,
@@ -424,65 +443,51 @@ impl SharedEngineCluster {
             )
         });
 
-        let (result_tx, result_rx) = channel::unbounded::<Result<Vec<Candidate>>>();
-        let mut senders = Vec::with_capacity(self.workers);
-        let mut joins = Vec::with_capacity(self.workers);
-        for _ in 0..self.workers {
-            let (tx, rx) = channel::bounded::<EdgeEvent>(4096);
-            let engine = Arc::clone(&engine);
-            let result_tx = result_tx.clone();
-            let max_batch = self.max_batch;
-            senders.push(tx);
-            joins.push(thread::spawn(move || {
-                let mut local_out = Vec::new();
-                let mut batch = Vec::with_capacity(max_batch);
-                let mut outcome = Ok(());
-                while drain_batch(&rx, &mut batch, max_batch) {
-                    // WAL append + store apply. A persistence fault
-                    // poisons the WAL (every later append is refused), so
-                    // stop draining and surface the first error.
-                    if let Err(e) = engine.on_events_into(&batch, &mut local_out) {
-                        outcome = Err(e);
-                        break;
+        let (sent, ingest_closed, outcomes, wall) = thread::scope(|scope| {
+            let mut senders = Vec::with_capacity(self.workers);
+            let mut joins = Vec::with_capacity(self.workers);
+            for _ in 0..self.workers {
+                let (tx, rx) = channel::bounded::<EdgeEvent>(4096);
+                let (engine, sink, max_batch) = (&engine, &sink, self.max_batch);
+                senders.push(tx);
+                joins.push(scope.spawn(move || -> Result<()> {
+                    let mut out = Vec::new();
+                    let mut batch = Vec::with_capacity(max_batch);
+                    while drain_batch(&rx, &mut batch, max_batch) {
+                        // WAL append + store apply. A persistence fault
+                        // poisons the WAL (every later append is
+                        // refused), so stop draining and surface the
+                        // first error.
+                        engine.on_events_into(&batch, &mut out)?;
+                        sink(&out);
+                        out.clear();
                     }
+                    Ok(())
+                }));
+            }
+
+            let start = Instant::now();
+            let mut sent = 0u64;
+            let mut ingest_closed = false;
+            for &event in events {
+                if senders[Self::route(event.dst, self.workers)]
+                    .send(event)
+                    .is_err()
+                {
+                    // A worker died mid-stream (WAL poison); its error
+                    // comes back from its join.
+                    ingest_closed = true;
+                    break;
                 }
-                let _ = result_tx.send(outcome.map(|()| local_out));
-            }));
-        }
-        drop(result_tx);
-
-        let start = Instant::now();
-        let mut sent = 0u64;
-        let mut ingest_closed = false;
-        for &event in events {
-            if senders[Self::route(event.dst, self.workers)]
-                .send(event)
-                .is_err()
-            {
-                // A worker died mid-stream (WAL poison); its error is in
-                // the result channel — finish the gather to surface it.
-                ingest_closed = true;
-                break;
+                sent += 1;
             }
-            sent += 1;
-        }
-        drop(senders);
-
-        let mut candidates = Vec::new();
-        let mut first_err = None;
-        for outcome in result_rx.iter() {
-            match outcome {
-                Ok(out) => candidates.extend(out),
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        let wall = start.elapsed();
-        for j in joins {
-            j.join()
-                .map_err(|_| Error::ChannelClosed("persistent shared-engine worker panicked"))?;
-        }
-        if let Some(e) = first_err {
-            return Err(e);
+            drop(senders);
+            let outcomes: Vec<_> = joins.into_iter().map(|j| j.join()).collect();
+            (sent, ingest_closed, outcomes, start.elapsed())
+        });
+        for outcome in outcomes {
+            outcome
+                .map_err(|_| Error::ChannelClosed("persistent shared-engine worker panicked"))??;
         }
         if ingest_closed {
             return Err(Error::ChannelClosed("persistent shared-engine ingest"));
@@ -511,15 +516,9 @@ impl SharedEngineCluster {
         };
         engine.sync()?;
 
-        candidates.sort_by(|a, b| {
-            (a.triggered_at, a.user, a.target).cmp(&(b.triggered_at, b.user, b.target))
-        });
         Ok(PersistentRunReport {
-            run: ThreadedRunReport {
-                candidates,
-                events: sent,
-                wall,
-            },
+            events: sent,
+            wall,
             checkpoints_completed,
             checkpoint_failures,
         })
@@ -747,11 +746,18 @@ mod tests {
         };
         const WORKERS: usize = 2;
         let cluster = SharedEngineCluster::new(&g, WORKERS, dc).unwrap();
+        let collected = std::sync::Mutex::new(Vec::new());
         let report = cluster
-            .run_trace_persistent(dir.path(), opts, trace.events())
+            .run_trace_persistent(dir.path(), opts, trace.events(), |batch| {
+                collected.lock().unwrap().extend_from_slice(batch)
+            })
             .unwrap();
-        assert_eq!(report.run.candidates, expected);
-        assert_eq!(report.run.events as usize, trace.len());
+        let mut got = collected.into_inner().unwrap();
+        got.sort_by(|a, b| {
+            (a.triggered_at, a.user, a.target).cmp(&(b.triggered_at, b.user, b.target))
+        });
+        assert_eq!(got, expected);
+        assert_eq!(report.events as usize, trace.len());
         // 1000 events at a 128-event cadence: the driver must have cut at
         // least once (the post-drain grace period guarantees it).
         assert!(report.checkpoints_completed >= 1, "{report:?}");

@@ -250,7 +250,14 @@ impl ConcurrentEngine {
                     &graph,
                     event.dst,
                     t,
-                    |buf| self.store.witnesses_into(event.dst, t, buf),
+                    |buf| {
+                        self.store.witnesses_capped_into(
+                            event.dst,
+                            t,
+                            self.config.max_witnesses,
+                            buf,
+                        )
+                    },
                     out,
                 )
             })
@@ -373,7 +380,14 @@ impl ConcurrentEngine {
                                 &graph,
                                 e.dst,
                                 e.created_at,
-                                |buf| self.store.witnesses_into(e.dst, e.created_at, buf),
+                                |buf| {
+                                    self.store.witnesses_capped_into(
+                                        e.dst,
+                                        e.created_at,
+                                        self.config.max_witnesses,
+                                        buf,
+                                    )
+                                },
                                 out,
                             )
                         } else {

@@ -4,7 +4,10 @@
 //!
 //! 1. insert the edge into `D`;
 //! 2. query `D[C]` for the distinct `B`s with edges in `[t − τ, t]` — the
-//!    "top half of the diamond";
+//!    "top half of the diamond". The engine asks `D` for at most
+//!    `max_witnesses` of them: the newest distinct `B`s, plus any that tie
+//!    the last one's timestamp, so the cap's selection below only breaks
+//!    those ties;
 //! 3. if at least `k` witnesses exist, look up each witness's follower list
 //!    in `S` and find every `A` present in at least `k` of them;
 //! 4. emit a [`Candidate`] per such `A` that follows at least one *fresh*
@@ -107,10 +110,13 @@ impl DiamondDetector {
     ///
     /// `fill_witnesses` appends the distinct in-window `B`s for `target`
     /// (each with its latest timestamp) into the detector's scratch — a
-    /// visitor borrow, so the kernel itself never holds store access. This
-    /// is the seam `ConcurrentEngine` uses: the store lookup happens under
-    /// a shard lock inside the callback, and everything after runs against
-    /// the immutable `S` snapshot only.
+    /// visitor borrow, so the kernel itself never holds store access. It
+    /// may stop at the `max_witnesses` newest plus the ties at the last
+    /// one's timestamp (`witnesses_capped_into`): the selection below
+    /// keeps the same set either way. This is the seam `ConcurrentEngine`
+    /// uses: the store lookup happens under a shard lock inside the
+    /// callback, and everything after runs against the immutable `S`
+    /// snapshot only.
     pub fn detect_into<F>(
         &mut self,
         s: &FollowGraph,
@@ -133,8 +139,9 @@ impl DiamondDetector {
         // stream that keeps the triggering edge unless more than `cap`
         // witnesses share its timestamp and it loses the id tie-break;
         // out of order, the trigger may be cut and then nothing is fresh.
-        // A selection, not a sort: the kept set is all that matters, and
-        // hot targets hold hundreds of distinct witnesses.
+        // A selection, not a sort: the kept set is all that matters. A
+        // capped fetch hands over more than `cap` only when witnesses
+        // tie at its boundary timestamp.
         if let Some(cap) = self.config.max_witnesses {
             if self.witnesses.len() > cap {
                 self.witnesses

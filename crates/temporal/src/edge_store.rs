@@ -50,7 +50,9 @@ pub trait EdgeStore<K: VertexKey> {
     fn remove(&mut self, src: K, dst: K);
 
     /// Appends the distinct in-window sources for `dst` as of `now` (each
-    /// with its latest timestamp) to `out`.
+    /// with its latest timestamp) to `out`, newest first. Both stores run
+    /// this as the uncapped case of their `witnesses_capped_into`, the
+    /// newest-first walk that the engine stops at `max_witnesses`.
     fn witnesses_into(&mut self, dst: K, now: Timestamp, out: &mut Vec<(K, Timestamp)>);
 
     /// Advances the clock for pruning purposes: reclaims expired targets.

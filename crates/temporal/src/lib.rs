@@ -35,6 +35,15 @@
 //!   as the new one and that bucket is not behind the horizon: that entry
 //!   already indexed the target there.
 //!
+//! The witness query is bounded by the detector's cap.
+//! [`TemporalEdgeStore::witnesses_capped_into`] walks `D[C]` newest-first
+//! and stops once it holds the `max_witnesses` newest distinct sources
+//! plus any that tie the last one's timestamp, so a celebrity's
+//! 1,024-entry list costs about `cap` steps. It dedups against the few
+//! sources kept so far, then against a set the store keeps for the
+//! purpose, so no query allocates a map of its own. `witnesses_into` is
+//! the same walk with no cap.
+//!
 //! [`sharded::ShardedTemporalStore`] wraps the store in hash-sharded
 //! `RwLock`s for the multi-threaded ingest path used by the live pipeline
 //! and by `magicrecs_core`'s `ConcurrentEngine`.

@@ -13,9 +13,29 @@ use parking_lot::RwLock;
 /// Concurrent sharded `D` store (generic over the vertex key, like the
 /// per-shard stores it wraps).
 pub struct ShardedTemporalStore<K = UserId> {
-    shards: Vec<RwLock<TemporalEdgeStore<K>>>,
+    shards: Vec<Shard<K>>,
     mask: usize,
     window: Duration,
+}
+
+/// One shard on cache lines of its own: every insert writes its lock
+/// word and counters, so two workers on neighbouring shards must not
+/// share a line.
+#[repr(align(128))]
+struct Shard<K>(RwLock<TemporalEdgeStore<K>>);
+
+impl<K> std::ops::Deref for Shard<K> {
+    type Target = RwLock<TemporalEdgeStore<K>>;
+
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl<K> std::ops::DerefMut for Shard<K> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
 }
 
 impl<K: VertexKey> ShardedTemporalStore<K> {
@@ -24,7 +44,7 @@ impl<K: VertexKey> ShardedTemporalStore<K> {
         let n = shards.max(1).next_power_of_two();
         ShardedTemporalStore {
             shards: (0..n)
-                .map(|_| RwLock::new(TemporalEdgeStore::new(window, strategy)))
+                .map(|_| Shard(RwLock::new(TemporalEdgeStore::new(window, strategy))))
                 .collect(),
             mask: n - 1,
             window,
@@ -133,12 +153,26 @@ impl<K: VertexKey> ShardedTemporalStore<K> {
     }
 
     /// Appends the distinct in-window witnesses for `dst` to `out`,
-    /// reusing the caller's buffer (the detector hot path). Only the one
-    /// shard holding `dst` is locked, and only for the copy-out.
+    /// reusing the caller's buffer: the uncapped case of
+    /// [`ShardedTemporalStore::witnesses_capped_into`].
     pub fn witnesses_into(&self, dst: K, now: Timestamp, out: &mut Vec<(K, Timestamp)>) {
+        self.witnesses_capped_into(dst, now, None, out);
+    }
+
+    /// Appends the `cap` newest distinct in-window witnesses for `dst`
+    /// plus the boundary ties to `out` (the detector hot path; see
+    /// [`TemporalEdgeStore::witnesses_capped_into`]). Only the one shard
+    /// holding `dst` is locked, and only for the copy-out.
+    pub fn witnesses_capped_into(
+        &self,
+        dst: K,
+        now: Timestamp,
+        cap: Option<usize>,
+        out: &mut Vec<(K, Timestamp)>,
+    ) {
         self.shards[self.shard_of(dst)]
             .write()
-            .witnesses_into(dst, now, out);
+            .witnesses_capped_into(dst, now, cap, out);
     }
 
     /// Advances all shards (wheel expiry).

@@ -73,6 +73,9 @@ pub struct TemporalEdgeStore<K = UserId> {
     /// trims (on query, advance, and sweep), cap drops, and list
     /// reclamation.
     dirty: Option<FxHashSet<K>>,
+    /// The witness query's dedup scratch: empty between calls, kept so
+    /// that queries allocate nothing once it has grown.
+    seen: FxHashMap<K, ()>,
 }
 
 impl<K: VertexKey> TemporalEdgeStore<K> {
@@ -91,6 +94,7 @@ impl<K: VertexKey> TemporalEdgeStore<K> {
             since_sweep: 0,
             stats: StoreStats::default(),
             dirty: None,
+            seen: FxHashMap::default(),
         }
     }
 
@@ -163,15 +167,35 @@ impl<K: VertexKey> TemporalEdgeStore<K> {
     }
 
     /// Appends the distinct in-window sources for `dst` as of `now`
-    /// (each with its latest timestamp) to `out`.
+    /// (each with its latest timestamp) to `out`: the uncapped case of
+    /// [`TemporalEdgeStore::witnesses_capped_into`].
+    pub fn witnesses_into(&mut self, dst: K, now: Timestamp, out: &mut Vec<(K, Timestamp)>) {
+        self.witnesses_capped_into(dst, now, None, out);
+    }
+
+    /// Appends the `cap` newest distinct in-window sources for `dst` as of
+    /// `now` (each with its latest timestamp), plus any that tie the
+    /// `cap`-th one's timestamp, to `out` — newest first. `None` appends
+    /// every distinct in-window source; a cap of 0 counts as 1.
     ///
     /// This is the paper's `D` query: "when a B → C edge is created, we
     /// query D to find all other B's that also point to the C." The window
     /// is one-sided — entries *newer* than `now` are included: queues
     /// deliver out of order, and edges within τ of each other are
     /// temporally correlated regardless of which side of the query time
-    /// they land on.
-    pub fn witnesses_into(&mut self, dst: K, now: Timestamp, out: &mut Vec<(K, Timestamp)>) {
+    /// they land on. The cap bounds the walk (see
+    /// [`TargetList::newest_sources_into`]): a detector that keeps the
+    /// `(Reverse(at), source)` top `cap` witnesses keeps the same set from
+    /// this output as from the uncapped one. The cap changes only what is
+    /// appended: the query's trim, counters and dirty marks are the
+    /// uncapped query's.
+    pub fn witnesses_capped_into(
+        &mut self,
+        dst: K,
+        now: Timestamp,
+        cap: Option<usize>,
+        out: &mut Vec<(K, Timestamp)>,
+    ) {
         let cutoff = now.saturating_sub(self.window);
         if let Some(list) = self.lists.get_mut(&dst) {
             // Trim opportunistically — the query already pays for the scan.
@@ -184,7 +208,8 @@ impl<K: VertexKey> TemporalEdgeStore<K> {
                 self.mark_dirty(dst);
                 return;
             }
-            list.distinct_sources_since(cutoff, out);
+            let cap = cap.map_or(usize::MAX, |c| c.max(1));
+            list.newest_sources_into(cutoff, cap, &mut self.seen, out);
             if dropped > 0 {
                 self.mark_dirty(dst);
             }
@@ -384,15 +409,16 @@ impl<K: VertexKey> TemporalEdgeStore<K> {
         self.stats
     }
 
-    /// Approximate heap bytes (lists + wheel + map overhead). The map is
-    /// sized by its capacity: its table is allocated whether or not the
-    /// slots are occupied.
+    /// Approximate heap bytes (lists + wheel + map overhead + the witness
+    /// query's dedup scratch). Maps and sets are sized by their capacity:
+    /// a table is allocated whether or not its slots are occupied.
     pub fn memory_bytes(&self) -> usize {
         let map_slot = std::mem::size_of::<(K, TargetList<K>)>() + 1;
         let map_bytes = self.lists.capacity() * map_slot * 8 / 7;
+        let seen_bytes = self.seen.capacity() * (std::mem::size_of::<K>() + 1) * 8 / 7;
         let list_bytes: usize = self.lists.values().map(|l| l.memory_bytes()).sum();
         let wheel_bytes = self.wheel.as_ref().map_or(0, |w| w.memory_bytes());
-        map_bytes + list_bytes + wheel_bytes
+        map_bytes + seen_bytes + list_bytes + wheel_bytes
     }
 }
 

@@ -6,9 +6,15 @@
 //! otherwise. Window trimming is then a front-drain.
 //!
 //! Duplicate sources are allowed in storage (a `B` can retweet the same
-//! author twice); [`TargetList::distinct_sources_since`] deduplicates at
+//! author twice); [`TargetList::newest_sources_into`] deduplicates at
 //! query time, which is what the motif semantics need ("more than k *of
-//! them*" — distinct followings).
+//! them*" — distinct followings). It walks the list newest-first and
+//! stops once it holds the `cap` newest distinct sources (plus ties at
+//! the boundary timestamp): the detector only ever uses the newest
+//! `max_witnesses`, so a celebrity's 1,024-entry list costs about `cap`
+//! steps, not a full dedup. Dedup compares against the few sources kept
+//! so far, then probes a set the caller owns and reuses, so no query
+//! allocates a map of its own.
 //!
 //! **Inline layout.** On a sparse firehose most targets ever hold exactly
 //! one entry, so a list is `Empty`, `One` (the entry stored inline, no
@@ -19,8 +25,15 @@
 //! `(&[_], &[_])` slice pair, so all variants share one read path and the
 //! iteration (checkpoint export) order is the same in each.
 
-use magicrecs_types::{Timestamp, UserId, VertexKey};
+use magicrecs_types::{FxHashMap, Timestamp, UserId, VertexKey};
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
+
+/// Kept sources up to which [`TargetList::newest_sources_into`] dedups by
+/// comparing against them; past it, by probing its set. Short lists are
+/// the common case on a sparse firehose, and for them a few compares cost
+/// less than filling and clearing the set.
+const LINEAR_DEDUP_KEPT: usize = 32;
 
 /// Time-ordered recent edges into one target vertex.
 ///
@@ -157,43 +170,91 @@ impl<K: VertexKey> TargetList<K> {
         a.len() + b.partition_point(|&(_, ts)| ts < cutoff)
     }
 
-    /// Collects the **distinct** sources with an in-window entry, paired
-    /// with their most recent timestamp, appended to `out` (unordered).
+    /// Appends the **distinct** sources with an entry at or after
+    /// `cutoff`, each with its newest timestamp, newest first — at most
+    /// `cap` of them plus any that tie the `cap`-th one's timestamp.
     ///
-    /// `out` is caller-provided so the detector's hot path can reuse one
-    /// scratch buffer across events. Small windows dedup with a linear
-    /// scan (cache-friendly, no allocation); hot targets switch to a hash
-    /// map to stay O(n) — a celebrity's list can hold thousands of
-    /// in-window entries and a quadratic scan would dominate event cost.
-    pub fn distinct_sources_since(&self, cutoff: Timestamp, out: &mut Vec<(K, Timestamp)>) {
-        const LINEAR_DEDUP_MAX: usize = 64;
+    /// The walk goes newest-first, so a source's first sighting is its
+    /// newest entry and later sightings are skipped. Once `cap` distinct
+    /// sources are kept, the `cap`-th one's timestamp is the boundary:
+    /// the walk keeps every further source that ties it and stops at the
+    /// first entry strictly older. Every source whose newest timestamp is
+    /// above the boundary is kept, and so is every tie, so any
+    /// `(Reverse(at), source)` top-`cap` selection over the output equals
+    /// the same selection over all distinct sources. `usize::MAX` walks
+    /// the whole window.
+    ///
+    /// Dedup compares against the kept sources while there are at most
+    /// 32 of them (most lists hold a few sources), then probes `seen`:
+    /// the caller's reusable set (a map to unit, whose entry API probes
+    /// once per hit), which must be empty and is left empty, so a query
+    /// allocates nothing once the set has grown. Either way the cost
+    /// stays linear in the entries walked.
+    pub fn newest_sources_into(
+        &self,
+        cutoff: Timestamp,
+        cap: usize,
+        seen: &mut FxHashMap<K, ()>,
+        out: &mut Vec<(K, Timestamp)>,
+    ) {
+        debug_assert!(seen.is_empty());
+        // Most targets of a sparse firehose hold one entry: nothing to
+        // walk or dedup.
+        if let Entries::One([(src, at)]) = self.entries {
+            if at >= cutoff {
+                out.push((src, at));
+            }
+            return;
+        }
         let (a, b) = self.slices_from(self.partition_point(cutoff));
-        let in_window = a.len() + b.len();
+        let mut walk = b.iter().rev().chain(a.iter().rev());
         let base = out.len();
-        if in_window <= LINEAR_DEDUP_MAX {
-            for &(src, at) in a.iter().chain(b) {
-                // Time order means later entries overwrite earlier ones.
-                match out[base..].iter_mut().find(|(s, _)| *s == src) {
-                    Some(slot) => slot.1 = at,
-                    None => out.push((src, at)),
+        // Every entry is at or above the boundary until the cap-th
+        // distinct source fixes it.
+        let mut boundary = Timestamp::ZERO;
+        while out.len() - base <= LINEAR_DEDUP_KEPT {
+            let Some(&(src, at)) = walk.next() else {
+                return;
+            };
+            if at < boundary {
+                return;
+            }
+            if out[base..].iter().all(|&(s, _)| s != src) {
+                out.push((src, at));
+                if out.len() - base == cap {
+                    boundary = at;
                 }
             }
-        } else {
-            let mut seen: magicrecs_types::FxHashMap<K, usize> =
-                magicrecs_types::FxHashMap::default();
-            seen.reserve(in_window);
-            for &(src, at) in a.iter().chain(b) {
-                match seen.entry(src) {
-                    std::collections::hash_map::Entry::Occupied(e) => {
-                        out[*e.get()].1 = at;
-                    }
-                    std::collections::hash_map::Entry::Vacant(e) => {
-                        e.insert(out.len());
-                        out.push((src, at));
+        }
+        // Room for every source the walk can keep, so the set's load
+        // stays low on a hot list.
+        seen.reserve((a.len() + b.len()).min(cap));
+        seen.extend(out[base..].iter().map(|&(s, _)| (s, ())));
+        // Until the cap is reached nothing is below the boundary; after
+        // it only the ties are left to keep. Two loops keep either check
+        // out of the other's path.
+        if out.len() - base < cap {
+            for &(src, at) in walk.by_ref() {
+                if let Entry::Vacant(slot) = seen.entry(src) {
+                    slot.insert(());
+                    out.push((src, at));
+                    if out.len() - base == cap {
+                        boundary = at;
+                        break;
                     }
                 }
             }
         }
+        for &(src, at) in walk {
+            if at < boundary {
+                break;
+            }
+            if let Entry::Vacant(slot) = seen.entry(src) {
+                slot.insert(());
+                out.push((src, at));
+            }
+        }
+        seen.clear();
     }
 
     /// Drops the oldest entries until at most `cap` remain. Returns how
@@ -323,6 +384,12 @@ mod tests {
         assert_eq!(l.remove_source(u(99)), 0);
     }
 
+    /// Every distinct source from `cutoff` on, through the capped walk
+    /// with no cap.
+    fn distinct_since(l: &TargetList, cutoff: Timestamp, out: &mut Vec<(UserId, Timestamp)>) {
+        l.newest_sources_into(cutoff, usize::MAX, &mut FxHashMap::default(), out);
+    }
+
     #[test]
     fn distinct_sources_dedup_keeps_latest() {
         let mut l = TargetList::new();
@@ -330,8 +397,7 @@ mod tests {
         l.insert(u(2), ts(2));
         l.insert(u(1), ts(5)); // duplicate source, newer
         let mut out = Vec::new();
-        l.distinct_sources_since(ts(0), &mut out);
-        out.sort_by_key(|&(s, _)| s);
+        distinct_since(&l, ts(0), &mut out);
         assert_eq!(out, vec![(u(1), ts(5)), (u(2), ts(2))]);
     }
 
@@ -340,9 +406,8 @@ mod tests {
         let mut l = TargetList::new();
         l.insert(u(7), ts(1));
         let mut out = vec![(u(42), ts(0))]; // pre-existing scratch content
-        l.distinct_sources_since(ts(0), &mut out);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0], (u(42), ts(0)));
+        distinct_since(&l, ts(0), &mut out);
+        assert_eq!(out, vec![(u(42), ts(0)), (u(7), ts(1))]);
     }
 
     #[test]
@@ -351,8 +416,30 @@ mod tests {
         l.insert(u(1), ts(1)); // out of window
         l.insert(u(2), ts(10));
         let mut out = Vec::new();
-        l.distinct_sources_since(ts(5), &mut out);
+        distinct_since(&l, ts(5), &mut out);
         assert_eq!(out, vec![(u(2), ts(10))]);
+    }
+
+    #[test]
+    fn capped_walk_stops_past_the_boundary_ties() {
+        let mut l = TargetList::new();
+        for (s, t) in [(1, 1), (2, 2), (3, 3), (4, 3), (5, 3), (6, 4), (6, 5)] {
+            l.insert(u(s), ts(t));
+        }
+        let mut seen = FxHashMap::default();
+        let mut out = Vec::new();
+        // Newest-first, the second distinct source (5, at 3) sets the
+        // boundary; 4 and 3 tie it, 2 is older and ends the walk. 6
+        // counts once, with its newest timestamp.
+        l.newest_sources_into(ts(0), 2, &mut seen, &mut out);
+        assert_eq!(
+            out,
+            vec![(u(6), ts(5)), (u(5), ts(3)), (u(4), ts(3)), (u(3), ts(3))]
+        );
+        assert!(seen.is_empty(), "the dedup set is left empty");
+        out.clear();
+        l.newest_sources_into(ts(0), 1, &mut seen, &mut out);
+        assert_eq!(out, vec![(u(6), ts(5))]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! `TargetList`'s agreement with a plain `VecDeque`.
 
 use magicrecs_temporal::{PruneStrategy, ShardedTemporalStore, TargetList, TemporalEdgeStore};
-use magicrecs_types::{Duration, Timestamp, UserId};
+use magicrecs_types::{Duration, FxHashMap, Timestamp, UserId};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -270,6 +270,171 @@ proptest! {
     }
 }
 
+/// Operations for the capped-fetch pin, timed relative to a clock that
+/// only moves forward: 48 sources over two targets (duplicates are
+/// common, and a walk can keep more sources than its linear dedup
+/// handles) and small steps, often none (ties are the norm).
+#[derive(Debug, Clone, Copy)]
+enum CapOp {
+    /// At the clock after moving it `ahead` seconds.
+    Insert {
+        src: u64,
+        dst: u64,
+        ahead: u64,
+    },
+    /// `back` seconds behind the clock: a late arrival.
+    Late {
+        src: u64,
+        dst: u64,
+        back: u64,
+    },
+    Remove {
+        src: u64,
+        dst: u64,
+    },
+    /// At the clock after moving it `ahead` seconds.
+    Query {
+        dst: u64,
+        ahead: u64,
+    },
+    /// At the clock after moving it `ahead` seconds.
+    Advance {
+        ahead: u64,
+    },
+}
+
+fn cap_op_strategy() -> impl Strategy<Value = CapOp> {
+    prop_oneof![
+        3 => (0u64..48, 0u64..2, 0u64..2)
+            .prop_map(|(src, dst, ahead)| CapOp::Insert { src, dst, ahead }),
+        4 => (0u64..48, 0u64..2)
+            .prop_map(|(src, dst)| CapOp::Insert { src, dst, ahead: 0 }),
+        2 => (0u64..48, 0u64..2, 0u64..12)
+            .prop_map(|(src, dst, back)| CapOp::Late { src, dst, back }),
+        1 => (0u64..48, 0u64..2).prop_map(|(src, dst)| CapOp::Remove { src, dst }),
+        3 => (0u64..2, 0u64..2).prop_map(|(dst, ahead)| CapOp::Query { dst, ahead }),
+        1 => (0u64..4).prop_map(|ahead| CapOp::Advance { ahead }),
+    ]
+}
+
+/// `(Reverse(at), source)` top `cap`, as the detector selects it.
+fn top_by_recency(mut w: Vec<(u64, u64)>, cap: usize) -> Vec<(u64, u64)> {
+    w.sort_unstable_by_key(|&(s, at)| (std::cmp::Reverse(at), s));
+    w.truncate(cap);
+    w
+}
+
+/// Every resident entry, grouped by target with each target's stored
+/// order kept.
+fn exported(store: &TemporalEdgeStore) -> Vec<(UserId, UserId, Timestamp)> {
+    let mut out = Vec::new();
+    store.export_entries(&mut out);
+    out.sort_by_key(|&(dst, _, _)| dst);
+    out
+}
+
+/// About 200 operations at the strategy's mean clock step, so a target
+/// holds dozens of sources in window and longer runs still trim.
+const CAPPED_WINDOW_SECS: u64 = 60;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The capped witness fetch is the uncapped one cut at the cap (mostly
+    /// caps 1–8; larger ones take the walk past its linear dedup): it
+    /// returns exactly the distinct in-window sources whose newest
+    /// timestamp is at or above the cap-th newest (ties straddling the
+    /// boundary included), each with its newest timestamp; the detector's
+    /// top-`cap` selection over it equals that over the uncapped fetch;
+    /// and it leaves the store exactly as the uncapped query does.
+    #[test]
+    fn capped_fetch_is_the_uncapped_fetch_cut_at_the_cap(
+        ops in proptest::collection::vec(cap_op_strategy(), 1..300),
+        cap in prop_oneof![3 => 1usize..9, 1 => 9usize..48],
+    ) {
+        let new_store = || {
+            let mut d = TemporalEdgeStore::new(
+                Duration::from_secs(CAPPED_WINDOW_SECS),
+                PruneStrategy::Wheel,
+            );
+            d.enable_dirty_tracking();
+            d
+        };
+        let (mut capped, mut uncapped) = (new_store(), new_store());
+        let mut model = Model::default();
+        // Queries and advances run at the clock, at or past every earlier
+        // operation's time, so the store's trims never outrun the model's
+        // window.
+        let mut clock = 100u64;
+        for &op in &ops {
+            let insert = match op {
+                CapOp::Insert { src, dst, ahead } => {
+                    clock += ahead;
+                    Some((src, dst, clock))
+                }
+                CapOp::Late { src, dst, back } => Some((src, dst, clock - back)),
+                CapOp::Remove { src, dst } => {
+                    for d in [&mut capped, &mut uncapped] {
+                        d.remove(UserId(src), UserId(dst));
+                    }
+                    model.remove(src, dst);
+                    None
+                }
+                CapOp::Query { dst, ahead } => {
+                    clock += ahead;
+                    let now = Timestamp::from_secs(clock);
+                    let (mut got, mut all) = (Vec::new(), Vec::new());
+                    capped.witnesses_capped_into(UserId(dst), now, Some(cap), &mut got);
+                    uncapped.witnesses_into(UserId(dst), now, &mut all);
+                    let (got, all) = (raw(got), raw(all));
+
+                    let distinct = model.witnesses(dst, clock, CAPPED_WINDOW_SECS);
+                    let boundary = top_by_recency(distinct.clone(), cap)
+                        .get(cap - 1)
+                        .map_or(0, |&(_, at)| at);
+                    let expect: Vec<(u64, u64)> =
+                        distinct.iter().copied().filter(|&(_, at)| at >= boundary).collect();
+                    let mut sorted = got.clone();
+                    sorted.sort_unstable();
+                    prop_assert_eq!(&sorted, &expect, "cap {}", cap);
+                    let mut sorted_all = all.clone();
+                    sorted_all.sort_unstable();
+                    prop_assert_eq!(&sorted_all, &distinct);
+                    prop_assert_eq!(top_by_recency(got, cap), top_by_recency(all, cap));
+                    None
+                }
+                CapOp::Advance { ahead } => {
+                    clock += ahead;
+                    for d in [&mut capped, &mut uncapped] {
+                        d.advance(Timestamp::from_secs(clock));
+                    }
+                    None
+                }
+            };
+            if let Some((src, dst, at)) = insert {
+                for d in [&mut capped, &mut uncapped] {
+                    d.insert(UserId(src), UserId(dst), Timestamp::from_secs(at));
+                }
+                model.insert(src, dst, at);
+            }
+            prop_assert_eq!(capped.resident_entries(), uncapped.resident_entries());
+            prop_assert_eq!(capped.resident_targets(), uncapped.resident_targets());
+            prop_assert_eq!(capped.stats(), uncapped.stats());
+            prop_assert_eq!(capped.dirty_targets(), uncapped.dirty_targets());
+            prop_assert_eq!(exported(&capped), exported(&uncapped));
+        }
+        let drain = |d: &mut TemporalEdgeStore| {
+            let (mut entries, mut tombs, mut drained) = (Vec::new(), Vec::new(), Vec::new());
+            d.drain_dirty_exports(|_| true, &mut entries, &mut tombs, &mut drained);
+            entries.sort_by_key(|&(dst, _, _)| dst);
+            tombs.sort_unstable();
+            drained.sort_unstable();
+            (entries, tombs, drained)
+        };
+        prop_assert_eq!(drain(&mut capped), drain(&mut uncapped));
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 enum ListOp {
     /// At or after the newest entry (ties included).
@@ -340,13 +505,12 @@ impl ListModel {
             .filter(|&(_, t)| t >= cutoff)
             .collect()
     }
-    /// First-occurrence order, each source with its latest timestamp.
+    /// Newest-first, each source once, at its latest timestamp.
     fn distinct_since(&self, cutoff: u64) -> Vec<(u64, u64)> {
         let mut out: Vec<(u64, u64)> = Vec::new();
-        for (s, t) in self.since(cutoff) {
-            match out.iter_mut().find(|(w, _)| *w == s) {
-                Some(slot) => slot.1 = t,
-                None => out.push((s, t)),
+        for (s, t) in self.since(cutoff).into_iter().rev() {
+            if !out.iter().any(|&(w, _)| w == s) {
+                out.push((s, t));
             }
         }
         out
@@ -370,6 +534,7 @@ proptest! {
     ) {
         let mut list: TargetList = TargetList::new();
         let mut model = ListModel::default();
+        let mut seen = FxHashMap::default();
         let mut clock = 10u64;
         let mut grown = false;
         for &op in &ops {
@@ -419,11 +584,18 @@ proptest! {
             for cutoff in [0, newest.saturating_sub(3), newest, newest + 1] {
                 let since = Timestamp::from_secs(cutoff);
                 prop_assert_eq!(raw(list.entries_since(since)), model.since(cutoff));
-                let mut got = vec![(UserId(99), Timestamp::from_secs(0))];
-                list.distinct_sources_since(since, &mut got);
-                let mut expect = vec![(99, 0)];
-                expect.extend(model.distinct_since(cutoff));
-                prop_assert_eq!(raw(got), expect);
+                let distinct = model.distinct_since(cutoff);
+                for cap in [1, 2, 3, usize::MAX] {
+                    let mut got = vec![(UserId(99), Timestamp::from_secs(0))];
+                    list.newest_sources_into(since, cap, &mut seen, &mut got);
+                    prop_assert!(seen.is_empty());
+                    // The newest-first prefix down to the cap-th source's
+                    // timestamp, ties included.
+                    let boundary = distinct.get(cap.saturating_sub(1)).map_or(0, |&(_, t)| t);
+                    let mut expect = vec![(99, 0)];
+                    expect.extend(distinct.iter().copied().filter(|&(_, t)| t >= boundary));
+                    prop_assert_eq!(raw(got), expect, "cap {}", cap);
+                }
             }
         }
     }

@@ -176,3 +176,82 @@ proptest! {
             "volume not monotone in tau: {:?}", counts);
     }
 }
+
+/// Strategy: a dense follow graph (As 0..25 following Bs 25..40) and a
+/// trace that drives each of three targets (40..43) with up to fifteen
+/// distinct Bs, so a witness cap of 2–6 binds. Timestamps fall on a
+/// 5-second grid, which makes same-microsecond groups common. Each target
+/// is delivered late by its own delay: the stream is ordered by
+/// `created_at + delay[target]`, so events reach the engine out of time
+/// order across targets while each target's own events stay in order.
+/// (Same-target lateness is left out on purpose: `D`'s window is
+/// one-sided, counting entries newer than the event, while the oracle's
+/// ends at the event.)
+fn capped_graph_and_trace() -> impl Strategy<Value = (FollowGraph, Vec<EdgeEvent>)> {
+    let edges = proptest::collection::vec((0u64..25, 25u64..40), 20..160);
+    let actions = proptest::collection::vec((25u64..40, 40u64..43, 0u64..40, 0u8..10), 1..90);
+    let delays = (0u64..60, 0u64..60, 0u64..60);
+    (edges, actions, delays).prop_map(|(edges, actions, (d0, d1, d2))| {
+        let delays = [d0, d1, d2];
+        let mut b = GraphBuilder::new();
+        b.extend(edges.into_iter().map(|(x, y)| (u(x), u(y))));
+        let mut events: Vec<EdgeEvent> = actions
+            .into_iter()
+            .map(|(src, dst, step, kind)| {
+                let t = Timestamp::from_secs(step * 5);
+                if kind == 0 {
+                    EdgeEvent::unfollow(u(src), u(dst), t)
+                } else {
+                    EdgeEvent::follow(u(src), u(dst), t)
+                }
+            })
+            .collect();
+        events.sort_by_key(|e| e.created_at.as_secs() + delays[(e.dst.raw() - 40) as usize]);
+        (b.build(), events)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The served engine fetches only the `max_witnesses` newest
+    /// witnesses from `D` (plus boundary ties). With a cap of 2–6 that
+    /// binds on most detects, both its single-event and its batched
+    /// entry point (random chunking) must still emit exactly the
+    /// brute-force oracle's candidate stream.
+    #[test]
+    fn engine_with_binding_witness_cap_agrees_with_oracle(
+        (graph, events) in capped_graph_and_trace(),
+        k in 2usize..4,
+        cap in 2usize..7,
+        skip_existing in prop::bool::ANY,
+        splits in proptest::collection::vec(1usize..9, 1..6),
+    ) {
+        let cfg = DetectorConfig {
+            k,
+            tau: Duration::from_secs(120),
+            max_witnesses: Some(cap.max(k)),
+            max_candidates_per_event: None,
+            skip_existing,
+        };
+        let expected = BatchOracle::new(cfg).unwrap().replay(&graph, &events);
+
+        let single = ConcurrentEngine::new(graph.clone(), cfg).unwrap();
+        let mut got_single = Vec::new();
+        for &e in &events {
+            single.on_event_into(e, &mut got_single);
+        }
+        prop_assert_eq!(&got_single, &expected, "on_event diverged");
+
+        let batched = ConcurrentEngine::new(graph, cfg).unwrap();
+        let mut got_batched = Vec::new();
+        let (mut i, mut s) = (0, 0);
+        while i < events.len() {
+            let take = splits[s % splits.len()].min(events.len() - i);
+            batched.on_events_into(&events[i..i + take], &mut got_batched);
+            i += take;
+            s += 1;
+        }
+        prop_assert_eq!(&got_batched, &expected, "on_events_into diverged");
+    }
+}
