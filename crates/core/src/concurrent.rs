@@ -466,9 +466,17 @@ impl ConcurrentEngine {
     /// pending run first so per-target op order is preserved. The
     /// recovery-replay fast path.
     pub fn apply_to_store_batch(&self, events: &[EdgeEvent]) {
-        let mut scratch = Vec::with_capacity(events.len());
-        let mut handle = &self.store;
-        magicrecs_temporal::apply_events_batch(&mut handle, events, &mut scratch);
+        let mut run = Vec::with_capacity(events.len());
+        for &e in events {
+            if e.kind.is_insertion() {
+                run.push((e.src, e.dst, e.created_at));
+            } else {
+                self.store.insert_batch(&run);
+                run.clear();
+                self.store.remove(e.src, e.dst);
+            }
+        }
+        self.store.insert_batch(&run);
     }
 
     /// Hot-swaps the static graph, returning the previous snapshot.

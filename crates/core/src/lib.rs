@@ -28,15 +28,15 @@
 //! emits nothing. [`threshold::threshold_fresh`] counts exactly that set;
 //! `magicrecs_baseline::BatchOracle` checks it by brute force.
 //!
-//! ## Architecture: read-only kernel, swappable state
+//! ## Architecture: read-only kernel, one mutable `D`
 //!
 //! Since PR 2 the crate is split along the paper's own seam. Detection
 //! (steps 2–4: witness threshold, follower intersection, candidate
 //! emission) is a **read-only kernel** — [`DiamondDetector::detect_into`]
 //! touches only the immutable `S` and a witness list borrowed through a
 //! fill callback. Everything mutable (`D` upserts, witness lookup,
-//! expiry) lives behind the [`magicrecs_temporal::EdgeStore`] trait.
-//! One engine runs that code path:
+//! expiry) lives in one concrete `D`, a hash-sharded store keyed by
+//! sparse `UserId`. One engine runs that code path:
 //!
 //! * [`ConcurrentEngine`] — `&self`, one engine over an immutable
 //!   `Arc<FollowGraph>` snapshot slot (hot-swappable for the periodic

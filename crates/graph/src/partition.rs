@@ -85,7 +85,7 @@ pub fn partition_by_source<P: Partitioner>(graph: &FollowGraph, part: &P) -> Vec
         .collect()
 }
 
-/// Splits a [`GraphDelta`] by the same `A`-ownership rule as
+/// Splits a [`GraphDelta`](crate::delta::GraphDelta) by the same `A`-ownership rule as
 /// [`partition_by_source`]: partition `p` receives the added/removed edges
 /// of every `A` it owns, so applying slice `p` to partition `p`'s local
 /// graph is equivalent to re-partitioning the fully-applied global graph.

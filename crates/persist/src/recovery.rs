@@ -228,8 +228,9 @@ fn incremental(policy: RebasePolicy) -> bool {
 /// merged by [`load_latest_chain`]) through `apply_batch` in
 /// [`REPLAY_APPLY_CHUNK`]-bounded batches (merged chain entries are all
 /// insertions, so each chunk is one
-/// [`magicrecs_temporal::EdgeStore::insert_batch`]-shaped apply without
-/// ever materializing a second full copy of the checkpoint), returning
+/// [`magicrecs_temporal::ShardedTemporalStore::insert_batch`]-shaped
+/// apply without ever materializing a second full copy of the
+/// checkpoint), returning
 /// `(fences, chain_state, entries_restored)` — the per-partition WAL
 /// replay bounds. `parts` is the WAL partition count the fence vector
 /// must match (a stored single-fence vector broadcasts — v1 checkpoints

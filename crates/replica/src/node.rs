@@ -11,7 +11,7 @@
 //!   watermark *is* `next_seq`), candidates delivered to subscribed
 //!   connections, and acknowledged with `IngestAck{durable, replicated}`;
 //! * **following** — the gate refuses writes with a typed
-//!   `WrongLeader`, while a tail thread (see [`crate::tail`]) ships the
+//!   `WrongLeader`, while a tail thread (the crate's `tail` module) ships the
 //!   leader's WAL segments into the local engine. A follower is
 //!   **apply-only**: shipped batches go through
 //!   [`PersistentEngine::apply_shipped`] (the same group commit,

@@ -48,32 +48,17 @@
 //! `RwLock`s for the multi-threaded ingest path used by the live pipeline
 //! and by `magicrecs_core`'s `ConcurrentEngine`.
 //!
-//! Both stores implement the [`edge_store::EdgeStore`] trait — the seam
-//! engines are generic over. The trait is additionally implemented for
-//! `&ShardedTemporalStore`, which is how N threads share one `D`: each
-//! holds a plain shared reference and drives the same generic code a
-//! single-owner `TemporalEdgeStore` runs exclusively. The same seam is
-//! where NUMA-aware placement slots in later (pin shards, hand each worker
-//! a reference).
-//!
-//! All structures are generic over the vertex key
-//! ([`magicrecs_types::VertexKey`]), defaulting to sparse
-//! [`magicrecs_types::UserId`] — the engine's choice, since the event
-//! stream references an unbounded vertex set. Closed-world deployments
-//! (replay, per-partition simulation over a fully interned population)
-//! can instantiate `TemporalEdgeStore<DenseId>` instead and halve key
-//! hash/compare width.
+//! Every structure is keyed by sparse [`magicrecs_types::UserId`]: the
+//! event stream references an unbounded vertex set.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod edge_store;
 pub mod sharded;
 pub mod store;
 pub mod target_list;
 pub mod wheel;
 
-pub use edge_store::{apply_events_batch, EdgeStore};
 pub use sharded::ShardedTemporalStore;
 pub use store::{PruneStrategy, StoreStats, TemporalEdgeStore};
 pub use target_list::TargetList;

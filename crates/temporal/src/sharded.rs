@@ -7,13 +7,12 @@
 //! shard read lock; inserts a shard write lock.
 
 use crate::store::{PruneStrategy, StoreStats, TemporalEdgeStore};
-use magicrecs_types::{Duration, Timestamp, UserId, VertexKey};
+use magicrecs_types::{Duration, Timestamp, UserId};
 use parking_lot::RwLock;
 
-/// Concurrent sharded `D` store (generic over the vertex key, like the
-/// per-shard stores it wraps).
-pub struct ShardedTemporalStore<K = UserId> {
-    shards: Vec<Shard<K>>,
+/// Concurrent sharded `D` store.
+pub struct ShardedTemporalStore {
+    shards: Vec<Shard>,
     mask: usize,
     window: Duration,
 }
@@ -22,23 +21,23 @@ pub struct ShardedTemporalStore<K = UserId> {
 /// word and counters, so two workers on neighbouring shards must not
 /// share a line.
 #[repr(align(128))]
-struct Shard<K>(RwLock<TemporalEdgeStore<K>>);
+struct Shard(RwLock<TemporalEdgeStore>);
 
-impl<K> std::ops::Deref for Shard<K> {
-    type Target = RwLock<TemporalEdgeStore<K>>;
+impl std::ops::Deref for Shard {
+    type Target = RwLock<TemporalEdgeStore>;
 
     fn deref(&self) -> &Self::Target {
         &self.0
     }
 }
 
-impl<K> std::ops::DerefMut for Shard<K> {
+impl std::ops::DerefMut for Shard {
     fn deref_mut(&mut self) -> &mut Self::Target {
         &mut self.0
     }
 }
 
-impl<K: VertexKey> ShardedTemporalStore<K> {
+impl ShardedTemporalStore {
     /// Creates a store with `shards` rounded up to a power of two.
     pub fn new(window: Duration, strategy: PruneStrategy, shards: usize) -> Self {
         let n = shards.max(1).next_power_of_two();
@@ -78,17 +77,17 @@ impl<K: VertexKey> ShardedTemporalStore<K> {
     }
 
     #[inline]
-    fn shard_of(&self, dst: K) -> usize {
+    fn shard_of(&self, dst: UserId) -> usize {
         (magicrecs_types::route_mix(&dst) as usize) & self.mask
     }
 
     /// Inserts `src → dst` at `at`.
-    pub fn insert(&self, src: K, dst: K, at: Timestamp) {
+    pub fn insert(&self, src: UserId, dst: UserId, at: Timestamp) {
         self.shards[self.shard_of(dst)].write().insert(src, dst, at);
     }
 
     /// Removes edges `src → dst` (unfollow).
-    pub fn remove(&self, src: K, dst: K) {
+    pub fn remove(&self, src: UserId, dst: UserId) {
         self.shards[self.shard_of(dst)].write().remove(src, dst);
     }
 
@@ -102,7 +101,7 @@ impl<K: VertexKey> ShardedTemporalStore<K> {
     ///
     /// Tiny batches fall back to per-edge inserts — below a few edges the
     /// index allocation costs more than the locks it saves.
-    pub fn insert_batch(&self, edges: &[(K, K, Timestamp)]) {
+    pub fn insert_batch(&self, edges: &[(UserId, UserId, Timestamp)]) {
         if edges.len() <= 2 {
             for &(src, dst, at) in edges {
                 self.insert(src, dst, at);
@@ -147,7 +146,7 @@ impl<K: VertexKey> ShardedTemporalStore<K> {
     }
 
     /// Distinct in-window witnesses for `dst` as of `now`.
-    pub fn witnesses(&self, dst: K, now: Timestamp) -> Vec<(K, Timestamp)> {
+    pub fn witnesses(&self, dst: UserId, now: Timestamp) -> Vec<(UserId, Timestamp)> {
         // Witness queries trim the touched list, so take the write lock.
         self.shards[self.shard_of(dst)].write().witnesses(dst, now)
     }
@@ -155,7 +154,7 @@ impl<K: VertexKey> ShardedTemporalStore<K> {
     /// Appends the distinct in-window witnesses for `dst` to `out`,
     /// reusing the caller's buffer: the uncapped case of
     /// [`ShardedTemporalStore::witnesses_capped_into`].
-    pub fn witnesses_into(&self, dst: K, now: Timestamp, out: &mut Vec<(K, Timestamp)>) {
+    pub fn witnesses_into(&self, dst: UserId, now: Timestamp, out: &mut Vec<(UserId, Timestamp)>) {
         self.witnesses_capped_into(dst, now, None, out);
     }
 
@@ -165,10 +164,10 @@ impl<K: VertexKey> ShardedTemporalStore<K> {
     /// holding `dst` is locked, and only for the copy-out.
     pub fn witnesses_capped_into(
         &self,
-        dst: K,
+        dst: UserId,
         now: Timestamp,
         cap: Option<usize>,
-        out: &mut Vec<(K, Timestamp)>,
+        out: &mut Vec<(UserId, Timestamp)>,
     ) {
         self.shards[self.shard_of(dst)]
             .write()
@@ -185,7 +184,7 @@ impl<K: VertexKey> ShardedTemporalStore<K> {
     /// Appends every resident entry as `(dst, src, created_at)` across all
     /// shards (see [`TemporalEdgeStore::export_entries`]); per-target time
     /// order is preserved, target order is unspecified.
-    pub fn export_entries(&self, out: &mut Vec<(K, K, Timestamp)>) {
+    pub fn export_entries(&self, out: &mut Vec<(UserId, UserId, Timestamp)>) {
         for s in &self.shards {
             s.read().export_entries(out);
         }
@@ -199,8 +198,8 @@ impl<K: VertexKey> ShardedTemporalStore<K> {
     /// partition, so the filter runs across all shards).
     pub fn export_entries_where(
         &self,
-        pred: impl Fn(K) -> bool + Copy,
-        out: &mut Vec<(K, K, Timestamp)>,
+        pred: impl Fn(UserId) -> bool + Copy,
+        out: &mut Vec<(UserId, UserId, Timestamp)>,
     ) {
         for s in &self.shards {
             s.read().export_entries_where(pred, out);
@@ -227,10 +226,10 @@ impl<K: VertexKey> ShardedTemporalStore<K> {
     /// visited one write-lock at a time.
     pub fn drain_dirty_exports(
         &self,
-        pred: impl Fn(K) -> bool + Copy,
-        entries: &mut Vec<(K, K, Timestamp)>,
-        tombstones: &mut Vec<K>,
-        drained: &mut Vec<K>,
+        pred: impl Fn(UserId) -> bool + Copy,
+        entries: &mut Vec<(UserId, UserId, Timestamp)>,
+        tombstones: &mut Vec<UserId>,
+        drained: &mut Vec<UserId>,
     ) {
         for s in &self.shards {
             s.write()
@@ -241,7 +240,7 @@ impl<K: VertexKey> ShardedTemporalStore<K> {
     /// Clears dirty marks for targets satisfying `pred` on every shard,
     /// returning the cleared targets (the full-export path and its
     /// failure undo; see [`TemporalEdgeStore::clear_dirty_where`]).
-    pub fn clear_dirty_where(&self, pred: impl Fn(K) -> bool + Copy) -> Vec<K> {
+    pub fn clear_dirty_where(&self, pred: impl Fn(UserId) -> bool + Copy) -> Vec<UserId> {
         let mut cleared = Vec::new();
         for s in &self.shards {
             cleared.extend(s.write().clear_dirty_where(pred));
@@ -252,7 +251,7 @@ impl<K: VertexKey> ShardedTemporalStore<K> {
     /// Re-marks targets dirty, routing each to its shard — the
     /// checkpoint-failure undo (see
     /// [`TemporalEdgeStore::mark_dirty_many`]).
-    pub fn mark_dirty_many(&self, targets: impl IntoIterator<Item = K>) {
+    pub fn mark_dirty_many(&self, targets: impl IntoIterator<Item = UserId>) {
         for t in targets {
             self.shards[self.shard_of(t)]
                 .write()
@@ -369,6 +368,49 @@ mod tests {
         }
         assert_eq!(s.stats().inserted, 4000);
         assert_eq!(s.resident_entries(), 4000);
+    }
+
+    #[test]
+    fn shared_reference_is_a_store() {
+        let s = ShardedTemporalStore::with_window(Duration::from_secs(60));
+        // Two independent `&ShardedTemporalStore` handles drive one store.
+        let h1 = &s;
+        let h2 = &s;
+        h1.insert(u(1), u(100), ts(10));
+        h2.insert(u(2), u(100), ts(20));
+        h1.insert(u(3), u(200), ts(20));
+        h2.remove(u(3), u(200));
+        h1.insert(u(4), u(100), ts(20));
+        let mut got = Vec::new();
+        h2.witnesses_into(u(100), ts(30), &mut got);
+        got.sort_unstable();
+        assert_eq!(got, vec![(u(1), ts(10)), (u(2), ts(20)), (u(4), ts(20))]);
+        assert_eq!(h1.resident_entries(), 3);
+    }
+
+    #[test]
+    fn insert_batch_matches_single_inserts() {
+        // Per-target list state and witness answers must be identical
+        // whether a batch goes through the lock-batched `insert_batch` or
+        // N inserts.
+        let edges: Vec<(UserId, UserId, Timestamp)> = (0..200u64)
+            .map(|i| (u(i % 17), u(1000 + i % 23), ts(10 + i % 40)))
+            .collect();
+        let single = ShardedTemporalStore::new(Duration::from_secs(600), PruneStrategy::Wheel, 8);
+        let batched = ShardedTemporalStore::new(Duration::from_secs(600), PruneStrategy::Wheel, 8);
+        for &(src, dst, at) in &edges {
+            single.insert(src, dst, at);
+        }
+        batched.insert_batch(&edges);
+        assert_eq!(single.resident_entries(), batched.resident_entries());
+        assert_eq!(single.stats().inserted, batched.stats().inserted);
+        for t in 1000..1023u64 {
+            let mut a = Vec::new();
+            let mut b = Vec::new();
+            single.witnesses_into(u(t), ts(60), &mut a);
+            batched.witnesses_into(u(t), ts(60), &mut b);
+            assert_eq!(a, b, "target {t}");
+        }
     }
 
     #[test]

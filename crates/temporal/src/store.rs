@@ -7,7 +7,7 @@
 
 use crate::target_list::TargetList;
 use crate::wheel::EpochWheel;
-use magicrecs_types::{Duration, FxHashMap, FxHashSet, Timestamp, UserId, VertexKey};
+use magicrecs_types::{Duration, FxHashMap, FxHashSet, Timestamp, UserId};
 
 /// Global memory-reclamation discipline for expired targets (ablation B3).
 ///
@@ -47,23 +47,18 @@ pub struct StoreStats {
     pub peak_entries: u64,
 }
 
-/// The dynamic edge store `D`.
-///
-/// Generic over the vertex key `K`. The engine keeps the default
-/// (`UserId`): dynamic events reference an unbounded, un-interned vertex
-/// set, so the sparse id is the honest key at ingestion. Deployments
-/// whose dynamic traffic is confined to an interned vertex space (e.g.
-/// closed-world replay, per-partition dense simulation) can instantiate
-/// `TemporalEdgeStore<DenseId>` and halve key-compare/hash cost.
+/// The dynamic edge store `D`, keyed by sparse [`UserId`]: dynamic events
+/// reference an unbounded, un-interned vertex set, so the sparse id is
+/// the honest key at ingestion.
 #[derive(Debug, Clone)]
-pub struct TemporalEdgeStore<K = UserId> {
+pub struct TemporalEdgeStore {
     window: Duration,
     strategy: PruneStrategy,
     /// Optional cap on entries retained per target (most recent win);
     /// the paper's "retain the most recent edges" pruning.
     entry_cap: Option<usize>,
-    lists: FxHashMap<K, TargetList<K>>,
-    wheel: Option<EpochWheel<K>>,
+    lists: FxHashMap<UserId, TargetList>,
+    wheel: Option<EpochWheel>,
     resident: u64,
     since_sweep: u64,
     stats: StoreStats,
@@ -72,13 +67,13 @@ pub struct TemporalEdgeStore<K = UserId> {
     /// it on). Every mutation path marks here: inserts, removals, window
     /// trims (on query, advance, and sweep), cap drops, and list
     /// reclamation.
-    dirty: Option<FxHashSet<K>>,
+    dirty: Option<FxHashSet<UserId>>,
     /// The witness query's dedup scratch: empty between calls, kept so
     /// that queries allocate nothing once it has grown.
-    seen: FxHashMap<K, ()>,
+    seen: FxHashMap<UserId, ()>,
 }
 
-impl<K: VertexKey> TemporalEdgeStore<K> {
+impl TemporalEdgeStore {
     /// Creates a store retaining edges for `window`, with the given pruning
     /// strategy.
     pub fn new(window: Duration, strategy: PruneStrategy) -> Self {
@@ -120,7 +115,7 @@ impl<K: VertexKey> TemporalEdgeStore<K> {
 
     /// Inserts the dynamic edge `src → dst` created at `at`, trimming the
     /// touched list to the window as a side effect.
-    pub fn insert(&mut self, src: K, dst: K, at: Timestamp) {
+    pub fn insert(&mut self, src: UserId, dst: UserId, at: Timestamp) {
         let cutoff = at.saturating_sub(self.window);
         let list = self.lists.entry(dst).or_default();
         let prev_newest = list.newest();
@@ -151,7 +146,7 @@ impl<K: VertexKey> TemporalEdgeStore<K> {
     }
 
     /// Removes any stored edges `src → dst` (unfollow semantics).
-    pub fn remove(&mut self, src: K, dst: K) {
+    pub fn remove(&mut self, src: UserId, dst: UserId) {
         if let Some(list) = self.lists.get_mut(&dst) {
             let removed = list.remove_source(src) as u64;
             self.stats.unfollowed += removed;
@@ -169,7 +164,12 @@ impl<K: VertexKey> TemporalEdgeStore<K> {
     /// Appends the distinct in-window sources for `dst` as of `now`
     /// (each with its latest timestamp) to `out`: the uncapped case of
     /// [`TemporalEdgeStore::witnesses_capped_into`].
-    pub fn witnesses_into(&mut self, dst: K, now: Timestamp, out: &mut Vec<(K, Timestamp)>) {
+    pub fn witnesses_into(
+        &mut self,
+        dst: UserId,
+        now: Timestamp,
+        out: &mut Vec<(UserId, Timestamp)>,
+    ) {
         self.witnesses_capped_into(dst, now, None, out);
     }
 
@@ -191,10 +191,10 @@ impl<K: VertexKey> TemporalEdgeStore<K> {
     /// uncapped query's.
     pub fn witnesses_capped_into(
         &mut self,
-        dst: K,
+        dst: UserId,
         now: Timestamp,
         cap: Option<usize>,
-        out: &mut Vec<(K, Timestamp)>,
+        out: &mut Vec<(UserId, Timestamp)>,
     ) {
         let cutoff = now.saturating_sub(self.window);
         if let Some(list) = self.lists.get_mut(&dst) {
@@ -217,7 +217,7 @@ impl<K: VertexKey> TemporalEdgeStore<K> {
     }
 
     /// Convenience wrapper returning a fresh vector (tests, examples).
-    pub fn witnesses(&mut self, dst: K, now: Timestamp) -> Vec<(K, Timestamp)> {
+    pub fn witnesses(&mut self, dst: UserId, now: Timestamp) -> Vec<(UserId, Timestamp)> {
         let mut out = Vec::new();
         self.witnesses_into(dst, now, &mut out);
         out
@@ -258,7 +258,7 @@ impl<K: VertexKey> TemporalEdgeStore<K> {
         let mut dropped_total = 0u64;
         // Collect-then-mark: the retain closure can't reach the dirty set
         // while the map is mid-mutation.
-        let mut touched: Vec<K> = Vec::new();
+        let mut touched: Vec<UserId> = Vec::new();
         let track = self.dirty.is_some();
         self.lists.retain(|&target, list| {
             let dropped = list.trim_before(cutoff) as u64;
@@ -287,7 +287,7 @@ impl<K: VertexKey> TemporalEdgeStore<K> {
     /// out in stored time order (so re-inserting in export order rebuilds
     /// each list identically); target order follows map iteration and is
     /// **unspecified** — deterministic consumers sort by target.
-    pub fn export_entries(&self, out: &mut Vec<(K, K, Timestamp)>) {
+    pub fn export_entries(&self, out: &mut Vec<(UserId, UserId, Timestamp)>) {
         out.reserve(self.resident as usize);
         for (&dst, list) in &self.lists {
             out.extend(list.iter().map(|(src, at)| (dst, src, at)));
@@ -298,7 +298,11 @@ impl<K: VertexKey> TemporalEdgeStore<K> {
     /// satisfying `pred` — the fenced per-partition export: a checkpoint
     /// cuts one WAL partition at a time and exports exactly the targets
     /// routed to it.
-    pub fn export_entries_where(&self, pred: impl Fn(K) -> bool, out: &mut Vec<(K, K, Timestamp)>) {
+    pub fn export_entries_where(
+        &self,
+        pred: impl Fn(UserId) -> bool,
+        out: &mut Vec<(UserId, UserId, Timestamp)>,
+    ) {
         for (&dst, list) in &self.lists {
             if pred(dst) {
                 out.extend(list.iter().map(|(src, at)| (dst, src, at)));
@@ -328,7 +332,7 @@ impl<K: VertexKey> TemporalEdgeStore<K> {
     }
 
     #[inline]
-    fn mark_dirty(&mut self, target: K) {
+    fn mark_dirty(&mut self, target: UserId) {
         if let Some(dirty) = &mut self.dirty {
             dirty.insert(target);
         }
@@ -337,7 +341,7 @@ impl<K: VertexKey> TemporalEdgeStore<K> {
     /// Re-marks targets dirty — the checkpoint failure path: a drained
     /// dirty set whose delta never landed durably must flow into the
     /// *next* delta or those changes silently vanish from the chain.
-    pub fn mark_dirty_many(&mut self, targets: impl IntoIterator<Item = K>) {
+    pub fn mark_dirty_many(&mut self, targets: impl IntoIterator<Item = UserId>) {
         if let Some(dirty) = &mut self.dirty {
             dirty.extend(targets);
         }
@@ -353,13 +357,13 @@ impl<K: VertexKey> TemporalEdgeStore<K> {
     /// stay dirty. No-op when tracking is off.
     pub fn drain_dirty_exports(
         &mut self,
-        pred: impl Fn(K) -> bool,
-        entries: &mut Vec<(K, K, Timestamp)>,
-        tombstones: &mut Vec<K>,
-        drained: &mut Vec<K>,
+        pred: impl Fn(UserId) -> bool,
+        entries: &mut Vec<(UserId, UserId, Timestamp)>,
+        tombstones: &mut Vec<UserId>,
+        drained: &mut Vec<UserId>,
     ) {
         let Some(dirty) = &mut self.dirty else { return };
-        let matched: Vec<K> = dirty.iter().copied().filter(|&t| pred(t)).collect();
+        let matched: Vec<UserId> = dirty.iter().copied().filter(|&t| pred(t)).collect();
         for t in &matched {
             dirty.remove(t);
         }
@@ -380,11 +384,11 @@ impl<K: VertexKey> TemporalEdgeStore<K> {
     /// routed to it, dirty or not, so their marks are spent. Returns the
     /// cleared targets so a caller whose full checkpoint then fails to
     /// land can re-mark them ([`TemporalEdgeStore::mark_dirty_many`]).
-    pub fn clear_dirty_where(&mut self, pred: impl Fn(K) -> bool) -> Vec<K> {
+    pub fn clear_dirty_where(&mut self, pred: impl Fn(UserId) -> bool) -> Vec<UserId> {
         let Some(dirty) = &mut self.dirty else {
             return Vec::new();
         };
-        let cleared: Vec<K> = dirty.iter().copied().filter(|&t| pred(t)).collect();
+        let cleared: Vec<UserId> = dirty.iter().copied().filter(|&t| pred(t)).collect();
         for t in &cleared {
             dirty.remove(t);
         }
@@ -413,9 +417,9 @@ impl<K: VertexKey> TemporalEdgeStore<K> {
     /// query's dedup scratch). Maps and sets are sized by their capacity:
     /// a table is allocated whether or not its slots are occupied.
     pub fn memory_bytes(&self) -> usize {
-        let map_slot = std::mem::size_of::<(K, TargetList<K>)>() + 1;
+        let map_slot = std::mem::size_of::<(UserId, TargetList)>() + 1;
         let map_bytes = self.lists.capacity() * map_slot * 8 / 7;
-        let seen_bytes = self.seen.capacity() * (std::mem::size_of::<K>() + 1) * 8 / 7;
+        let seen_bytes = self.seen.capacity() * (std::mem::size_of::<UserId>() + 1) * 8 / 7;
         let list_bytes: usize = self.lists.values().map(|l| l.memory_bytes()).sum();
         let wheel_bytes = self.wheel.as_ref().map_or(0, |w| w.memory_bytes());
         map_bytes + seen_bytes + list_bytes + wheel_bytes
@@ -588,21 +592,6 @@ mod tests {
     fn query_unknown_target_is_empty() {
         let mut d = TemporalEdgeStore::with_window(w(10));
         assert!(d.witnesses(u(42), ts(5)).is_empty());
-    }
-
-    #[test]
-    fn dense_keyed_store_instantiates() {
-        // The key type is generic: a closed-world deployment can run `D`
-        // over interned dense ids.
-        use magicrecs_types::DenseId;
-        let mut d: TemporalEdgeStore<DenseId> = TemporalEdgeStore::with_window(w(60));
-        d.insert(DenseId(1), DenseId(100), ts(10));
-        d.insert(DenseId(2), DenseId(100), ts(20));
-        let mut got = d.witnesses(DenseId(100), ts(30));
-        got.sort_unstable();
-        assert_eq!(got, vec![(DenseId(1), ts(10)), (DenseId(2), ts(20))]);
-        d.remove(DenseId(1), DenseId(100));
-        assert_eq!(d.witnesses(DenseId(100), ts(30)).len(), 1);
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! `(&[_], &[_])` slice pair, so all variants share one read path and the
 //! iteration (checkpoint export) order is the same in each.
 
-use magicrecs_types::{FxHashMap, Timestamp, UserId, VertexKey};
+use magicrecs_types::{FxHashMap, Timestamp, UserId};
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
@@ -36,27 +36,24 @@ use std::collections::VecDeque;
 const LINEAR_DEDUP_KEPT: usize = 32;
 
 /// Time-ordered recent edges into one target vertex.
-///
-/// Generic over the vertex key so the detector-facing store can be
-/// instantiated over sparse [`UserId`]s (default) or dense interned ids.
 #[derive(Debug, Clone)]
-pub struct TargetList<K = UserId> {
+pub struct TargetList {
     /// `(source, created_at)` ordered by `created_at` ascending.
-    entries: Entries<K>,
+    entries: Entries,
 }
 
 /// Storage for a [`TargetList`]: inline while it holds at most one entry.
 #[derive(Debug, Clone)]
-enum Entries<K> {
+enum Entries {
     Empty,
-    One([(K, Timestamp); 1]),
-    Many(VecDeque<(K, Timestamp)>),
+    One([(UserId, Timestamp); 1]),
+    Many(VecDeque<(UserId, Timestamp)>),
 }
 
 /// A list's entries in time order, as two consecutive slices.
-type Slices<'a, K> = (&'a [(K, Timestamp)], &'a [(K, Timestamp)]);
+type Slices<'a> = (&'a [(UserId, Timestamp)], &'a [(UserId, Timestamp)]);
 
-impl<K> Default for TargetList<K> {
+impl Default for TargetList {
     fn default() -> Self {
         TargetList {
             entries: Entries::Empty,
@@ -64,7 +61,7 @@ impl<K> Default for TargetList<K> {
     }
 }
 
-impl<K: VertexKey> TargetList<K> {
+impl TargetList {
     /// Creates an empty list.
     pub fn new() -> Self {
         TargetList::default()
@@ -72,7 +69,7 @@ impl<K: VertexKey> TargetList<K> {
 
     /// The entries in time order.
     #[inline]
-    fn as_slices(&self) -> Slices<'_, K> {
+    fn as_slices(&self) -> Slices<'_> {
         match &self.entries {
             Entries::Empty => (&[], &[]),
             Entries::One(one) => (one, &[]),
@@ -82,7 +79,7 @@ impl<K: VertexKey> TargetList<K> {
 
     /// The entries from index `start` on.
     #[inline]
-    fn slices_from(&self, start: usize) -> Slices<'_, K> {
+    fn slices_from(&self, start: usize) -> Slices<'_> {
         let (a, b) = self.as_slices();
         match a.get(start..) {
             Some(a) => (a, b),
@@ -91,7 +88,7 @@ impl<K: VertexKey> TargetList<K> {
     }
 
     /// Inserts an edge, keeping timestamp order (stable for ties).
-    pub fn insert(&mut self, src: K, at: Timestamp) {
+    pub fn insert(&mut self, src: UserId, at: Timestamp) {
         let entry = (src, at);
         match &mut self.entries {
             Entries::Empty => self.entries = Entries::One([entry]),
@@ -122,7 +119,7 @@ impl<K: VertexKey> TargetList<K> {
 
     /// Removes all entries from `src` (unfollow semantics). Returns how many
     /// entries were removed.
-    pub fn remove_source(&mut self, src: K) -> usize {
+    pub fn remove_source(&mut self, src: UserId) -> usize {
         let before = self.len();
         match &mut self.entries {
             Entries::One([(s, _)]) if *s == src => self.entries = Entries::Empty,
@@ -154,7 +151,10 @@ impl<K: VertexKey> TargetList<K> {
 
     /// Iterates entries with `created_at ≥ cutoff` in time order
     /// (duplicates included).
-    pub fn entries_since(&self, cutoff: Timestamp) -> impl Iterator<Item = (K, Timestamp)> + '_ {
+    pub fn entries_since(
+        &self,
+        cutoff: Timestamp,
+    ) -> impl Iterator<Item = (UserId, Timestamp)> + '_ {
         let (a, b) = self.slices_from(self.partition_point(cutoff));
         a.iter().chain(b).copied()
     }
@@ -194,8 +194,8 @@ impl<K: VertexKey> TargetList<K> {
         &self,
         cutoff: Timestamp,
         cap: usize,
-        seen: &mut FxHashMap<K, ()>,
-        out: &mut Vec<(K, Timestamp)>,
+        seen: &mut FxHashMap<UserId, ()>,
+        out: &mut Vec<(UserId, Timestamp)>,
     ) {
         debug_assert!(seen.is_empty());
         // Most targets of a sparse firehose hold one entry: nothing to
@@ -285,7 +285,7 @@ impl<K: VertexKey> TargetList<K> {
     /// not-yet-trimmed expired entries included) — the checkpoint
     /// serializer's view: re-inserting these in order reproduces the list
     /// byte for byte.
-    pub fn iter(&self) -> impl Iterator<Item = (K, Timestamp)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (UserId, Timestamp)> + '_ {
         let (a, b) = self.as_slices();
         a.iter().chain(b).copied()
     }
@@ -305,7 +305,7 @@ impl<K: VertexKey> TargetList<K> {
     /// Approximate heap bytes held by this list (0 while it is inline).
     pub fn memory_bytes(&self) -> usize {
         match &self.entries {
-            Entries::Many(many) => many.capacity() * std::mem::size_of::<(K, Timestamp)>(),
+            Entries::Many(many) => many.capacity() * std::mem::size_of::<(UserId, Timestamp)>(),
             _ => 0,
         }
     }
@@ -464,10 +464,8 @@ mod tests {
 
     #[test]
     fn inline_layout_fits_the_deque_slot() {
-        use magicrecs_types::DenseId;
         let deque = std::mem::size_of::<VecDeque<(UserId, Timestamp)>>();
-        assert_eq!(std::mem::size_of::<TargetList<UserId>>(), deque);
-        assert_eq!(std::mem::size_of::<TargetList<DenseId>>(), deque);
+        assert_eq!(std::mem::size_of::<TargetList>(), deque);
     }
 
     #[test]

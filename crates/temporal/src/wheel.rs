@@ -14,24 +14,23 @@
 //! once per expiry, when [`EpochWheel::expire_before`] unions the expired
 //! buckets into a set. The store avoids most repeats up front: it skips
 //! the touch when the target's previous newest entry already placed it in
-//! the same live bucket (see [`EpochWheel::already_indexed`]).
+//! the same live bucket (see `EpochWheel::already_indexed`).
 
-use magicrecs_types::{Duration, FxHashMap, FxHashSet, Timestamp, UserId, VertexKey};
+use magicrecs_types::{Duration, FxHashMap, FxHashSet, Timestamp, UserId};
 
-/// Time-bucketed index of touched targets (generic over the vertex key,
-/// matching the store it indexes).
+/// Time-bucketed index of touched targets.
 #[derive(Debug, Clone)]
-pub struct EpochWheel<K = UserId> {
+pub struct EpochWheel {
     /// Bucket width in microseconds.
     bucket_us: u64,
     /// bucket index → targets touched during that bucket (append-only,
     /// repeats possible).
-    buckets: FxHashMap<u64, Vec<K>>,
+    buckets: FxHashMap<u64, Vec<UserId>>,
     /// First bucket index not yet expired.
     horizon: u64,
 }
 
-impl<K: VertexKey> EpochWheel<K> {
+impl EpochWheel {
     /// Creates a wheel with the given bucket width. A good width is
     /// `window / 16`: fine enough that expiry lag is small, coarse enough
     /// that the per-bucket lists amortize.
@@ -59,7 +58,7 @@ impl<K: VertexKey> EpochWheel<K> {
     /// Touches that land in already-expired buckets are clamped onto the
     /// horizon bucket so late arrivals are still re-examined on the next
     /// advance rather than leaking.
-    pub fn touch(&mut self, target: K, at: Timestamp) {
+    pub fn touch(&mut self, target: UserId, at: Timestamp) {
         let b = self.bucket_of(at).max(self.horizon);
         let bucket = self.buckets.entry(b).or_default();
         if bucket.last() != Some(&target) {
@@ -83,7 +82,7 @@ impl<K: VertexKey> EpochWheel<K> {
 
     /// Expires every bucket strictly older than `cutoff` and returns the
     /// union of their targets (each target reported once per call).
-    pub fn expire_before(&mut self, cutoff: Timestamp) -> Vec<K> {
+    pub fn expire_before(&mut self, cutoff: Timestamp) -> Vec<UserId> {
         let cutoff_bucket = self.bucket_of(cutoff);
         if cutoff_bucket <= self.horizon {
             return Vec::new();
@@ -120,17 +119,17 @@ impl<K: VertexKey> EpochWheel<K> {
     /// Approximate heap bytes of the wheel (bucket `Vec` capacity plus the
     /// bucket map).
     pub fn memory_bytes(&self) -> usize {
-        let map_slot = std::mem::size_of::<(u64, Vec<K>)>() + 1;
+        let map_slot = std::mem::size_of::<(u64, Vec<UserId>)>() + 1;
         self.buckets
             .values()
-            .map(|v| v.capacity() * std::mem::size_of::<K>())
+            .map(|v| v.capacity() * std::mem::size_of::<UserId>())
             .sum::<usize>()
             + self.buckets.capacity() * map_slot * 8 / 7
     }
 
     /// The live buckets holding `target` (test-only view of the index).
     #[cfg(test)]
-    pub(crate) fn buckets_holding(&self, target: K) -> Vec<u64> {
+    pub(crate) fn buckets_holding(&self, target: UserId) -> Vec<u64> {
         let mut held: Vec<u64> = self
             .buckets
             .iter()

@@ -1,4 +1,4 @@
-//! Configuration for the detector, the cluster, and the delivery funnel.
+//! Configuration for the detector and the cluster.
 //!
 //! Defaults follow the paper: `k = 3` in production (`k = 2` in the running
 //! example), 20 partitions, and a recency window on the order of minutes
@@ -138,69 +138,6 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Parameters of the delivery funnel (dedup, fatigue, quiet hours).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct FunnelConfig {
-    /// Suppress a repeat recommendation of the same `(user, target)` pair
-    /// within this horizon.
-    pub dedup_horizon: Duration,
-    /// Maximum push notifications per user per fatigue period.
-    pub fatigue_limit: u32,
-    /// Length of the fatigue accounting period (typically one day).
-    pub fatigue_period: Duration,
-    /// Local hour (0–23) at which the quiet window starts.
-    pub quiet_start_hour: u8,
-    /// Local hour (0–23) at which the quiet window ends.
-    pub quiet_end_hour: u8,
-}
-
-impl FunnelConfig {
-    /// Sensible production-like defaults: 7-day dedup, 4 pushes/day,
-    /// quiet from 23:00 to 08:00 local.
-    pub fn production() -> Self {
-        FunnelConfig {
-            dedup_horizon: Duration::from_hours(24 * 7),
-            fatigue_limit: 4,
-            fatigue_period: Duration::from_hours(24),
-            quiet_start_hour: 23,
-            quiet_end_hour: 8,
-        }
-    }
-
-    /// A permissive config that only deduplicates (for unit tests that
-    /// want to observe raw candidate flow).
-    pub fn dedup_only() -> Self {
-        FunnelConfig {
-            dedup_horizon: Duration::from_hours(24),
-            fatigue_limit: u32::MAX,
-            fatigue_period: Duration::from_hours(24),
-            quiet_start_hour: 0,
-            quiet_end_hour: 0,
-        }
-    }
-
-    /// Validates the configuration.
-    pub fn validate(&self) -> crate::error::Result<()> {
-        if self.quiet_start_hour > 23 || self.quiet_end_hour > 23 {
-            return Err(crate::error::Error::InvalidConfig(
-                "quiet hours must be 0..=23".into(),
-            ));
-        }
-        if self.fatigue_period == Duration::ZERO {
-            return Err(crate::error::Error::InvalidConfig(
-                "fatigue period must be positive".into(),
-            ));
-        }
-        Ok(())
-    }
-}
-
-impl Default for FunnelConfig {
-    fn default() -> Self {
-        FunnelConfig::production()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -236,21 +173,6 @@ mod tests {
             .with_partitions(0)
             .validate()
             .is_err());
-    }
-
-    #[test]
-    fn funnel_validation() {
-        assert!(FunnelConfig::production().validate().is_ok());
-        let bad = FunnelConfig {
-            quiet_start_hour: 24,
-            ..FunnelConfig::production()
-        };
-        assert!(bad.validate().is_err());
-        let bad2 = FunnelConfig {
-            fatigue_period: Duration::ZERO,
-            ..FunnelConfig::production()
-        };
-        assert!(bad2.validate().is_err());
     }
 
     #[test]

@@ -117,29 +117,9 @@ impl Candidate {
     }
 }
 
-/// A post-funnel recommendation, ready for delivery as a push notification.
-#[derive(Clone, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct Recommendation {
-    /// The underlying candidate.
-    pub candidate: Candidate,
-    /// When the recommendation cleared the funnel (delivery time).
-    pub delivered_at: Timestamp,
-}
-
-impl Recommendation {
-    /// End-to-end latency: edge creation to delivery (the paper's headline
-    /// median-7s / p99-15s metric).
-    #[inline]
-    pub fn latency(&self) -> crate::time::Duration {
-        self.delivered_at
-            .saturating_since(self.candidate.triggered_at)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::Duration;
 
     fn u(n: u64) -> UserId {
         UserId(n)
@@ -170,35 +150,6 @@ mod tests {
             triggered_at: Timestamp::ZERO,
         };
         assert_eq!(c.strength(), 3);
-    }
-
-    #[test]
-    fn recommendation_latency() {
-        let r = Recommendation {
-            candidate: Candidate {
-                user: u(1),
-                target: u(2),
-                witnesses: vec![u(3), u(4)],
-                triggered_at: Timestamp::from_secs(10),
-            },
-            delivered_at: Timestamp::from_secs(17),
-        };
-        assert_eq!(r.latency(), Duration::from_secs(7));
-    }
-
-    #[test]
-    fn recommendation_latency_clamps_clock_skew() {
-        // Delivery timestamped before creation (clock skew) must not panic.
-        let r = Recommendation {
-            candidate: Candidate {
-                user: u(1),
-                target: u(2),
-                witnesses: vec![],
-                triggered_at: Timestamp::from_secs(10),
-            },
-            delivered_at: Timestamp::from_secs(5),
-        };
-        assert_eq!(r.latency(), Duration::ZERO);
     }
 
     #[test]

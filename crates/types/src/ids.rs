@@ -57,17 +57,6 @@ impl fmt::Display for UserId {
     }
 }
 
-/// Capability bundle for types that can key vertex-indexed structures
-/// (the temporal store `D`, per-target lists, the epoch wheel).
-///
-/// Blanket-implemented, so both sparse [`UserId`]s (the default — dynamic
-/// events reference an unbounded vertex set) and dense [`DenseId`]s (for
-/// deployments whose dynamic traffic is confined to an interned vertex
-/// space) qualify, as does any future key newtype.
-pub trait VertexKey: Copy + Eq + Ord + std::hash::Hash + fmt::Debug {}
-
-impl<T: Copy + Eq + Ord + std::hash::Hash + fmt::Debug> VertexKey for T {}
-
 /// A dense vertex index assigned by graph-build-time interning.
 ///
 /// Twitter user ids are sparse `u64`s; the static graph `S` interns every
@@ -75,6 +64,10 @@ impl<T: Copy + Eq + Ord + std::hash::Hash + fmt::Debug> VertexKey for T {}
 /// held in a true offset-array CSR (`S[B]` becomes two array reads instead
 /// of a hash probe) and the hot intersection kernels compare `u32`s (half
 /// the memory traffic of raw ids).
+///
+/// Dense ids belong to `S` and the detection kernel (`magicrecs-graph`,
+/// `magicrecs-core`). The dynamic structure `D` stays keyed by sparse
+/// [`UserId`]: the event stream references vertices `S` never interned.
 ///
 /// **Ordering guarantee:** the interner assigns dense ids in ascending raw
 /// [`UserId`] order, so `dense(a) < dense(b) ⟺ a < b`. Sorted dense

@@ -1,7 +1,7 @@
 //! # magicrecs-types
 //!
 //! Shared vocabulary for the `magicrecs` workspace: vertex identifiers,
-//! timestamps, graph-edge events, recommendation records, configuration, a
+//! timestamps, graph-edge events, candidate records, configuration, a
 //! fast integer hasher, and lightweight metrics (counters + latency
 //! histograms).
 //!
@@ -27,10 +27,10 @@ pub mod ids;
 pub mod metrics;
 pub mod time;
 
-pub use config::{ClusterConfig, DetectorConfig, FunnelConfig};
+pub use config::{ClusterConfig, DetectorConfig};
 pub use error::{Error, Result};
-pub use event::{Candidate, EdgeEvent, EdgeKind, Recommendation};
+pub use event::{Candidate, EdgeEvent, EdgeKind};
 pub use hash::{route_mix, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use ids::{DenseId, PartitionId, UserId, VertexKey};
+pub use ids::{DenseId, PartitionId, UserId};
 pub use metrics::{Counter, Histogram, Snapshot};
 pub use time::{Duration, Timestamp};

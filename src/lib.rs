@@ -69,7 +69,6 @@
 pub use magicrecs_baseline as baseline;
 pub use magicrecs_cluster as cluster;
 pub use magicrecs_core as core;
-pub use magicrecs_delivery as delivery;
 pub use magicrecs_gen as gen;
 pub use magicrecs_graph as graph;
 pub use magicrecs_motif as motif;
@@ -82,9 +81,9 @@ pub use magicrecs_types as types;
 pub mod prelude {
     pub use magicrecs_core::{ConcurrentEngine, DiamondDetector};
     pub use magicrecs_graph::{FollowGraph, GraphBuilder};
-    pub use magicrecs_temporal::{EdgeStore, ShardedTemporalStore, TemporalEdgeStore};
+    pub use magicrecs_temporal::{ShardedTemporalStore, TemporalEdgeStore};
     pub use magicrecs_types::{
-        Candidate, ClusterConfig, DetectorConfig, Duration, EdgeEvent, EdgeKind, FunnelConfig,
-        PartitionId, Recommendation, Timestamp, UserId,
+        Candidate, ClusterConfig, DetectorConfig, Duration, EdgeEvent, EdgeKind, PartitionId,
+        Timestamp, UserId,
     };
 }

@@ -1,15 +1,13 @@
 //! Integration tests for the shared-state engine: N threads driving one
 //! `ConcurrentEngine`, per-event candidate parity with a single-thread
-//! run, the shared cluster wrapper, and concurrent delivery through
-//! `SharedFunnel` — every reference anchored on the brute-force
-//! `BatchOracle`.
+//! run and the shared cluster wrapper — every reference anchored on the
+//! brute-force `BatchOracle`.
 
 use magicrecs::baseline::BatchOracle;
 use magicrecs::cluster::SharedEngineCluster;
-use magicrecs::delivery::SharedFunnel;
 use magicrecs::gen::{GraphGen, GraphGenConfig, Scenario, ScenarioConfig};
 use magicrecs::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 fn capped_config() -> DetectorConfig {
     DetectorConfig {
@@ -122,72 +120,6 @@ fn shared_cluster_scaling_preserves_results() {
             .unwrap();
         assert_eq!(report.candidates, expected, "workers={workers}");
     }
-}
-
-/// Full concurrent pipeline: sharded ingest → shared engine → shared
-/// funnel. The delivered (user, target) set matches the oracle's
-/// candidate stream fed in order through one funnel.
-#[test]
-fn concurrent_emitters_feed_shared_funnel() {
-    let graph = test_graph(1_000);
-    let trace = test_trace(1_000, 99);
-    let config = capped_config();
-    // Generous fatigue so delivery sets are order-independent.
-    let funnel_config = FunnelConfig {
-        fatigue_limit: 10_000,
-        ..FunnelConfig::production()
-    };
-
-    // Sequential reference: the oracle's stream (event order, each
-    // candidate stamped with its event's time) through one funnel.
-    let mut seq_funnel = magicrecs::delivery::Funnel::new(funnel_config).unwrap();
-    let mut expected: Vec<(UserId, UserId)> = BatchOracle::new(config)
-        .unwrap()
-        .replay(&graph, &trace)
-        .into_iter()
-        .filter_map(|c| {
-            let at = c.triggered_at;
-            seq_funnel
-                .offer(c, at)
-                .map(|r| (r.candidate.user, r.candidate.target))
-        })
-        .collect();
-    expected.sort_unstable();
-
-    // Concurrent: 3 workers, routed by target, share engine + funnel.
-    const WORKERS: usize = 3;
-    let engine = ConcurrentEngine::new(graph, config).unwrap();
-    let funnel = SharedFunnel::new(funnel_config).unwrap();
-    let delivered = Mutex::new(Vec::<(UserId, UserId)>::new());
-    let mut shards: Vec<Vec<EdgeEvent>> = vec![Vec::new(); WORKERS];
-    for &e in &trace {
-        shards[(e.dst.raw() % WORKERS as u64) as usize].push(e);
-    }
-    std::thread::scope(|scope| {
-        for shard in &shards {
-            let (engine, funnel, delivered) = (&engine, &funnel, &delivered);
-            scope.spawn(move || {
-                for &event in shard {
-                    let at = event.created_at;
-                    let candidates = engine.on_event(event);
-                    if candidates.is_empty() {
-                        continue;
-                    }
-                    let recs = funnel.offer_batch(candidates, at);
-                    delivered.lock().unwrap().extend(
-                        recs.into_iter()
-                            .map(|r| (r.candidate.user, r.candidate.target)),
-                    );
-                }
-            });
-        }
-    });
-
-    let mut got = delivered.into_inner().unwrap();
-    got.sort_unstable();
-    assert!(!expected.is_empty(), "pipeline should deliver something");
-    assert_eq!(got, expected);
-    assert_eq!(funnel.stats().delivered.get() as usize, expected.len());
 }
 
 /// `swap_graph` mid-stream is safe under concurrent load and takes effect

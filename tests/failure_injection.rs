@@ -91,3 +91,24 @@ fn burst_of_identical_timestamps() {
     }
     assert_eq!(total, 20, "same-instant edges count as correlated");
 }
+
+#[test]
+fn unfollow_storm_is_harmless() {
+    // Follow + immediate unfollow pairs must produce no candidates and no
+    // store leaks.
+    let mut g = GraphBuilder::new();
+    for i in 0..50u64 {
+        g.add_edge(UserId(i), UserId(100 + i % 5));
+    }
+    let graph = g.build();
+    let engine = ConcurrentEngine::new(graph, DetectorConfig::example()).unwrap();
+    for i in 0..500u64 {
+        let b = UserId(100 + i % 5);
+        let c = UserId(1_000 + i % 3);
+        let t = Timestamp::from_secs(i);
+        engine.on_event(EdgeEvent::follow(b, c, t));
+        let out = engine.on_event(EdgeEvent::unfollow(b, c, t + Duration::from_micros(1)));
+        assert!(out.is_empty());
+    }
+    assert_eq!(engine.store().resident_entries(), 0, "unfollow leak");
+}
