@@ -50,12 +50,12 @@
 //!   micro-batch queue drain vs the one-item-per-recv transport.
 //! * `ingest_events_per_sec_while_checkpointing` vs
 //!   `ingest_events_per_sec_baseline` — the non-quiescent checkpoint
-//!   tax (PR 7): the celebrity trace through the persistent shared
-//!   engine with a live [`CheckpointDriver`] cutting incremental
-//!   fence-vector checkpoints mid-ingest vs the same run with no
-//!   checkpoints, over interleaved baseline/live pairs. The median pair
-//!   ratio is hard-asserted within 5%; every pair's ratio and the IQR are
-//!   printed. `checkpoint_full_bytes` vs
+//!   tax: the celebrity trace through a persistent shared engine
+//!   cutting incremental fence-vector checkpoints mid-ingest, as a
+//!   [`CheckpointDriver`] does, vs one with no checkpoints, the two fed
+//!   the trace in alternating chunks within each round. The median round
+//!   ratio is hard-asserted within 5%; every round's ratio and the IQR
+//!   are printed. `checkpoint_full_bytes` vs
 //!   `checkpoint_incremental_bytes` sizes a delta cut at a ~1% dirty
 //!   ratio (hard-asserted <10% of the full — `--ckpt-only` runs just
 //!   this guard for CI).
@@ -521,90 +521,163 @@ fn run_wal(json: &mut Json) {
     );
 }
 
-/// Interleaved baseline/live pairs the checkpoint-tax guard measures.
-const LIVE_CKPT_PAIRS: usize = 7;
+/// Rounds the checkpoint-tax guard measures.
+const LIVE_CKPT_ROUNDS: usize = 7;
 
-/// Celebrity rounds per checkpoint-tax sample: 40k events, ≈1.5 s of
-/// ingest per run on a 2-core box.
-const LIVE_CKPT_ROUNDS: u64 = 8_000;
+/// Celebrity rounds of the checkpoint-tax trace: 40k events, ≈1.5 s of
+/// ingest per arm and round on a 2-core box.
+const LIVE_CKPT_TRACE_ROUNDS: u64 = 8_000;
+
+/// Events each arm ingests before the other arm takes the next chunk.
+const LIVE_CKPT_CHUNK: usize = 2_048;
 
 /// The value at quantile `q` of an ascending sample (nearest rank).
 fn quantile(sorted: &[f64], q: f64) -> f64 {
     sorted[((sorted.len() - 1) as f64 * q).round() as usize]
 }
 
-/// The non-quiescent checkpoint tax: the celebrity trace through the
-/// persistent shared engine (2 workers, 2 WAL partitions, fsync off so
-/// the disk is out of the picture), baseline with checkpoints disabled
-/// vs a live `CheckpointDriver` cutting incremental fence-vector
-/// checkpoints on the production cadence mid-ingest.
-/// [`LIVE_CKPT_PAIRS`] baseline/live pairs run back to back, so slow
-/// box-level drift lands on both arms of a pair, and every pair's ratio
-/// is printed with the IQR across pairs. **Guard**: the median pair
-/// ratio keeps ≥95% of baseline throughput, or the run aborts (one
-/// remeasure absorbs a noise spike). Non-quiescent means ingest never
-/// *blocks* on a cut — but the driver's export/encode/write still needs
-/// a core to overlap on, so on a single-core box (where every driver
-/// cycle is time-sliced straight out of the workers) the guard floor
-/// honestly relaxes to 85%, with the core count recorded alongside the
-/// ratio.
+/// The non-quiescent checkpoint tax: the celebrity trace through two
+/// fresh persistent shared engines (2 WAL partitions, fsync off so the
+/// disk is out of the picture, each ingesting on 2 worker threads routed
+/// by target as `SharedEngineCluster` routes them), a baseline that never
+/// checkpoints and a live one that cuts incremental fence-vector
+/// checkpoints on the production cadence (`PersistOptions::default()`'s
+/// `checkpoint_every`) mid-ingest.
+///
+/// Within each of [`LIVE_CKPT_ROUNDS`] rounds the two arms take the trace
+/// in alternating [`LIVE_CKPT_CHUNK`]-event chunks (which arm goes first
+/// alternates too), so both arms see the same speed phase of the box.
+/// When the live arm starts a chunk with a cadence's worth of events past
+/// its chain tip, it cuts a checkpoint on a third thread alongside the
+/// chunk's workers, as a [`CheckpointDriver`] would, so the cut's whole
+/// cost lands on that arm's chunk. Every round's ratio and the IQR are
+/// printed. **Guard**: the median round ratio keeps ≥95% of baseline
+/// throughput, or the run aborts (one remeasure absorbs a noise spike).
+/// Non-quiescent means ingest never *blocks* on a cut — but the export,
+/// encode and write still need a core to overlap on, so on a single-core
+/// box (where every cut is time-sliced straight out of the workers) the
+/// guard floor honestly relaxes to 85%, with the core count recorded
+/// alongside the ratio.
+///
+/// [`CheckpointDriver`]: magicrecs_persist::CheckpointDriver
 fn run_live_checkpoint(json: &mut Json) {
-    use magicrecs_persist::{FsyncPolicy, PersistOptions, RebasePolicy, TempDir};
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use magicrecs_cluster::DEFAULT_MAX_BATCH;
+    use magicrecs_persist::{
+        FsyncPolicy, PersistOptions, PersistentConcurrentEngine, RebasePolicy, TempDir,
+    };
 
     println!("# ingest throughput while checkpointing (celebrity workload, 2 workers)");
+    const WORKERS: usize = 2;
     let graph = celebrity_graph();
-    let trace = celebrity_trace(LIVE_CKPT_ROUNDS);
-    let cluster = SharedEngineCluster::new(&graph, 2, DetectorConfig::production())
-        .expect("valid cluster config");
-    let opts_at = |every: u64| PersistOptions {
+    let trace = celebrity_trace(LIVE_CKPT_TRACE_ROUNDS);
+    let opts = PersistOptions {
         fsync: FsyncPolicy::Never,
         segment_bytes: 4 << 20,
-        checkpoint_every: every,
         rebase: RebasePolicy {
             max_chain_len: 8,
             max_delta_bytes_ratio: 0.0,
         },
+        ..PersistOptions::default()
     };
-    // One run per sample, fresh directory each time so no chain state
-    // leaks between samples. The report's wall clock covers
-    // send-to-gather only (engine creation and the post-drain cadence
-    // catch-up are outside it).
-    let one_run = |every: u64| -> f64 {
-        let tmp = TempDir::new("bench-live-ckpt");
-        // Count the candidates instead of keeping them: the guard reads
-        // throughput only.
-        let candidates = AtomicU64::new(0);
-        let report = cluster
-            .run_trace_persistent(tmp.path(), opts_at(every), &trace, |batch| {
-                candidates.fetch_add(batch.len() as u64, Ordering::Relaxed);
-            })
-            .expect("persistent run");
-        assert!(
-            candidates.into_inner() > 0,
-            "the celebrity trace emits candidates"
-        );
-        if every > 0 {
-            assert!(
-                report.checkpoints_completed >= 1,
-                "the driver must checkpoint during the measured run"
-            );
-            assert_eq!(
-                report.checkpoint_failures, 0,
-                "driver checkpoints must not fail on a clean backend"
-            );
-        }
-        report.stream_events_per_sec()
-    };
-    let _ = one_run(0); // warm-up: page cache, allocator, snapshot publish
+    // Each chunk split into the workers' shares once, up front.
+    let chunks: Vec<Vec<Vec<EdgeEvent>>> = trace
+        .chunks(LIVE_CKPT_CHUNK)
+        .map(|chunk| {
+            let mut shares = vec![Vec::new(); WORKERS];
+            for &e in chunk {
+                shares[magicrecs_types::route_mix(&e.dst) as usize % WORKERS].push(e);
+            }
+            shares
+        })
+        .collect();
 
-    // `(median baseline, median live, ascending pair ratios)`.
+    struct Arm {
+        engine: PersistentConcurrentEngine,
+        _dir: TempDir,
+        /// Checkpoint cadence in events; 0 never cuts.
+        every: u64,
+        secs: f64,
+        cuts: u64,
+        candidates: usize,
+    }
+    let new_arm = |every: u64| {
+        let dir = TempDir::new("bench-live-ckpt");
+        let engine = PersistentConcurrentEngine::create(
+            dir.path(),
+            graph.clone(),
+            0,
+            DetectorConfig::production(),
+            WORKERS,
+            opts,
+        )
+        .expect("persistent engine");
+        Arm {
+            engine,
+            _dir: dir,
+            every,
+            secs: 0.0,
+            cuts: 0,
+            candidates: 0,
+        }
+    };
+    // One chunk through one arm; only the chunk's ingest (and the cut
+    // beside it) is timed.
+    let feed = |arm: &mut Arm, shares: &[Vec<EdgeEvent>]| {
+        let engine = &arm.engine;
+        let past_tip = engine.next_seq() - engine.checkpoint_tip().map_or(0, |tip| tip + 1);
+        let cut = arm.every > 0 && past_tip >= arm.every;
+        let start = Instant::now();
+        let candidates: usize = std::thread::scope(|s| {
+            if cut {
+                s.spawn(|| engine.checkpoint().expect("checkpoint"));
+            }
+            let workers: Vec<_> = shares
+                .iter()
+                .map(|share| {
+                    s.spawn(move || {
+                        let (mut out, mut n) = (Vec::new(), 0);
+                        for batch in share.chunks(DEFAULT_MAX_BATCH) {
+                            n += engine.on_events_into(batch, &mut out).expect("ingest");
+                            out.clear();
+                        }
+                        n
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("worker")).sum()
+        });
+        arm.secs += start.elapsed().as_secs_f64();
+        arm.cuts += u64::from(cut);
+        arm.candidates += candidates;
+    };
+    // One round: `[baseline, live]` events/sec.
+    let round = |r: usize| -> [f64; 2] {
+        let every = PersistOptions::default().checkpoint_every;
+        let mut arms = [new_arm(0), new_arm(every)];
+        for (c, shares) in chunks.iter().enumerate() {
+            let first = (r + c) % 2;
+            for a in [first, 1 - first] {
+                feed(&mut arms[a], shares);
+            }
+        }
+        assert!(
+            arms[1].cuts >= 1,
+            "the live arm must checkpoint during the measured run"
+        );
+        assert!(
+            arms[0].candidates > 0 && arms[0].candidates == arms[1].candidates,
+            "both arms emit the celebrity trace's candidates"
+        );
+        arms.map(|arm| trace.len() as f64 / arm.secs)
+    };
+    // `(median baseline, median live, ascending round ratios)`.
     let measure = || {
+        let _ = round(0); // warm-up: page cache, allocator, snapshot publish
         let (mut base, mut live, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
-        for pair in 0..LIVE_CKPT_PAIRS {
-            let (b, l) = (one_run(0), one_run(4096));
+        for r in 0..LIVE_CKPT_ROUNDS {
+            let [b, l] = round(r);
             println!(
-                "  pair {pair}: baseline {b:.0} vs live {l:.0} events/sec, ratio {:.3}",
+                "  round {r}: baseline {b:.0} vs live {l:.0} events/sec, ratio {:.3}",
                 l / b
             );
             base.push(b);
@@ -620,7 +693,7 @@ fn run_live_checkpoint(json: &mut Json) {
     let floor = if cores >= 2 {
         0.95
     } else {
-        println!("  single-core box: driver cycles time-slice out of the workers, floor 0.85");
+        println!("  single-core box: cuts time-slice out of the workers, floor 0.85");
         0.85
     };
     let (mut baseline, mut live, mut ratios) = measure();
@@ -645,13 +718,13 @@ fn run_live_checkpoint(json: &mut Json) {
     json.int("ingest_checkpointing_bench_cores", cores as u64);
     println!(
         "  baseline {baseline:.0} vs while-checkpointing {live:.0} events/sec (medians); \
-         median pair ratio {ratio:.3}, IQR {q1:.3}–{q3:.3} over {LIVE_CKPT_PAIRS} pairs, \
+         median round ratio {ratio:.3}, IQR {q1:.3}–{q3:.3} over {LIVE_CKPT_ROUNDS} rounds, \
          {cores} core(s)"
     );
     assert!(
         ratio >= floor,
         "ingest while checkpointing must retain >={floor}x baseline on a {cores}-core box \
-         in two independent measurements — the median of {LIVE_CKPT_PAIRS} pair ratios is \
+         in two independent measurements — the median of {LIVE_CKPT_ROUNDS} round ratios is \
          {ratio:.3} (IQR {q1:.3}–{q3:.3}); non-quiescent cuts are the whole point"
     );
 }
@@ -840,10 +913,11 @@ fn run_obs_guard(json: &mut Json) {
     );
 }
 
-/// Bytes-per-entry ceiling for `D` on the sparse upsert arm. Inline
-/// single-entry lists and append-only wheel buckets put it near 61; a
-/// layout that gives every target a heap `VecDeque` and hashes every
-/// touch into a bucket set reads about 118.
+/// Bytes-per-entry ceiling for `D` on the sparse upsert arm. The target
+/// table's 24-byte slots, with single entries inline, and shrunk wheel
+/// buckets put it near 41; a `FxHashMap` of 32-byte inline-or-deque
+/// lists read about 61, and a layout that gives every target a heap
+/// `VecDeque` and hashes every touch into a bucket set about 118.
 const D_BYTES_PER_ENTRY_MAX: f64 = 80.0;
 
 /// Timer-noise allowance for the capped-vs-uncapped witness fetch guard

@@ -1,24 +1,55 @@
-//! Shared fixtures for the replication integration tests: free-port
-//! cluster maps, a deterministic candidate-rich event stream, and a
-//! fault-free twin that mirrors the routed client's batching exactly.
+//! Shared fixtures for the replication integration tests: cluster maps
+//! on free loopback ports below the ephemeral range, a deterministic
+//! candidate-rich event stream, and a fault-free twin that mirrors the
+//! routed client's batching exactly.
 
 // Each test binary compiles its own copy of this module and none uses
 // every helper, so per-binary dead-code analysis is meaningless here.
 #![allow(dead_code)]
 
 use std::collections::HashMap;
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use magicrecs_cluster::RouteTable;
 use magicrecs_core::ConcurrentEngine;
 use magicrecs_replica::{fixture_graph, ClusterMap};
 use magicrecs_types::{Candidate, DetectorConfig, EdgeEvent, Timestamp, UserId};
 
-/// Grabs a free loopback port by binding ephemeral and letting go.
-/// (The tiny reuse race is acceptable for loopback tests.)
+/// Node ports come from `[NODE_PORT_LOW, NODE_PORT_LOW + NODE_PORTS)`,
+/// below Linux's default ephemeral range (32768–60999). A node binds its
+/// port only when it starts, after the map is built; an ephemeral port
+/// handed out in between (an outgoing connection's local port) could
+/// take a port picked from inside that range.
+const NODE_PORT_LOW: u32 = 20_000;
+const NODE_PORTS: u32 = 12_000;
+
+/// A loopback address for a node, bound once to check it is free and then
+/// let go. Ports are handed out in turn from a per-process counter that
+/// starts at an offset taken from the process id, so concurrent tests and
+/// test processes take different ports; a port some other socket holds
+/// is skipped.
 pub fn free_addr() -> SocketAddr {
-    let l = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
-    l.local_addr().expect("local addr")
+    static NEXT: AtomicU32 = AtomicU32::new(u32::MAX);
+    let _ = NEXT.compare_exchange(
+        u32::MAX,
+        std::process::id().wrapping_mul(61) % NODE_PORTS,
+        Ordering::Relaxed,
+        Ordering::Relaxed,
+    );
+    for _ in 0..NODE_PORTS {
+        let port = NODE_PORT_LOW + NEXT.fetch_add(1, Ordering::Relaxed) % NODE_PORTS;
+        match TcpListener::bind(("127.0.0.1", port as u16)) {
+            Ok(l) => return l.local_addr().expect("local addr"),
+            Err(e) if e.kind() == ErrorKind::AddrInUse => continue,
+            Err(e) => panic!("bind 127.0.0.1:{port}: {e}"),
+        }
+    }
+    panic!(
+        "no free loopback port in {NODE_PORT_LOW}..{}",
+        NODE_PORT_LOW + NODE_PORTS
+    )
 }
 
 /// A cluster map over `n` freshly picked loopback ports, with the

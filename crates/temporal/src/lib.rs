@@ -22,14 +22,26 @@
 //! `D` is laid out for the sparse firehose, where most targets ever hold
 //! a single entry:
 //!
-//! * **Inline single-entry lists.** A [`TargetList`] stores its first
-//!   entry inline and moves to a heap `VecDeque` only on its second, in
-//!   the same 32 bytes (the deque's capacity niche holds the tag). A
-//!   one-entry target costs its map slot and nothing else.
+//! * **A target table built for single entries.** Each store indexes its
+//!   targets in an open-addressing table of 24-byte slots (a power of
+//!   two of them, at most 7/8 full). A slot holds the target key, its
+//!   newest timestamp and either its single entry's source, inline, or
+//!   the index of its [`TargetList`] in a slab of deques with a free
+//!   list; a target moves to the slab on its second entry. Whether a
+//!   slot is vacant, inline or slab-backed lives in a side array of
+//!   2-bit tags, so no id or timestamp from the wire is reserved. Probing
+//!   is linear from the high bits of the key's hash (the shard pick uses
+//!   its low bits), and deletion shifts the probe run back, so there are
+//!   no tombstones. A one-entry target costs its 24-byte slot and a
+//!   quarter byte of tag, 27–55 bytes once vacant slots are counted (the
+//!   load runs from 7/16 to 7/8); a slab target adds 32 bytes of slab
+//!   plus 16 bytes per entry of deque capacity.
 //! * **Append-only wheel buckets.** An [`EpochWheel`] bucket is a `Vec`
 //!   of targets; a touch is a push, skipped when it repeats the bucket's
-//!   last push. Expiry unions the expired buckets into a set, so each
-//!   target is still reported once per advance.
+//!   last push. When a touch opens a newer bucket, the previous one is
+//!   shrunk to fit, so closed buckets keep no doubling slack. Expiry
+//!   unions the expired buckets into a set, so each target is still
+//!   reported once per advance.
 //! * **Touch skipping.** [`TemporalEdgeStore::insert`] skips the wheel
 //!   touch when the list's previous newest entry falls in the same bucket
 //!   as the new one and that bucket is not behind the horizon: that entry
@@ -56,6 +68,7 @@
 
 pub mod sharded;
 pub mod store;
+mod table;
 pub mod target_list;
 pub mod wheel;
 

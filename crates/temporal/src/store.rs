@@ -2,10 +2,12 @@
 //!
 //! `TemporalEdgeStore` is the single-threaded store owned by one partition
 //! (the paper's partitions each hold "the complete D data structure"). It
-//! combines the per-target [`TargetList`]s with a configurable global
-//! pruning discipline and detailed statistics for the memory experiments.
+//! combines the per-target entries, held in a `TargetTable` (one slot per
+//! target, multi-entry [`crate::TargetList`]s in its slab), with a
+//! configurable global pruning discipline and detailed statistics for the
+//! memory experiments.
 
-use crate::target_list::TargetList;
+use crate::table::TargetTable;
 use crate::wheel::EpochWheel;
 use magicrecs_types::{Duration, FxHashMap, FxHashSet, Timestamp, UserId};
 
@@ -57,7 +59,7 @@ pub struct TemporalEdgeStore {
     /// Optional cap on entries retained per target (most recent win);
     /// the paper's "retain the most recent edges" pruning.
     entry_cap: Option<usize>,
-    lists: FxHashMap<UserId, TargetList>,
+    targets: TargetTable,
     wheel: Option<EpochWheel>,
     resident: u64,
     since_sweep: u64,
@@ -83,7 +85,7 @@ impl TemporalEdgeStore {
             window,
             strategy,
             entry_cap: None,
-            lists: FxHashMap::default(),
+            targets: TargetTable::new(),
             wheel,
             resident: 0,
             since_sweep: 0,
@@ -117,13 +119,8 @@ impl TemporalEdgeStore {
     /// touched list to the window as a side effect.
     pub fn insert(&mut self, src: UserId, dst: UserId, at: Timestamp) {
         let cutoff = at.saturating_sub(self.window);
-        let list = self.lists.entry(dst).or_default();
-        let prev_newest = list.newest();
-        list.insert(src, at);
-        let mut dropped = list.trim_before(cutoff) as u64;
-        if let Some(cap) = self.entry_cap {
-            dropped += list.enforce_cap(cap) as u64;
-        }
+        let (prev_newest, dropped) = self.targets.insert(dst, src, at, cutoff, self.entry_cap);
+        let dropped = dropped as u64;
         self.mark_dirty(dst);
         self.stats.inserted += 1;
         self.stats.pruned += dropped;
@@ -147,12 +144,12 @@ impl TemporalEdgeStore {
 
     /// Removes any stored edges `src → dst` (unfollow semantics).
     pub fn remove(&mut self, src: UserId, dst: UserId) {
-        if let Some(list) = self.lists.get_mut(&dst) {
-            let removed = list.remove_source(src) as u64;
+        if let Some(pos) = self.targets.find(dst) {
+            let (removed, reclaimed) = self.targets.remove_source(pos, src);
+            let removed = removed as u64;
             self.stats.unfollowed += removed;
             self.resident -= removed;
-            if list.is_empty() {
-                self.lists.remove(&dst);
+            if reclaimed {
                 self.stats.lists_reclaimed += 1;
             }
             if removed > 0 {
@@ -184,7 +181,7 @@ impl TemporalEdgeStore {
     /// deliver out of order, and edges within τ of each other are
     /// temporally correlated regardless of which side of the query time
     /// they land on. The cap bounds the walk (see
-    /// [`TargetList::newest_sources_into`]): a detector that keeps the
+    /// [`crate::TargetList::newest_sources_into`]): a detector that keeps the
     /// `(Reverse(at), source)` top `cap` witnesses keeps the same set from
     /// this output as from the uncapped one. The cap changes only what is
     /// appended: the query's trim, counters and dirty marks are the
@@ -197,19 +194,20 @@ impl TemporalEdgeStore {
         out: &mut Vec<(UserId, Timestamp)>,
     ) {
         let cutoff = now.saturating_sub(self.window);
-        if let Some(list) = self.lists.get_mut(&dst) {
+        if let Some(pos) = self.targets.find(dst) {
             // Trim opportunistically — the query already pays for the scan.
-            let dropped = list.trim_before(cutoff) as u64;
+            let (dropped, reclaimed) = self.targets.trim(pos, cutoff);
+            let dropped = dropped as u64;
             self.stats.pruned += dropped;
             self.resident -= dropped;
-            if list.is_empty() {
-                self.lists.remove(&dst);
+            if reclaimed {
                 self.stats.lists_reclaimed += 1;
                 self.mark_dirty(dst);
                 return;
             }
             let cap = cap.map_or(usize::MAX, |c| c.max(1));
-            list.newest_sources_into(cutoff, cap, &mut self.seen, out);
+            self.targets
+                .newest_sources_into(pos, cutoff, cap, &mut self.seen, out);
             if dropped > 0 {
                 self.mark_dirty(dst);
             }
@@ -232,12 +230,12 @@ impl TemporalEdgeStore {
         let cutoff = now.saturating_sub(self.window);
         if let Some(wheel) = &mut self.wheel {
             for target in wheel.expire_before(cutoff) {
-                if let Some(list) = self.lists.get_mut(&target) {
-                    let dropped = list.trim_before(cutoff) as u64;
+                if let Some(pos) = self.targets.find(target) {
+                    let (dropped, reclaimed) = self.targets.trim(pos, cutoff);
+                    let dropped = dropped as u64;
                     self.stats.pruned += dropped;
                     self.resident -= dropped;
-                    if list.is_empty() {
-                        self.lists.remove(&target);
+                    if reclaimed {
                         self.stats.lists_reclaimed += 1;
                     }
                     if dropped > 0 {
@@ -256,25 +254,14 @@ impl TemporalEdgeStore {
         let cutoff = now.saturating_sub(self.window);
         let mut reclaimed = 0u64;
         let mut dropped_total = 0u64;
-        // Collect-then-mark: the retain closure can't reach the dirty set
-        // while the map is mid-mutation.
-        let mut touched: Vec<UserId> = Vec::new();
-        let track = self.dirty.is_some();
-        self.lists.retain(|&target, list| {
-            let dropped = list.trim_before(cutoff) as u64;
-            dropped_total += dropped;
-            let keep = !list.is_empty();
-            if !keep {
-                reclaimed += 1;
+        let dirty = &mut self.dirty;
+        self.targets.trim_all(cutoff, |target, dropped, emptied| {
+            dropped_total += dropped as u64;
+            reclaimed += u64::from(emptied);
+            if let Some(dirty) = dirty {
+                dirty.insert(target);
             }
-            if track && (dropped > 0 || !keep) {
-                touched.push(target);
-            }
-            keep
         });
-        if let Some(dirty) = &mut self.dirty {
-            dirty.extend(touched);
-        }
         self.stats.pruned += dropped_total;
         self.resident -= dropped_total;
         self.stats.lists_reclaimed += reclaimed;
@@ -289,9 +276,7 @@ impl TemporalEdgeStore {
     /// **unspecified** — deterministic consumers sort by target.
     pub fn export_entries(&self, out: &mut Vec<(UserId, UserId, Timestamp)>) {
         out.reserve(self.resident as usize);
-        for (&dst, list) in &self.lists {
-            out.extend(list.iter().map(|(src, at)| (dst, src, at)));
-        }
+        self.export_entries_where(|_| true, out);
     }
 
     /// [`TemporalEdgeStore::export_entries`] restricted to targets
@@ -303,9 +288,9 @@ impl TemporalEdgeStore {
         pred: impl Fn(UserId) -> bool,
         out: &mut Vec<(UserId, UserId, Timestamp)>,
     ) {
-        for (&dst, list) in &self.lists {
+        for (dst, pos) in self.targets.targets() {
             if pred(dst) {
-                out.extend(list.iter().map(|(src, at)| (dst, src, at)));
+                out.extend(self.targets.entries(pos).map(|(src, at)| (dst, src, at)));
             }
         }
     }
@@ -369,11 +354,13 @@ impl TemporalEdgeStore {
         }
         for &t in &matched {
             drained.push(t);
-            match self.lists.get(&t) {
-                // A resident list is never empty (empty lists are
-                // reclaimed from the map), so this always exports ≥ 1
+            match self.targets.find(t) {
+                // A held target is never empty (emptied targets are
+                // removed from the table), so this always exports ≥ 1
                 // entries.
-                Some(list) => entries.extend(list.iter().map(|(src, at)| (t, src, at))),
+                Some(pos) => {
+                    entries.extend(self.targets.entries(pos).map(|(src, at)| (t, src, at)))
+                }
                 None => tombstones.push(t),
             }
         }
@@ -404,7 +391,7 @@ impl TemporalEdgeStore {
     /// Number of targets currently holding at least one entry.
     #[inline]
     pub fn resident_targets(&self) -> usize {
-        self.lists.len()
+        self.targets.len()
     }
 
     /// Snapshot of the statistics counters.
@@ -413,16 +400,14 @@ impl TemporalEdgeStore {
         self.stats
     }
 
-    /// Approximate heap bytes (lists + wheel + map overhead + the witness
-    /// query's dedup scratch). Maps and sets are sized by their capacity:
-    /// a table is allocated whether or not its slots are occupied.
+    /// Approximate heap bytes (target table and its lists + wheel + the
+    /// witness query's dedup scratch). Tables and sets are sized by their
+    /// capacity: a table is allocated whether or not its slots are
+    /// occupied.
     pub fn memory_bytes(&self) -> usize {
-        let map_slot = std::mem::size_of::<(UserId, TargetList)>() + 1;
-        let map_bytes = self.lists.capacity() * map_slot * 8 / 7;
         let seen_bytes = self.seen.capacity() * (std::mem::size_of::<UserId>() + 1) * 8 / 7;
-        let list_bytes: usize = self.lists.values().map(|l| l.memory_bytes()).sum();
         let wheel_bytes = self.wheel.as_ref().map_or(0, |w| w.memory_bytes());
-        map_bytes + seen_bytes + list_bytes + wheel_bytes
+        self.targets.memory_bytes() + seen_bytes + wheel_bytes
     }
 }
 
@@ -694,11 +679,29 @@ mod tests {
         for i in 0..1_000 {
             d.insert(u(i), u(10_000 + i), ts(1));
         }
-        let list_heap: usize = d.lists.values().map(TargetList::memory_bytes).sum();
-        assert_eq!(list_heap, 0);
-        let map_and_wheel = d.memory_bytes();
-        d.insert(u(1), u(10_000), ts(2)); // a second entry moves one list to the heap
-        assert!(d.memory_bytes() > map_and_wheel);
+        assert_eq!(d.targets.slab_targets(), 0);
+        let table_and_wheel = d.memory_bytes();
+        d.insert(u(1), u(10_000), ts(2)); // a second entry moves one list to the slab
+        assert_eq!(d.targets.slab_targets(), 1);
+        assert!(d.memory_bytes() > table_and_wheel);
+    }
+
+    #[test]
+    fn max_user_id_at_max_timestamp_is_stored() {
+        let (id, t) = (UserId(u64::MAX), Timestamp(u64::MAX));
+        let mut d = TemporalEdgeStore::with_window(w(60));
+        d.insert(id, id, t);
+        d.insert(u(0), u(0), Timestamp(0));
+        assert_eq!(d.witnesses(id, t), vec![(id, t)]);
+        d.insert(u(1), id, t); // a second entry: the target's list moves to the slab
+        let mut got = d.witnesses(id, t);
+        got.sort_unstable();
+        assert_eq!(got, vec![(u(1), t), (id, t)]);
+        d.remove(id, id);
+        d.remove(u(1), id);
+        assert_eq!(d.resident_targets(), 1);
+        assert!(d.witnesses(id, t).is_empty());
+        assert_eq!(d.witnesses(u(0), Timestamp(0)), vec![(u(0), Timestamp(0))]);
     }
 
     #[test]

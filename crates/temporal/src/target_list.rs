@@ -16,14 +16,11 @@
 //! so far, then probes a set the caller owns and reuses, so no query
 //! allocates a map of its own.
 //!
-//! **Inline layout.** On a sparse firehose most targets ever hold exactly
-//! one entry, so a list is `Empty`, `One` (the entry stored inline, no
-//! heap) or `Many` (a `VecDeque`). A list moves to `Many` on its second
-//! entry and stays there until the store reclaims it. The enum is no
-//! larger than the `VecDeque` alone — its capacity niche holds the tag —
-//! so the store's map slot does not grow. Every read goes through one
-//! `(&[_], &[_])` slice pair, so all variants share one read path and the
-//! iteration (checkpoint export) order is the same in each.
+//! A list lives in its table's slab (see `crate::table`) once its target
+//! holds two entries; a target with one entry keeps it in its table slot
+//! and owns no list. Every read goes through the deque's
+//! `(&[_], &[_])` slice pair, so the iteration (checkpoint export) order
+//! is stored time order.
 
 use magicrecs_types::{FxHashMap, Timestamp, UserId};
 use std::collections::hash_map::Entry;
@@ -36,30 +33,14 @@ use std::collections::VecDeque;
 const LINEAR_DEDUP_KEPT: usize = 32;
 
 /// Time-ordered recent edges into one target vertex.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TargetList {
     /// `(source, created_at)` ordered by `created_at` ascending.
-    entries: Entries,
-}
-
-/// Storage for a [`TargetList`]: inline while it holds at most one entry.
-#[derive(Debug, Clone)]
-enum Entries {
-    Empty,
-    One([(UserId, Timestamp); 1]),
-    Many(VecDeque<(UserId, Timestamp)>),
+    entries: VecDeque<(UserId, Timestamp)>,
 }
 
 /// A list's entries in time order, as two consecutive slices.
 type Slices<'a> = (&'a [(UserId, Timestamp)], &'a [(UserId, Timestamp)]);
-
-impl Default for TargetList {
-    fn default() -> Self {
-        TargetList {
-            entries: Entries::Empty,
-        }
-    }
-}
 
 impl TargetList {
     /// Creates an empty list.
@@ -67,14 +48,17 @@ impl TargetList {
         TargetList::default()
     }
 
+    /// A list of two entries already in time order.
+    pub(crate) fn from_pair(pair: [(UserId, Timestamp); 2]) -> Self {
+        TargetList {
+            entries: VecDeque::from(pair),
+        }
+    }
+
     /// The entries in time order.
     #[inline]
     fn as_slices(&self) -> Slices<'_> {
-        match &self.entries {
-            Entries::Empty => (&[], &[]),
-            Entries::One(one) => (one, &[]),
-            Entries::Many(many) => many.as_slices(),
-        }
+        self.entries.as_slices()
     }
 
     /// The entries from index `start` on.
@@ -90,56 +74,30 @@ impl TargetList {
     /// Inserts an edge, keeping timestamp order (stable for ties).
     pub fn insert(&mut self, src: UserId, at: Timestamp) {
         let entry = (src, at);
-        match &mut self.entries {
-            Entries::Empty => self.entries = Entries::One([entry]),
-            Entries::One([first]) => {
-                let first = *first;
-                let pair = if first.1 <= at {
-                    [first, entry]
-                } else {
-                    [entry, first]
-                };
-                self.entries = Entries::Many(VecDeque::from(pair));
-            }
-            Entries::Many(many) => {
-                // Fast path: in-order arrival.
-                if many.back().is_none_or(|&(_, t)| t <= at) {
-                    many.push_back(entry);
-                    return;
-                }
-                // Out-of-order: walk back to the insertion point.
-                let mut idx = many.len();
-                while idx > 0 && many[idx - 1].1 > at {
-                    idx -= 1;
-                }
-                many.insert(idx, entry);
-            }
+        // Fast path: in-order arrival.
+        if self.entries.back().is_none_or(|&(_, t)| t <= at) {
+            self.entries.push_back(entry);
+            return;
         }
+        // Out-of-order: walk back to the insertion point.
+        let mut idx = self.entries.len();
+        while idx > 0 && self.entries[idx - 1].1 > at {
+            idx -= 1;
+        }
+        self.entries.insert(idx, entry);
     }
 
     /// Removes all entries from `src` (unfollow semantics). Returns how many
     /// entries were removed.
     pub fn remove_source(&mut self, src: UserId) -> usize {
         let before = self.len();
-        match &mut self.entries {
-            Entries::One([(s, _)]) if *s == src => self.entries = Entries::Empty,
-            Entries::Many(many) => many.retain(|&(s, _)| s != src),
-            _ => {}
-        }
+        self.entries.retain(|&(s, _)| s != src);
         before - self.len()
     }
 
     /// Drops the `n` oldest entries (`n ≤ len`). Returns `n`.
     fn drop_front(&mut self, n: usize) -> usize {
-        if n > 0 {
-            match &mut self.entries {
-                Entries::Many(many) => {
-                    many.drain(..n);
-                }
-                // `n ≤ len ≤ 1`: the whole list goes.
-                _ => self.entries = Entries::Empty,
-            }
-        }
+        self.entries.drain(..n);
         n
     }
 
@@ -198,14 +156,6 @@ impl TargetList {
         out: &mut Vec<(UserId, Timestamp)>,
     ) {
         debug_assert!(seen.is_empty());
-        // Most targets of a sparse firehose hold one entry: nothing to
-        // walk or dedup.
-        if let Entries::One([(src, at)]) = self.entries {
-            if at >= cutoff {
-                out.push((src, at));
-            }
-            return;
-        }
         let (a, b) = self.slices_from(self.partition_point(cutoff));
         let mut walk = b.iter().rev().chain(a.iter().rev());
         let base = out.len();
@@ -268,11 +218,7 @@ impl TargetList {
     /// Number of stored entries (including expired ones not yet trimmed).
     #[inline]
     pub fn len(&self) -> usize {
-        match &self.entries {
-            Entries::Empty => 0,
-            Entries::One(_) => 1,
-            Entries::Many(many) => many.len(),
-        }
+        self.entries.len()
     }
 
     /// Whether the list holds no entries.
@@ -302,12 +248,9 @@ impl TargetList {
         a.first().or(b.first()).map(|&(_, t)| t)
     }
 
-    /// Approximate heap bytes held by this list (0 while it is inline).
+    /// Approximate heap bytes held by this list (its buffer's capacity).
     pub fn memory_bytes(&self) -> usize {
-        match &self.entries {
-            Entries::Many(many) => many.capacity() * std::mem::size_of::<(UserId, Timestamp)>(),
-            _ => 0,
-        }
+        self.entries.capacity() * std::mem::size_of::<(UserId, Timestamp)>()
     }
 }
 
@@ -460,26 +403,5 @@ mod tests {
         assert_eq!(l.newest(), None);
         assert_eq!(l.oldest(), None);
         assert!(collect_since(&l, ts(0)).is_empty());
-    }
-
-    #[test]
-    fn inline_layout_fits_the_deque_slot() {
-        let deque = std::mem::size_of::<VecDeque<(UserId, Timestamp)>>();
-        assert_eq!(std::mem::size_of::<TargetList>(), deque);
-    }
-
-    #[test]
-    fn second_entry_moves_to_heap_keeping_tie_order() {
-        let mut l = TargetList::new();
-        l.insert(u(1), ts(5));
-        assert_eq!(l.memory_bytes(), 0, "one entry stays inline");
-        l.insert(u(2), ts(5)); // tie: goes after the inline entry
-        assert!(l.memory_bytes() > 0);
-        assert_eq!(collect_since(&l, ts(0)), vec![(u(1), ts(5)), (u(2), ts(5))]);
-
-        let mut l = TargetList::new();
-        l.insert(u(1), ts(5));
-        l.insert(u(2), ts(4)); // older second entry goes in front
-        assert_eq!(collect_since(&l, ts(0)), vec![(u(2), ts(4)), (u(1), ts(5))]);
     }
 }

@@ -15,6 +15,13 @@
 //! buckets into a set. The store avoids most repeats up front: it skips
 //! the touch when the target's previous newest entry already placed it in
 //! the same live bucket (see `EpochWheel::already_indexed`).
+//!
+//! **No doubling slack.** A bucket's `Vec` doubles as it fills, so at any
+//! moment it may reserve up to twice what it holds. Touches arrive in
+//! roughly time order, so when a touch opens a bucket newer than any
+//! appended to so far, the previous newest bucket is mostly complete and
+//! is shrunk to fit: one copy per bucket, and closed buckets hold no
+//! spare capacity.
 
 use magicrecs_types::{Duration, FxHashMap, FxHashSet, Timestamp, UserId};
 
@@ -28,6 +35,8 @@ pub struct EpochWheel {
     buckets: FxHashMap<u64, Vec<UserId>>,
     /// First bucket index not yet expired.
     horizon: u64,
+    /// The newest bucket appended to so far.
+    newest: u64,
 }
 
 impl EpochWheel {
@@ -40,6 +49,7 @@ impl EpochWheel {
             bucket_us,
             buckets: FxHashMap::default(),
             horizon: 0,
+            newest: 0,
         }
     }
 
@@ -60,6 +70,12 @@ impl EpochWheel {
     /// advance rather than leaking.
     pub fn touch(&mut self, target: UserId, at: Timestamp) {
         let b = self.bucket_of(at).max(self.horizon);
+        if b > self.newest {
+            if let Some(closed) = self.buckets.get_mut(&self.newest) {
+                closed.shrink_to_fit();
+            }
+            self.newest = b;
+        }
         let bucket = self.buckets.entry(b).or_default();
         if bucket.last() != Some(&target) {
             bucket.push(target);
@@ -260,6 +276,26 @@ mod tests {
         let targets = w.buckets.values().map(Vec::capacity).sum::<usize>();
         assert!(targets >= 1000);
         assert!(w.memory_bytes() >= targets * std::mem::size_of::<UserId>());
+    }
+
+    #[test]
+    fn opening_a_newer_bucket_shrinks_the_previous_one() {
+        let mut w = EpochWheel::new(Duration::from_secs(10));
+        for i in 0..5 {
+            w.touch(u(i), ts(1));
+        }
+        assert!(
+            w.buckets[&0].capacity() > 5,
+            "an open bucket keeps its slack"
+        );
+        w.touch(u(9), ts(15));
+        assert_eq!(w.buckets[&0].capacity(), 5);
+        // A late touch into a closed bucket may grow it again; a newer
+        // bucket still shrinks only the newest one.
+        w.touch(u(8), ts(2));
+        w.touch(u(7), ts(25));
+        assert_eq!(w.buckets[&1].capacity(), 1);
+        assert_eq!(w.indexed_touches(), 8);
     }
 
     proptest::proptest! {
