@@ -48,10 +48,13 @@
 //!
 //! Every fault cell also writes a **flight-recorder dump**
 //! (`<scenario>-<fault>.trace`): the `magicrecs-obs` recorder's
-//! sequence-ordered tail of rare-path events (injected faults, WAL
-//! poisons, fsync failures, checkpoint fences) scoped to that cell.
-//! Fsync-failure cells are red unless the dump names the injected
-//! `sync` operation — the crash-dump path is itself under test. With
+//! sequence-ordered tail of rare-path events (injected faults, kills,
+//! WAL poisons, fsync failures, checkpoint fences) scoped to that cell.
+//! Fsync-failure and torn-write cells are red unless the dump names the
+//! injected `sync` or `write` operation, and crash cells unless it holds
+//! the crash's `kill` record — the crash-dump path is itself under test.
+//! Every deliberate kill (crash column, connection kill, leader kill -9)
+//! records a `kill` event whose label names what was killed. With
 //! `--metrics-out`, the final process-wide registry scrape (WAL append
 //! /fsync/poison counters, checkpoint bytes, batch-size sketch) merges
 //! into the given JSON file.
@@ -62,7 +65,7 @@ use magicrecs_core::ConcurrentEngine;
 use magicrecs_gen::adversity::{AdversitySpec, Episode};
 use magicrecs_gen::playback::{play, PlaybackControl};
 use magicrecs_graph::{CapStrategy, FollowGraph, GraphBuilder};
-use magicrecs_obs::recorder;
+use magicrecs_obs::{recorder, TraceKind};
 use magicrecs_persist::{
     CheckpointDriver, FaultPlan, FaultVfs, FsyncPolicy, PersistOptions, PersistentConcurrentEngine,
     PersistentEngine, RebasePolicy, TempDir,
@@ -234,7 +237,8 @@ impl Json {
 /// [`recorder::current_seq`] — the recorder is process-global and this
 /// harness runs many cells) to `<scenario>-<fault>.trace`. For
 /// injection columns, also checks the dump **names the injected
-/// operation** via a `fault_injected` event — the crash-dump path is
+/// operation** via a `fault_injected` event, and for the crash column
+/// that it holds the crash's `kill` event — the crash-dump path is
 /// itself under test here, not just the recovery path.
 fn write_flight_dump(
     scenario: &str,
@@ -250,23 +254,26 @@ fn write_flight_dump(
         notes.push(format!("FAIL: flight-recorder dump write: {e}"));
         return false;
     }
-    let expect_op = match fault {
-        Fault::FsyncFail => Some("sync"),
-        Fault::TornWrite => Some("write"),
-        Fault::None | Fault::Crash => None,
+    // The record the dump must hold: the injected operation for the
+    // injection columns, the kill itself for the crash column.
+    let (kind, op) = match fault {
+        Fault::FsyncFail => (TraceKind::FaultInjected, Some("sync")),
+        Fault::TornWrite => (TraceKind::FaultInjected, Some("write")),
+        Fault::Crash => (TraceKind::Kill, None),
+        Fault::None => return true,
     };
-    if let Some(op) = expect_op {
-        let named = events
-            .iter()
-            .any(|e| matches!(e.kind, magicrecs_obs::TraceKind::FaultInjected) && e.label == op);
-        if !named {
-            notes.push(format!(
-                "FAIL: flight-recorder dump must name the injected `{op}` operation"
-            ));
-            return false;
-        }
+    let named = events
+        .iter()
+        .any(|e| e.kind == kind && op.is_none_or(|op| e.label == op));
+    if !named {
+        notes.push(match op {
+            Some(op) => {
+                format!("FAIL: flight-recorder dump must name the injected `{op}` operation")
+            }
+            None => "FAIL: flight-recorder dump must hold the crash's `kill` record".into(),
+        });
     }
-    true
+    named
 }
 
 /// The playback context: the engine under test plus the fault backend.
@@ -355,8 +362,13 @@ fn run_cell(
             c.candidates.extend(out);
             Ok(())
         },
-        |c, _| match fault {
-            Fault::Crash => PlaybackControl::Stop,
+        |c, at| match fault {
+            Fault::Crash => {
+                // The crash cell's kill: the engine is dropped unsynced
+                // below, before any further event.
+                recorder::record(TraceKind::Kill, "persistent_engine", 0, at as u64);
+                PlaybackControl::Stop
+            }
             Fault::FsyncFail | Fault::TornWrite => {
                 c.fault_vfs.as_ref().expect("fault backend").set_armed(true);
                 PlaybackControl::Continue
@@ -1187,6 +1199,7 @@ fn run_serving_kill_resume_cell(base_seed: u64, out_dir: &Path) -> CellResult {
 
     let mut first = ClientConn::connect(server.addr(), Some(0)).expect("connect ingest 1");
     send_range(&mut first, &events[..at_event]);
+    recorder::record(TraceKind::Kill, "ingest_connection", 0, at_event as u64);
     first.kill();
 
     let mut second = ClientConn::connect(server.addr(), Some(0)).expect("connect ingest 2");
@@ -1422,6 +1435,7 @@ fn run_leader_kill9_cell(base_seed: u64, out_dir: &Path) -> CellResult {
     }
     let unreleased = client.unreleased_tags(0);
 
+    recorder::record(TraceKind::Kill, "replica_leader", 0, before.len() as u64);
     n0.kill9();
     let (epoch, promoted_at) = coord.promote(0, 1).expect("promote follower");
     coord.start_follow(2, 0, 1).expect("restore redundancy");

@@ -5,10 +5,10 @@
 //!   cargo run -p magicrecs-bench --release --bin experiments -- e2 e5 # some
 //!
 //! Each experiment prints a markdown table plus the paper's corresponding
-//! claim. Experiment numbers are stable: E3 (queue-latency model) and E4
-//! (delivery funnel) were retired.
+//! claim. Experiment numbers are stable: E3 (queue-latency model), E4
+//! (delivery funnel) and E10 (declarative motif DSL) were retired.
 
-use magicrecs_baseline::{BatchOracle, CountingBloom, PollingDetector, TwoHopBloom, TwoHopExact};
+use magicrecs_baseline::{CountingBloom, PollingDetector, TwoHopBloom, TwoHopExact};
 use magicrecs_bench::{
     bench_detector_config, bench_trace, fmt_bytes, fmt_rate, header, row, small_graph,
 };
@@ -16,7 +16,6 @@ use magicrecs_cluster::{Broker, ThreadedCluster};
 use magicrecs_core::ConcurrentEngine;
 use magicrecs_gen::{GraphGen, GraphGenConfig};
 use magicrecs_graph::{CapStrategy, GraphBuilder, GraphStats};
-use magicrecs_motif::MotifEngine;
 use magicrecs_temporal::{PruneStrategy, TemporalEdgeStore};
 use magicrecs_types::{ClusterConfig, DetectorConfig, Duration, EdgeEvent, Timestamp, UserId};
 use std::time::Instant;
@@ -47,9 +46,6 @@ fn main() {
     }
     if want("e9") {
         e9_influencer_cap();
-    }
-    if want("e10") {
-        e10_declarative();
     }
 }
 
@@ -82,6 +78,12 @@ fn e1_figure1() {
                     .join(", ")
             ),
         ])
+    );
+    assert!(r1.is_empty(), "B1 → C2 alone must not fire");
+    assert_eq!(
+        r2.iter().map(|c| (c.user, c.target)).collect::<Vec<_>>(),
+        [(u(2), u(22))],
+        "B2 → C2 must push C2 to A2 and to no one else"
     );
     println!("\nPaper: \"when the edge B2 → C2 is created, we want to push C2 to A2\" ✓\n");
 }
@@ -269,6 +271,7 @@ fn e6_partitions() {
             "total memory"
         ])
     );
+    let mut one_partition_d = None;
     for parts in [1u32, 2, 4, 8, 20] {
         let cluster =
             ThreadedCluster::new(&graph, ClusterConfig::single().with_partitions(parts), cfg)
@@ -277,12 +280,23 @@ fn e6_partitions() {
         // Sequential broker replicates the same state for memory accounting.
         let mut broker =
             Broker::new(&graph, ClusterConfig::single().with_partitions(parts), cfg).unwrap();
-        broker.process_trace(trace.events().iter().copied());
+        let mut candidates = broker.process_trace(trace.events().iter().copied());
+        candidates.sort_by_key(|c| (c.triggered_at, c.user, c.target));
+        assert_eq!(
+            report.candidates, candidates,
+            "{parts} threaded partitions diverge from the broker"
+        );
         let d_entries: u64 = broker
             .partitions()
             .iter()
             .map(|p| p.engine().store().resident_entries())
             .sum();
+        let one = *one_partition_d.get_or_insert(d_entries);
+        assert_eq!(
+            d_entries,
+            one * u64::from(parts),
+            "every partition holds a complete D"
+        );
         println!(
             "{}",
             row(&[
@@ -498,83 +512,4 @@ fn e9_influencer_cap() {
     println!("\nCapping shrinks S (\"the additional benefit of limiting the size of the S");
     println!("data structures held in memory\") while popular-influencer selection retains");
     println!("most of the candidate volume. ✓\n");
-}
-
-// ───────────────────────────── E10 ───────────────────────────────────────
-
-fn e10_declarative() {
-    println!("## E10 — Declarative motif framework (§3) vs hand-coded detector\n");
-    let users = 5_000u64;
-    let graph = small_graph(users);
-    let trace = bench_trace(users, 500.0, 30, 0xE10);
-
-    let cfg = DetectorConfig {
-        k: 3,
-        tau: Duration::from_secs(600),
-        max_witnesses: Some(64),
-        max_candidates_per_event: None,
-        skip_existing: true,
-    };
-    let engine = ConcurrentEngine::new(graph.clone(), cfg).unwrap();
-    let t0 = Instant::now();
-    let hand: Vec<_> = trace
-        .events()
-        .iter()
-        .flat_map(|&e| engine.on_event(e))
-        .collect();
-    let hand_wall = t0.elapsed();
-
-    let declarative = MotifEngine::from_text(
-        "motif diamond { A -> B : static; B -> C : dynamic within 600s; \
-         trigger B -> C; emit (A, C) when count(B) >= 3; }",
-        std::sync::Arc::new(graph),
-    )
-    .unwrap();
-    assert_eq!(
-        declarative.plan().config,
-        cfg,
-        "spec compiled to other parameters"
-    );
-    let t0 = Instant::now();
-    let mut decl = Vec::new();
-    for &e in trace.events() {
-        decl.extend(declarative.on_event(e));
-    }
-    let decl_wall = t0.elapsed();
-
-    assert_eq!(hand, decl, "declarative output diverged from hand-coded");
-    println!(
-        "{}",
-        header(&["implementation", "wall", "throughput", "candidates"])
-    );
-    println!(
-        "{}",
-        row(&[
-            "hand-coded detector".into(),
-            format!("{:.1} ms", hand_wall.as_secs_f64() * 1e3),
-            fmt_rate(trace.len() as f64 / hand_wall.as_secs_f64()),
-            hand.len().to_string(),
-        ])
-    );
-    println!(
-        "{}",
-        row(&[
-            "declarative plan (same engine; equal by construction)".into(),
-            format!("{:.1} ms", decl_wall.as_secs_f64() * 1e3),
-            fmt_rate(trace.len() as f64 / decl_wall.as_secs_f64()),
-            decl.len().to_string(),
-        ])
-    );
-    let overhead = decl_wall.as_secs_f64() / hand_wall.as_secs_f64();
-    println!("\nIdentical output by construction: the spec compiles to the hand-coded");
-    println!("engine's own `DetectorConfig` and runs on `ConcurrentEngine` behind its kind");
-    println!("filter, so the rows differ only by that check and noise (wall-time ratio");
-    println!("{overhead:.2}×). Declarative specification compiled to \"an optimized query");
-    println!("plan against an online graph database\" (§3) is practical. ✓\n");
-
-    // Also verify the oracle agrees, closing the loop between all three.
-    let oracle = BatchOracle::new(cfg).unwrap();
-    let short: Vec<EdgeEvent> = trace.events().iter().take(500).copied().collect();
-    let e2 = ConcurrentEngine::new(small_graph(users), cfg).unwrap();
-    assert_eq!(oracle.replay(&e2.graph(), &short), e2.on_events(&short));
 }

@@ -24,7 +24,9 @@
 //!   ownership with routing epochs; stale writes racing a partition move
 //!   are refused typed, never silently applied.
 //! * [`threaded::ThreadedCluster`] — real-thread deployment (one thread per
-//!   partition over crossbeam channels) for the scaling experiments.
+//!   partition over crossbeam channels, each ingesting the full stream into
+//!   a private `D`): the paper's fan-out, which the scaling experiment (E6)
+//!   measures.
 //! * [`threaded::SharedEngineCluster`] — the shared-state alternative: N
 //!   worker threads hash-route the stream by target into one
 //!   `magicrecs_core::ConcurrentEngine` (one `S`, one sharded `D`) instead
@@ -41,6 +43,4 @@ pub mod threaded;
 pub use broker::Broker;
 pub use partition::Partition;
 pub use route::{EpochGate, RouteDecision, RouteTable};
-pub use threaded::{
-    IngestControl, PersistentRunReport, SharedEngineCluster, ThreadedCluster, DEFAULT_MAX_BATCH,
-};
+pub use threaded::{SharedEngineCluster, ThreadedCluster, DEFAULT_MAX_BATCH};

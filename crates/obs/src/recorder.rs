@@ -39,7 +39,9 @@ pub enum TraceKind {
     CkptFenceEnter,
     /// The matching fence exit; `a` = partition id.
     CkptFenceExit,
-    /// A process/worker kill hook ran; `a` = kill target id.
+    /// Something was killed on purpose (an engine, a connection, a
+    /// process), named by `label`; `a` = target id, `b` = events sent
+    /// before the kill.
     Kill,
     /// A replica was promoted to (or demoted from) partition leadership;
     /// `a` = partition id, `b` = the new routing epoch.

@@ -1929,8 +1929,16 @@ mod tests {
         );
     }
 
+    /// Two workers ingest through one engine, split by target into WAL
+    /// partitions (`route_partition`, the served tier's routing), while a
+    /// background driver cuts checkpoints. The
+    /// candidates equal a one-thread engine's, the directory recovers with
+    /// a bounded tail replay, and the recovered engine answers a probe
+    /// exactly as an uninterrupted twin does.
     #[test]
     fn checkpoint_driver_runs_cadence_without_quiescing_ingest() {
+        const WORKERS: usize = 2;
+        const EVERY: u64 = 64;
         let t = TempDir::new("pce-driver");
         let pe = std::sync::Arc::new(
             PersistentConcurrentEngine::create(
@@ -1938,51 +1946,111 @@ mod tests {
                 small_graph(),
                 0,
                 DetectorConfig::example(),
-                2,
+                WORKERS,
                 inc_opts(),
             )
             .unwrap(),
         );
         let driver = CheckpointDriver::spawn(
             std::sync::Arc::clone(&pe),
-            64,
+            EVERY,
             std::time::Duration::from_millis(1),
         );
         let events = trace(600);
+        let mut routed: [Vec<EdgeEvent>; WORKERS] = Default::default();
         for &e in &events {
-            pe.on_event(e).unwrap();
+            routed[route_partition(&e.dst, WORKERS)].push(e);
         }
+        assert!(routed.iter().all(|r| !r.is_empty()), "both workers ingest");
+        // The workers go in lockstep, one chunk per round, so neither
+        // partition's WAL runs far ahead of the other's (see the replay
+        // bound below).
+        const CHUNK: usize = 8;
+        let rounds = routed
+            .iter()
+            .map(|r| r.len().div_ceil(CHUNK))
+            .max()
+            .unwrap();
+        let lockstep = std::sync::Barrier::new(WORKERS);
+        let mut got: Vec<Candidate> = std::thread::scope(|scope| {
+            let workers: Vec<_> = routed
+                .iter()
+                .map(|mine| {
+                    let (pe, lockstep) = (&pe, &lockstep);
+                    scope.spawn(move || {
+                        let mut out = Vec::new();
+                        let mut chunks = mine.chunks(CHUNK);
+                        for _ in 0..rounds {
+                            if let Some(chunk) = chunks.next() {
+                                pe.on_events_into(chunk, &mut out).unwrap();
+                            }
+                            lockstep.wait();
+                        }
+                        out
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().unwrap())
+                .collect()
+        });
+        // Give the driver a bounded window to bring the chain tip within
+        // one cadence of the tail.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while driver.completed() == 0 && std::time::Instant::now() < deadline {
+        while pe.next_seq() - pe.checkpoint_tip().map_or(0, |tip| tip + 1) >= EVERY
+            && std::time::Instant::now() < deadline
+        {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         let (completed, failures) = driver.stop();
         assert!(completed >= 1, "driver never checkpointed");
         assert_eq!(failures, 0);
-        assert!(pe.checkpoint_tip().is_some());
         pe.sync().unwrap();
         drop(std::sync::Arc::try_unwrap(pe).ok().expect("sole owner"));
+
+        let key = |c: &Candidate| (c.triggered_at, c.user, c.target);
+        let twin = ConcurrentEngine::new(small_graph(), DetectorConfig::example()).unwrap();
+        let mut expected = twin.on_events(&events);
+        assert!(!expected.is_empty(), "the trace must fire");
+        expected.sort_by_key(key);
+        got.sort_by_key(key);
+        assert_eq!(got, expected, "two-worker candidates diverge");
 
         let (re, report) = PersistentConcurrentEngine::open(
             t.path(),
             DetectorConfig::example(),
             CapStrategy::None,
-            2,
+            WORKERS,
             inc_opts(),
         )
         .unwrap();
+        assert_eq!(report.next_seq, events.len() as u64);
+        assert!(report.checkpoint_seq.is_some(), "{report:?}");
+        // The driver measures its cadence from the youngest fence, so the
+        // replay is under one cadence past it plus what the partition cut
+        // first took between its fence and the last one. In lockstep that
+        // is about one chunk: once the last fence stalls its partition's
+        // worker, the other worker waits at the barrier. Free-running
+        // workers escape that bound, because the driver's cadence ignores
+        // the older fences.
         assert!(
-            report.replayed < events.len() as u64,
-            "replay must be bounded by the driver's checkpoints"
+            report.replayed < EVERY + CHUNK as u64,
+            "tail replay exceeds one cadence plus one chunk: {report:?}"
         );
-        let twin = ConcurrentEngine::new(small_graph(), DetectorConfig::example()).unwrap();
-        let mut sink = Vec::new();
-        for &e in &events {
-            twin.on_event_into(e, &mut sink);
-        }
         let (mut er, mut et) = (Vec::new(), Vec::new());
         re.engine().store().export_entries(&mut er);
         twin.store().export_entries(&mut et);
         assert_eq!(sorted_entries(&mut er), sorted_entries(&mut et));
+        let probe: Vec<EdgeEvent> = (0..40u64)
+            .map(|i| EdgeEvent::follow(u(11 + i % 2), u(900 + i % 7), ts(620 + i)))
+            .collect();
+        let want = twin.on_events(&probe);
+        assert!(!want.is_empty(), "the probe must fire");
+        assert_eq!(
+            re.on_events(&probe).unwrap(),
+            want,
+            "post-recovery candidates diverge from the twin"
+        );
     }
 }

@@ -35,43 +35,12 @@
 //! let users: Vec<UserId> = recs.iter().map(|r| r.user).collect();
 //! assert_eq!(users, vec![UserId(1), UserId(2)]);
 //! ```
-//!
-//! ## Declarative motifs (§3 of the paper)
-//!
-//! ```
-//! use magicrecs::motif::MotifEngine;
-//! use magicrecs::prelude::*;
-//! use std::sync::Arc;
-//!
-//! let mut builder = GraphBuilder::new();
-//! builder.add_edge(UserId(1), UserId(10));
-//! builder.add_edge(UserId(1), UserId(11));
-//! let graph = Arc::new(builder.build());
-//!
-//! // Same diamond, declared in text and compiled to a query plan.
-//! let motif = MotifEngine::from_text(
-//!     "motif diamond {
-//!          A -> B : static;
-//!          B -> C : dynamic within 600s kinds follow;
-//!          trigger B -> C;
-//!          emit (A, C) when count(B) >= 2;
-//!      }",
-//!     graph,
-//! ).unwrap();
-//! println!("{}", motif.plan().explain()); // EXPLAIN-style plan rendering
-//!
-//! let c = UserId(99);
-//! motif.on_event(EdgeEvent::follow(UserId(10), c, Timestamp::from_secs(1)));
-//! let recs = motif.on_event(EdgeEvent::follow(UserId(11), c, Timestamp::from_secs(2)));
-//! assert_eq!(recs[0].user, UserId(1));
-//! ```
 
 pub use magicrecs_baseline as baseline;
 pub use magicrecs_cluster as cluster;
 pub use magicrecs_core as core;
 pub use magicrecs_gen as gen;
 pub use magicrecs_graph as graph;
-pub use magicrecs_motif as motif;
 pub use magicrecs_replica as replica;
 pub use magicrecs_server as server;
 pub use magicrecs_temporal as temporal;

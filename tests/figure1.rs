@@ -1,14 +1,12 @@
 //! Figure 1 of the paper, verified across every implementation in the
 //! workspace: the hand-coded engine, the sequential broker, the threaded
-//! cluster, the batch oracle, the polling baseline, the two-hop baselines,
-//! and the declarative motif engine all agree that creating `B2 → C2`
-//! recommends `C2` to `A2` (and to no one else).
+//! cluster, the batch oracle, the polling baseline and the two-hop
+//! baselines all agree that creating `B2 → C2` recommends `C2` to `A2`
+//! (and to no one else).
 
 use magicrecs::baseline::{BatchOracle, PollingDetector, TwoHopBloom, TwoHopExact};
 use magicrecs::cluster::{Broker, ThreadedCluster};
-use magicrecs::motif::MotifEngine;
 use magicrecs::prelude::*;
-use std::sync::Arc;
 
 fn a(n: u64) -> UserId {
     UserId(n)
@@ -111,21 +109,6 @@ fn two_hop_baselines_reproduce_figure1() {
         pairs.extend(bloom.on_event(&g, e));
     }
     assert_eq!(pairs, vec![(a(2), a(22))], "TwoHopBloom");
-}
-
-#[test]
-fn declarative_motif_reproduces_figure1() {
-    let m = MotifEngine::from_text(
-        "motif d { A -> B : static; B -> C : dynamic within 600s; \
-         trigger B -> C; emit (A, C) when count(B) >= 2; }",
-        Arc::new(figure1_graph()),
-    )
-    .unwrap();
-    let mut out = Vec::new();
-    for e in events() {
-        out.extend(m.on_event(e));
-    }
-    assert_figure1(&out, "MotifEngine");
 }
 
 #[test]
