@@ -1,8 +1,8 @@
-//! Ordered, flat, merge-don't-clobber JSON recording — shared by the
-//! baseline recorders (`hotpath`, `loadgen`) that all write into
-//! `BENCH_hotpath.json`. Each bin re-measures only its own keys; merging
-//! over the existing file preserves every key it did not re-measure, so
-//! partial runs never erase other recorders' numbers.
+//! Ordered, flat, merge-don't-clobber JSON recording — used by `hotpath`,
+//! which writes `BENCH_hotpath.json`, and by `adversity --metrics-out`.
+//! A run re-measures only its own keys; merging over the existing file
+//! preserves every key it did not re-measure, so partial runs never
+//! erase other arms' numbers.
 
 use std::path::Path;
 

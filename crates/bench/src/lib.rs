@@ -106,16 +106,9 @@ pub struct ServedStats {
     pub accepted: u64,
     /// Ingest events refused with a typed shed (`engine_shed`).
     pub shed: u64,
-    /// High-water mark of decoded-but-unprocessed events
-    /// (`engine_queue_high_watermark`).
-    pub queue_high_watermark: u64,
     /// Deliveries dropped at a full subscriber write queue
     /// (`server_dropped_deliveries`).
     pub dropped_deliveries: u64,
-    /// Engine-side detection latency p50, µs (`engine_detect_us_p50`).
-    pub detect_p50_us: u64,
-    /// Engine-side detection latency p99, µs (`engine_detect_us_p99`).
-    pub detect_p99_us: u64,
 }
 
 impl ServedStats {
@@ -134,10 +127,7 @@ impl ServedStats {
             candidates: get("engine_candidates"),
             accepted: get("engine_accepted"),
             shed: get("engine_shed"),
-            queue_high_watermark: get("engine_queue_high_watermark"),
             dropped_deliveries: get("server_dropped_deliveries"),
-            detect_p50_us: get("engine_detect_us_p50"),
-            detect_p99_us: get("engine_detect_us_p99"),
         }
     }
 }

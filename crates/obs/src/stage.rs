@@ -7,7 +7,9 @@
 //! boundaries: admission control → WAL group commit → motif detection →
 //! candidate delivery. `EndToEnd` covers ingest-receipt to
 //! delivery-complete on the server; client-observed latency minus the
-//! server stages is queueing, which the loadgen derives and prints.
+//! server stages is queueing, which the end-to-end benchmark reports as
+//! `server.queue_wait_ms`. The server crate's `tests/stages.rs` checks that
+//! the admitted batches' stage sums account for their end-to-end sum.
 
 use crate::registry::{Histogram, Registry};
 use std::sync::OnceLock;
@@ -47,17 +49,6 @@ impl Stage {
             Stage::Detect => "stage_detect_us",
             Stage::Deliver => "stage_deliver_us",
             Stage::EndToEnd => "stage_e2e_us",
-        }
-    }
-
-    /// Short human label used in the loadgen breakdown table.
-    pub fn label(self) -> &'static str {
-        match self {
-            Stage::Admission => "admission",
-            Stage::Wal => "wal",
-            Stage::Detect => "detect",
-            Stage::Deliver => "deliver",
-            Stage::EndToEnd => "e2e",
         }
     }
 }

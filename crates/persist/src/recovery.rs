@@ -840,6 +840,27 @@ impl PersistentConcurrentEngine {
         self.ckpt.lock().as_ref().map(|c| c.tip_id)
     }
 
+    /// A bound on the events recovery would replay above the chain tip:
+    /// every sequence assigned since the tip's oldest fence, counting only
+    /// partitions that have logged past their fence (each replays just its
+    /// own records at or above its fence, so an idle partition adds
+    /// nothing and must not hold the bound open). Every assigned event
+    /// when there is no chain yet.
+    fn replay_bound(&self) -> u64 {
+        let next = self.wal.next_seq();
+        let Some(fences) = self.ckpt.lock().as_ref().map(|c| c.fences.clone()) else {
+            return next;
+        };
+        self.wal
+            .partition_next_seqs()
+            .into_iter()
+            .zip(fences)
+            .filter(|&(logged, fence)| logged > fence)
+            .map(|(_, fence)| next.saturating_sub(fence))
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Advances window expiry and reclaims WAL segments on every
     /// partition — partition `p` reclaims below the chain tip's
     /// `fences[p]`, so a fence cut early in a checkpoint never holds
@@ -922,10 +943,15 @@ impl PersistentConcurrentEngine {
 
 /// Background checkpoint cadence for [`PersistentConcurrentEngine`]:
 /// polls the engine's sequence and takes a (non-quiescent) checkpoint
-/// whenever at least `every` events have been assigned past the chain
-/// tip — the shared-engine analogue of [`PersistentEngine`]'s inline
-/// `checkpoint_every`, kept off the ingest path entirely so workers
-/// never pay for a cut they didn't cause.
+/// whenever at least `every` events have been assigned since the chain
+/// tip's oldest fence that still has records above it — the bound on
+/// what recovery would replay. It is the shared-engine analogue of
+/// [`PersistentEngine`]'s inline `checkpoint_every`, kept off the ingest
+/// path entirely so workers never pay for a cut they didn't cause.
+///
+/// The tip is named after its youngest fence, so lag counted from the tip
+/// misses what a partition fenced earlier in the same cut logged before
+/// the last fence closed; counted from the oldest fence it does not.
 ///
 /// Failures are counted, not fatal: a failed cut leaves the previous
 /// chain tip (and the store's dirty marks) intact, and the next poll
@@ -957,11 +983,11 @@ impl CheckpointDriver {
             );
             std::thread::spawn(move || {
                 while !stop.load(Ordering::Acquire) {
-                    let assigned_past_tip = match engine.checkpoint_tip() {
-                        Some(tip) => engine.next_seq().saturating_sub(tip + 1),
-                        None => engine.next_seq(),
-                    };
-                    if assigned_past_tip >= every {
+                    // A cut must move the tip, which is named after its
+                    // youngest fence: with no sequence past the tip there
+                    // is nothing to cut, whatever the older fences hold.
+                    let past_tip = engine.checkpoint_tip().map_or(0, |tip| tip + 1);
+                    if engine.next_seq() > past_tip && engine.replay_bound() >= every {
                         match engine.checkpoint() {
                             Ok(()) => completed.fetch_add(1, Ordering::Relaxed),
                             Err(_) => failures.fetch_add(1, Ordering::Relaxed),
@@ -1929,6 +1955,58 @@ mod tests {
         );
     }
 
+    /// What a partition logs after its own fence, while a later partition
+    /// is still uncut, is replayed by recovery even though the tip (named
+    /// after the youngest fence) covers its sequences. The driver's replay
+    /// bound counts it.
+    #[test]
+    fn replay_bound_counts_ingest_between_fences() {
+        const PARTS: usize = 2;
+        let t = TempDir::new("pce-bound");
+        let pe = PersistentConcurrentEngine::create(
+            t.path(),
+            small_graph(),
+            0,
+            DetectorConfig::example(),
+            PARTS,
+            inc_opts(),
+        )
+        .unwrap();
+        let (first, second): (Vec<EdgeEvent>, Vec<EdgeEvent>) = trace(300)
+            .into_iter()
+            .partition(|e| route_partition(&e.dst, PARTS) == 0);
+        let (head0, tail0) = first.split_at(first.len() / 2);
+        let (head1, tail1) = second.split_at(second.len() / 2);
+        let mut out = Vec::new();
+        pe.on_events_into(head0, &mut out).unwrap();
+        pe.on_events_into(head1, &mut out).unwrap();
+        // Partition 0 logs its tail between the fences, then partition 1
+        // logs one event, so the youngest fence covers the newest sequence.
+        pe.checkpoint_with_fence_observer(|p, _| {
+            if p == 0 {
+                let mut out = Vec::new();
+                pe.on_events_into(tail0, &mut out).unwrap();
+                pe.on_events_into(&tail1[..1], &mut out).unwrap();
+            }
+        })
+        .unwrap();
+        assert_eq!(pe.checkpoint_tip(), Some(pe.next_seq() - 1));
+        let bound = pe.replay_bound();
+        assert!(bound > tail0.len() as u64, "bound {bound}");
+        pe.sync().unwrap();
+        drop(pe);
+
+        let (_re, report) = PersistentConcurrentEngine::open(
+            t.path(),
+            DetectorConfig::example(),
+            CapStrategy::None,
+            PARTS,
+            inc_opts(),
+        )
+        .unwrap();
+        assert_eq!(report.replayed, tail0.len() as u64, "{report:?}");
+    }
+
     /// Two workers ingest through one engine, split by target into WAL
     /// partitions (`route_partition`, the served tier's routing), while a
     /// background driver cuts checkpoints. The
@@ -1962,29 +2040,18 @@ mod tests {
             routed[route_partition(&e.dst, WORKERS)].push(e);
         }
         assert!(routed.iter().all(|r| !r.is_empty()), "both workers ingest");
-        // The workers go in lockstep, one chunk per round, so neither
-        // partition's WAL runs far ahead of the other's (see the replay
-        // bound below).
+        // The workers run free, in small chunks, so either partition's
+        // WAL can run ahead of the other's while a cut is in progress.
         const CHUNK: usize = 8;
-        let rounds = routed
-            .iter()
-            .map(|r| r.len().div_ceil(CHUNK))
-            .max()
-            .unwrap();
-        let lockstep = std::sync::Barrier::new(WORKERS);
         let mut got: Vec<Candidate> = std::thread::scope(|scope| {
             let workers: Vec<_> = routed
                 .iter()
                 .map(|mine| {
-                    let (pe, lockstep) = (&pe, &lockstep);
+                    let pe = &pe;
                     scope.spawn(move || {
                         let mut out = Vec::new();
-                        let mut chunks = mine.chunks(CHUNK);
-                        for _ in 0..rounds {
-                            if let Some(chunk) = chunks.next() {
-                                pe.on_events_into(chunk, &mut out).unwrap();
-                            }
-                            lockstep.wait();
+                        for chunk in mine.chunks(CHUNK) {
+                            pe.on_events_into(chunk, &mut out).unwrap();
                         }
                         out
                     })
@@ -1995,12 +2062,10 @@ mod tests {
                 .flat_map(|w| w.join().unwrap())
                 .collect()
         });
-        // Give the driver a bounded window to bring the chain tip within
-        // one cadence of the tail.
+        // Give the driver a bounded window to bring the replay bound
+        // under one cadence.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while pe.next_seq() - pe.checkpoint_tip().map_or(0, |tip| tip + 1) >= EVERY
-            && std::time::Instant::now() < deadline
-        {
+        while pe.replay_bound() >= EVERY && std::time::Instant::now() < deadline {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         let (completed, failures) = driver.stop();
@@ -2027,16 +2092,11 @@ mod tests {
         .unwrap();
         assert_eq!(report.next_seq, events.len() as u64);
         assert!(report.checkpoint_seq.is_some(), "{report:?}");
-        // The driver measures its cadence from the youngest fence, so the
-        // replay is under one cadence past it plus what the partition cut
-        // first took between its fence and the last one. In lockstep that
-        // is about one chunk: once the last fence stalls its partition's
-        // worker, the other worker waits at the barrier. Free-running
-        // workers escape that bound, because the driver's cadence ignores
-        // the older fences.
+        // The driver measures its cadence from the oldest fence with
+        // records above it, which bounds the replay.
         assert!(
-            report.replayed < EVERY + CHUNK as u64,
-            "tail replay exceeds one cadence plus one chunk: {report:?}"
+            report.replayed < EVERY,
+            "tail replay exceeds one cadence: {report:?}"
         );
         let (mut er, mut et) = (Vec::new(), Vec::new());
         re.engine().store().export_entries(&mut er);

@@ -1385,7 +1385,8 @@ impl SharedWal {
 
     /// Each partition's next sequence — the fence vector a cut "right
     /// now, with nothing in flight" would record. Used by the sealing
-    /// checkpoint at open, where the engine is provably quiescent.
+    /// checkpoint at open, where the engine is provably quiescent, and by
+    /// the checkpoint driver to tell which partitions logged past a fence.
     pub fn partition_next_seqs(&self) -> Vec<u64> {
         self.parts.iter().map(|p| p.lock().next_seq()).collect()
     }

@@ -1,5 +1,5 @@
 //! A small blocking client for the wire protocol — the counterpart the
-//! load generator, parity tests, and adversity cells drive.
+//! end-to-end benchmark, parity tests, and adversity cells drive.
 //!
 //! A [`ClientConn`] is one TCP connection pinned (via the Hello
 //! handshake) to one server worker. To preserve the engine's
@@ -13,7 +13,6 @@ use crate::wire::{self, Frame, ANY_WORKER};
 use magicrecs_types::{Error, Result};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
 
 /// One blocking connection to a server worker.
 #[derive(Debug)]
@@ -84,39 +83,6 @@ impl ClientConn {
         }
     }
 
-    /// Like [`ClientConn::recv`] but gives up after `timeout`, returning
-    /// `Ok(None)`.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Result<Option<Frame>> {
-        self.stream
-            .set_read_timeout(Some(timeout))
-            .map_err(io_err)?;
-        let result = self.recv_step();
-        self.stream.set_read_timeout(None).map_err(io_err)?;
-        result
-    }
-
-    fn recv_step(&mut self) -> Result<Option<Frame>> {
-        let mut chunk = [0u8; 64 * 1024];
-        loop {
-            if let Some((frame, used)) = wire::decode(&self.buf)? {
-                self.buf.drain(..used);
-                return Ok(Some(frame));
-            }
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Err(Error::ChannelClosed("server closed the connection")),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(ref e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(ref e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Ok(None)
-                }
-                Err(e) => return Err(io_err(e)),
-            }
-        }
-    }
-
     /// Requests a full metrics-registry scrape and blocks for the
     /// reply, returning the flattened `(name, value)` pairs. Frames
     /// arriving before the `MetricsResp` (pipelined delivers) are
@@ -166,8 +132,8 @@ impl ClientConn {
 
     /// Splits into independently-owned read and write handles (clones
     /// of one socket) plus any bytes already buffered on the read side
-    /// — for callers (the load generator) that pump reads and writes
-    /// from different threads.
+    /// — for callers (the end-to-end benchmark's served workloads) that
+    /// pump reads and writes from different threads.
     pub fn split(self) -> Result<(TcpStream, TcpStream, Vec<u8>)> {
         let reader = self.stream.try_clone().map_err(io_err)?;
         Ok((reader, self.stream, self.buf))

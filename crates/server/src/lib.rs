@@ -129,6 +129,6 @@ pub mod wire;
 
 pub use admission::AdmissionConfig;
 pub use client::{connect_per_worker, ClientConn};
-pub use resilient::{Backoff, PendingBatch, ResilientConn, SeqLedger};
+pub use resilient::{Backoff, PendingBatch, SeqLedger};
 pub use server::{CheckpointHook, Server, ServerConfig};
 pub use wire::{Frame, ReplStatus, ShedCode, WireErrorCode};

@@ -1,14 +1,15 @@
-//! Client-side resilience: exponential backoff with jitter, a resend
-//! ledger keyed by WAL sequence, and a reconnecting connection wrapper.
+//! Client-side resilience: exponential backoff with jitter and a
+//! resend ledger keyed by WAL sequence.
 //!
 //! The serving tier emits typed refusals (`Shed` with a retry-after
 //! hint) and replica nodes emit typed acks (`IngestAck` with durable /
-//! replicated watermarks), but until this module no client *consumed*
-//! them: the load generator recorded hints without sleeping, and a
-//! dropped connection ended the run. The pieces here close that loop:
+//! replicated watermarks). The replica tier's routed client consumes
+//! them with these two pieces:
 //!
 //! * [`Backoff`] — exponential delay with deterministic jitter that
 //!   treats a server's retry-after hint as a **floor**, never less.
+//!   `tests/e2e.rs` drives it against a token bucket and checks that
+//!   resending only the shed batches admits every event exactly once.
 //! * [`SeqLedger`] — un-acked batches keyed by their first WAL
 //!   sequence. A batch leaves the ledger only when the *replicated*
 //!   watermark passes it, so after a leader kill -9 the client still
@@ -16,15 +17,9 @@
 //!   the promoted follower. Re-sending is idempotent: the batch tag is
 //!   its first sequence, and a leader skips any prefix it already
 //!   holds — retry cannot double-ingest.
-//! * [`ResilientConn`] — a [`ClientConn`] that re-dials with backoff
-//!   when an operation dies on a transport error, instead of
-//!   propagating the first `Io`/`ChannelClosed` to the caller.
 
-use crate::client::ClientConn;
-use crate::wire::Frame;
 use magicrecs_types::{EdgeEvent, Error, Result};
 use std::collections::VecDeque;
-use std::net::SocketAddr;
 use std::time::Duration;
 
 /// Exponential backoff with deterministic jitter.
@@ -195,123 +190,6 @@ impl SeqLedger {
     }
 }
 
-/// Is this error worth re-dialing for? Transport failures are;
-/// everything else (corrupt frames, typed refusals) is the caller's
-/// problem.
-pub fn is_transport_error(e: &Error) -> bool {
-    matches!(e, Error::Io(_) | Error::ChannelClosed(_))
-}
-
-/// A [`ClientConn`] that survives its server: operations run through
-/// [`ResilientConn::with_retries`], and a transport error drops the
-/// socket, sleeps the backoff, re-dials, and re-runs the operation —
-/// up to `max_attempts` dial attempts before giving up with the last
-/// error.
-#[derive(Debug)]
-pub struct ResilientConn {
-    addr: SocketAddr,
-    preferred_worker: Option<u32>,
-    conn: Option<ClientConn>,
-    backoff: Backoff,
-    max_attempts: u32,
-    reconnects: u64,
-}
-
-impl ResilientConn {
-    /// A wrapper that dials `addr` lazily and re-dials on failure.
-    pub fn new(
-        addr: SocketAddr,
-        preferred_worker: Option<u32>,
-        backoff: Backoff,
-        max_attempts: u32,
-    ) -> ResilientConn {
-        ResilientConn {
-            addr,
-            preferred_worker,
-            conn: None,
-            backoff,
-            max_attempts: max_attempts.max(1),
-            reconnects: 0,
-        }
-    }
-
-    /// Times this wrapper re-dialed after losing an established
-    /// connection (successful first dials don't count).
-    pub fn reconnects(&self) -> u64 {
-        self.reconnects
-    }
-
-    /// Drops the current connection; the next operation re-dials. Used
-    /// by callers that learn out-of-band the peer is gone (e.g. a
-    /// `WrongLeader` pointing elsewhere).
-    pub fn disconnect(&mut self) {
-        self.conn = None;
-    }
-
-    /// Re-points the wrapper at a different address (follower
-    /// promotion); drops any current connection.
-    pub fn set_addr(&mut self, addr: SocketAddr) {
-        self.addr = addr;
-        self.conn = None;
-    }
-
-    /// The address currently dialed.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    fn ensure(&mut self) -> Result<&mut ClientConn> {
-        if self.conn.is_none() {
-            self.conn = Some(ClientConn::connect(self.addr, self.preferred_worker)?);
-        }
-        Ok(self.conn.as_mut().expect("just connected"))
-    }
-
-    /// Runs `op` against a live connection, re-dialing (with backoff)
-    /// and re-running on transport errors. `op` must be safe to repeat
-    /// — which is exactly what [`SeqLedger`]-keyed batches are.
-    pub fn with_retries<T>(
-        &mut self,
-        mut op: impl FnMut(&mut ClientConn) -> Result<T>,
-    ) -> Result<T> {
-        let mut attempts = 0u32;
-        loop {
-            let had_conn = self.conn.is_some();
-            let r = match self.ensure() {
-                Ok(conn) => op(conn),
-                Err(e) => Err(e),
-            };
-            match r {
-                Ok(v) => {
-                    self.backoff.reset();
-                    return Ok(v);
-                }
-                Err(e) if is_transport_error(&e) => {
-                    if had_conn && self.conn.is_some() {
-                        self.reconnects += 1;
-                    }
-                    self.conn = None;
-                    attempts += 1;
-                    if attempts >= self.max_attempts {
-                        return Err(e);
-                    }
-                    std::thread::sleep(self.backoff.next_delay(0));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Convenience: send one frame and wait for the next frame back,
-    /// with reconnect-and-resend on transport errors.
-    pub fn request(&mut self, frame: &Frame) -> Result<Frame> {
-        self.with_retries(|conn| {
-            conn.send(frame)?;
-            conn.recv()
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -391,17 +269,5 @@ mod tests {
         l.release(4); // two batches gone
         let tags: Vec<u64> = l.unreleased().map(|b| b.tag).collect();
         assert_eq!(tags, vec![4, 6, 8]);
-    }
-
-    #[test]
-    fn transport_errors_are_classified() {
-        assert!(is_transport_error(&Error::Io("broken pipe".into())));
-        assert!(is_transport_error(&Error::ChannelClosed("peer")));
-        assert!(!is_transport_error(&Error::Corrupt("bad".into())));
-        assert!(!is_transport_error(&Error::WrongLeader {
-            partition: 0,
-            epoch: 1,
-            hint: 2
-        }));
     }
 }

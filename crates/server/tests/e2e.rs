@@ -1,10 +1,11 @@
 //! Loopback end-to-end tests: handshake, subscribe/deliver, barriers,
-//! typed shedding, control plane, and connection hygiene.
+//! typed shedding and hint-honoring retries, control plane, and
+//! connection hygiene.
 
 use magicrecs_core::ConcurrentEngine;
 use magicrecs_server::{
-    connect_per_worker, AdmissionConfig, ClientConn, Frame, Server, ServerConfig, ShedCode,
-    WireErrorCode,
+    connect_per_worker, AdmissionConfig, Backoff, ClientConn, Frame, Server, ServerConfig,
+    ShedCode, WireErrorCode,
 };
 use magicrecs_types::{DetectorConfig, Duration, EdgeEvent, Timestamp, UserId};
 use std::sync::Arc;
@@ -152,6 +153,96 @@ fn rate_limit_sheds_with_typed_response_and_retry_hint() {
     assert_eq!(s.accepted, 256);
     assert_eq!(s.shed, 256);
     server.shutdown();
+}
+
+/// A client that honors the shed hints: each round it resends only the
+/// batches the token bucket refused, keyed by tag, and sleeps a backoff
+/// floored at the round's largest hint. Whole-batch sheds make the
+/// resends idempotent, so the server admits every event exactly once.
+#[test]
+fn hint_honoring_retries_admit_every_event_exactly_once() {
+    const BATCH: u64 = 128;
+    const BATCHES: u64 = 16;
+    // The bucket holds two batches and refills one every 62.5 ms. The
+    // first round's 16 batches arrive back to back, so the first round
+    // admits the 256-event burst plus 2,048 events a second of its own
+    // time; it sheds unless it takes longer than the ≈ 0.9 s the whole
+    // run needs to drain.
+    let (server, _engine) = start(
+        1,
+        AdmissionConfig {
+            source_rate: 2_048.0,
+            source_burst: (2 * BATCH) as f64,
+            ..AdmissionConfig::unlimited()
+        },
+    );
+    let mut conn = ClientConn::connect(server.addr(), Some(0)).unwrap();
+    let mut pending: Vec<(u64, Vec<EdgeEvent>)> = (0..BATCHES)
+        .map(|tag| {
+            let events = (0..BATCH)
+                .map(|i| EdgeEvent::follow(u(1000 + i), u(5000 + tag), ts(tag)))
+                .collect();
+            (tag, events)
+        })
+        .collect();
+    let sent = BATCHES * BATCH;
+    let mut backoff = Backoff::new(
+        std::time::Duration::from_micros(200),
+        std::time::Duration::from_millis(200),
+        0xD1A1,
+    );
+    let (mut rounds, mut first_round_shed, mut shed_events) = (0u64, 0usize, 0u64);
+    while !pending.is_empty() {
+        rounds += 1;
+        assert!(rounds <= 1_000, "retries do not converge");
+        for (tag, events) in &pending {
+            conn.send(&Frame::Ingest {
+                tag: *tag,
+                events: events.clone(),
+            })
+            .unwrap();
+        }
+        let mut shed_tags = Vec::new();
+        let mut round_hint = 0u64;
+        for frame in conn.barrier(u64::MAX).unwrap() {
+            match frame {
+                Frame::Shed {
+                    tag,
+                    code,
+                    retry_after_us,
+                } => {
+                    assert_eq!(code, ShedCode::RateLimited, "only the bucket may shed");
+                    assert!(retry_after_us > 0, "a shed must carry a retry hint");
+                    shed_tags.push(tag);
+                    round_hint = round_hint.max(retry_after_us);
+                }
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        if rounds == 1 {
+            first_round_shed = shed_tags.len();
+        }
+        shed_events += BATCH * shed_tags.len() as u64;
+        pending.retain(|(tag, _)| shed_tags.contains(tag));
+        if !pending.is_empty() {
+            std::thread::sleep(backoff.next_delay(round_hint));
+        }
+    }
+    assert!(first_round_shed > 0, "the first round must shed");
+    assert!(rounds > 1, "sheds imply a retry round");
+
+    let metrics = conn.fetch_metrics().unwrap();
+    server.shutdown();
+    let get = |name: &str| -> u64 {
+        metrics
+            .iter()
+            .find(|(n, _)| n == name)
+            .unwrap_or_else(|| panic!("scrape missing {name}"))
+            .1
+    };
+    assert_eq!(get("engine_accepted"), sent, "each event admitted once");
+    assert_eq!(get("engine_events"), sent, "each event detected once");
+    assert_eq!(get("engine_shed"), shed_events, "every shed was answered");
 }
 
 #[test]
