@@ -43,8 +43,9 @@
 //! `MAGICRECS_ADVERSITY_SEED` overrides the base seed (recorded in
 //! every trajectory for exact replay). The internal
 //! `--replica-node --config <map> --node <id> --data <dir>` mode runs
-//! a single replica node and parks (used only by the replication
-//! cells).
+//! a single replica node and parks through
+//! `magicrecs_replica::Node::run_process`, the `replica_node` binary's
+//! body (used only by the replication cells).
 //!
 //! Every fault cell also writes a **flight-recorder dump**
 //! (`<scenario>-<fault>.trace`): the `magicrecs-obs` recorder's
@@ -70,7 +71,7 @@ use magicrecs_persist::{
     CheckpointDriver, FaultPlan, FaultVfs, FsyncPolicy, PersistOptions, PersistentConcurrentEngine,
     PersistentEngine, RebasePolicy, TempDir,
 };
-use magicrecs_replica::{ClusterMap, Coordinator, Node, NodeConfig, RoutedClient};
+use magicrecs_replica::{ClusterMap, Coordinator, Node, RoutedClient};
 use magicrecs_server::{AdmissionConfig, ClientConn, Frame, Server, ServerConfig, ShedCode};
 use magicrecs_types::{Candidate, DetectorConfig, Duration, EdgeEvent, Error, Timestamp, UserId};
 use std::path::{Path, PathBuf};
@@ -1260,39 +1261,6 @@ fn run_serving_kill_resume_cell(base_seed: u64, out_dir: &Path) -> CellResult {
 // boundaries.
 // ---------------------------------------------------------------------------
 
-/// `--replica-node` mode: run one replica node and park. The runner
-/// waits for the `READY <addr>` line, and tears the process down with
-/// SIGKILL (that ungracefulness is the point).
-fn replica_node_mode(args: &[String]) -> ! {
-    let mut config: Option<PathBuf> = None;
-    let mut node: Option<u32> = None;
-    let mut data: Option<PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut val = || it.next().expect("flag needs a value").clone();
-        match a.as_str() {
-            "--config" => config = Some(PathBuf::from(val())),
-            "--node" => node = Some(val().parse().expect("node id")),
-            "--data" => data = Some(PathBuf::from(val())),
-            other => panic!("unexpected --replica-node argument {other:?}"),
-        }
-    }
-    let text = std::fs::read_to_string(config.expect("--config required")).expect("read map");
-    let map = ClusterMap::parse(&text).expect("parse map");
-    let handle = Node::start(NodeConfig::new(
-        node.expect("--node required"),
-        map,
-        data.expect("--data required"),
-    ))
-    .expect("start node");
-    println!("READY {}", handle.addr());
-    use std::io::Write as _;
-    std::io::stdout().flush().ok();
-    loop {
-        std::thread::sleep(std::time::Duration::from_secs(3600));
-    }
-}
-
 /// One replica-node child process; SIGKILLed on drop.
 struct ReplicaProc(std::process::Child);
 
@@ -1707,7 +1675,10 @@ fn run_rebalance_flash_crowd_cell(base_seed: u64, out_dir: &Path) -> CellResult 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().map(String::as_str) == Some("--replica-node") {
-        replica_node_mode(&args[1..]);
+        // One replica node, run and parked exactly as `replica_node` runs
+        // it; the runner waits for its `READY <addr>` line and tears it
+        // down with SIGKILL (that ungracefulness is the point).
+        Node::run_process(args.into_iter().skip(1));
     }
     let mut out_dir: Option<PathBuf> = None;
     let mut metrics_out: Option<PathBuf> = None;

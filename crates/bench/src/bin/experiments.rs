@@ -303,7 +303,7 @@ fn e6_partitions() {
         let d_entries: u64 = broker
             .partitions()
             .iter()
-            .map(|p| p.engine().store().resident_entries())
+            .map(|p| p.store().resident_entries())
             .sum();
         let one = *one_partition_d.get_or_insert(d_entries);
         assert_eq!(

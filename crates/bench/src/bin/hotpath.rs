@@ -43,11 +43,9 @@
 //!   graph, WAL append cost under the batched-fsync default, and the
 //!   crash-recovery replay rate. `--no-persist` skips these arms (their
 //!   previous keys survive the merge).
-//! * `wal_group_append_ns_per_event` / `batched_celebrity_events_per_sec`
-//!   — the batched ingest hot path (PR 5): group commit at batch sizes
+//! * `wal_group_append_ns_per_event` — WAL group commit at batch sizes
 //!   8/64/256 vs single appends (hard-asserted faster at 64 —
-//!   `--wal-only` runs just this guard for CI), and the shared cluster's
-//!   micro-batch queue drain vs the one-item-per-recv transport.
+//!   `--wal-only` runs just this guard for CI).
 //! * `ingest_events_per_sec_while_checkpointing` vs
 //!   `ingest_events_per_sec_baseline` — the non-quiescent checkpoint
 //!   tax: the celebrity trace through a persistent shared engine
@@ -280,10 +278,9 @@ fn run_concurrent(json: &mut Json, max_threads: usize) {
     let trace = celebrity_trace(2_000);
 
     let mut fields: Vec<(&str, f64)> = Vec::new();
-    let rate_at = |threads: usize, max_batch: usize| -> f64 {
+    let rate_at = |threads: usize| -> f64 {
         let cluster = SharedEngineCluster::new(&graph, threads, DetectorConfig::production())
-            .expect("valid cluster config")
-            .with_max_batch(max_batch);
+            .expect("valid cluster config");
         // One untimed run first: the arm that happens to go first must not
         // eat the page-cache/allocator warm-up for everyone else.
         cluster.run_trace(&trace).expect("warm-up run");
@@ -300,33 +297,13 @@ fn run_concurrent(json: &mut Json, max_threads: usize) {
         if threads > max_threads {
             continue;
         }
-        let rate = rate_at(threads, magicrecs_cluster::DEFAULT_MAX_BATCH);
+        let rate = rate_at(threads);
         println!("  {threads} thread(s): {rate:.0} events/sec");
         fields.push((label, rate));
     }
     json.obj("concurrent_celebrity_events_per_sec", &fields);
     json.int("concurrent_bench_cores", cores as u64);
 
-    // Batched vs single-item queue drains, same engine and thread count:
-    // max_batch 1 reproduces the pre-batching transport (one snapshot
-    // pin + detector lookup + stats flush per event), the default drains
-    // micro-batches.
-    let threads = 2.min(max_threads);
-    let single_drain = rate_at(threads, 1);
-    let batched_drain = rate_at(threads, magicrecs_cluster::DEFAULT_MAX_BATCH);
-    json.obj(
-        "batched_celebrity_events_per_sec",
-        &[("single", single_drain), ("b64", batched_drain)],
-    );
-    json.num(
-        "speedup_batched_drain_over_single",
-        batched_drain / single_drain,
-    );
-    println!(
-        "  drain at {threads} thread(s): single {single_drain:.0} vs batched {batched_drain:.0} \
-         events/sec ({:.2}x)",
-        batched_drain / single_drain
-    );
     if let (Some(&(_, r1)), Some(&(last, rn))) = (
         fields.iter().find(|(l, _)| *l == "t1"),
         fields.last().filter(|(l, _)| *l != "t1"),

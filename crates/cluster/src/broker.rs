@@ -10,7 +10,7 @@
 //! proven (tests + property tests) identical to a single-node engine, and
 //! [`crate::ThreadedCluster`] is in turn tested against it.
 
-use crate::partition::Partition;
+use magicrecs_core::ConcurrentEngine;
 use magicrecs_graph::{
     partition_by_source, partition_delta_by_source, FollowGraph, GraphDelta, HashPartitioner,
     Partitioner,
@@ -19,10 +19,12 @@ use magicrecs_types::{
     Candidate, ClusterConfig, DetectorConfig, EdgeEvent, PartitionId, Result, Timestamp,
 };
 
-/// A sequential fan-out broker over in-process partitions.
+/// A sequential fan-out broker over in-process partitions: one
+/// [`ConcurrentEngine`] per partition, over that partition's slice of `S`
+/// with a complete `D`, its [`PartitionId`] being its index.
 #[derive(Debug)]
 pub struct Broker {
-    partitions: Vec<Partition>,
+    partitions: Vec<ConcurrentEngine>,
     partitioner: HashPartitioner,
 }
 
@@ -40,8 +42,7 @@ impl Broker {
         let parts = partition_by_source(graph, &partitioner);
         let partitions = parts
             .into_iter()
-            .enumerate()
-            .map(|(i, local)| Partition::new(PartitionId(i as u32), local, detector_config))
+            .map(|local| ConcurrentEngine::new(local, detector_config))
             .collect::<Result<Vec<_>>>()?;
         Ok(Broker {
             partitions,
@@ -55,14 +56,11 @@ impl Broker {
     }
 
     /// Fans the event out to every partition and gathers candidates,
-    /// sorted by user id (deterministic gather order).
+    /// sorted by user id: a one-event [`Broker::on_events`], whose
+    /// `(triggered_at, user, target)` order is the user order when every
+    /// candidate shares the event's time and target.
     pub fn on_event(&mut self, event: EdgeEvent) -> Vec<Candidate> {
-        let mut gathered = Vec::new();
-        for p in &self.partitions {
-            gathered.extend(p.on_event(event));
-        }
-        gathered.sort_by_key(|c| c.user);
-        gathered
+        self.on_events(std::slice::from_ref(&event))
     }
 
     /// Processes a whole trace.
@@ -131,7 +129,7 @@ impl Broker {
             .partitions
             .iter()
             .zip(&slices)
-            .map(|(p, slice)| p.compute_graph_delta(slice))
+            .map(|(p, slice)| p.graph().apply_delta(slice))
             .collect::<Result<Vec<_>>>()?;
         for (p, graph) in self.partitions.iter().zip(refreshed) {
             p.swap_graph(graph);
@@ -151,8 +149,9 @@ impl Broker {
         self.partitioner.partition_of(a)
     }
 
-    /// Access to partitions (metrics, memory accounting).
-    pub fn partitions(&self) -> &[Partition] {
+    /// The partitions' engines, indexed by [`PartitionId`] (metrics,
+    /// memory accounting).
+    pub fn partitions(&self) -> &[ConcurrentEngine] {
         &self.partitions
     }
 
@@ -167,7 +166,6 @@ impl Broker {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use magicrecs_core::ConcurrentEngine;
     use magicrecs_gen::{GraphGen, GraphGenConfig, Scenario, ScenarioConfig};
     use magicrecs_types::UserId;
 
@@ -245,8 +243,9 @@ mod tests {
         let fired: Vec<PartitionId> = broker
             .partitions()
             .iter()
-            .filter(|p| p.engine().stats().candidates > 0)
-            .map(|p| p.id())
+            .enumerate()
+            .filter(|(_, p)| p.stats().candidates > 0)
+            .map(|(i, _)| PartitionId(i as u32))
             .collect();
         assert_eq!(fired, vec![owner]);
     }
@@ -272,12 +271,12 @@ mod tests {
         let d1: u64 = broker1
             .partitions()
             .iter()
-            .map(|p| p.engine().store().resident_entries())
+            .map(|p| p.store().resident_entries())
             .sum();
         let d8: u64 = broker8
             .partitions()
             .iter()
-            .map(|p| p.engine().store().resident_entries())
+            .map(|p| p.store().resident_entries())
             .sum();
         assert_eq!(d8, d1 * 8, "full-D-per-partition invariant");
     }
@@ -294,7 +293,7 @@ mod tests {
         broker.on_event(EdgeEvent::follow(u(11), u(22), ts(10)));
         broker.advance(ts(100_000));
         for p in broker.partitions() {
-            assert_eq!(p.engine().store().resident_entries(), 0);
+            assert_eq!(p.store().resident_entries(), 0);
         }
     }
 

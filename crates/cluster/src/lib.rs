@@ -15,11 +15,11 @@
 //!
 //! Modules:
 //!
-//! * [`partition::Partition`] — one partition: local `S_p`, full `D`, an
-//!   engine.
-//! * [`broker::Broker`] — sequential fan-out/gather over partitions (the
-//!   reference implementation used in correctness proofs: the union of
-//!   partition outputs must equal a single-node engine's output).
+//! * [`broker::Broker`] — sequential fan-out/gather over partitions, each
+//!   one `magicrecs_core::ConcurrentEngine` over its local `S_p` with a
+//!   full `D` (the reference implementation used in correctness proofs:
+//!   the union of partition outputs must equal a single-node engine's
+//!   output).
 //! * [`route::RouteTable`] / [`route::EpochGate`] — movable partition
 //!   ownership with routing epochs; stale writes racing a partition move
 //!   are refused typed, never silently applied.
@@ -36,11 +36,9 @@
 #![warn(missing_docs)]
 
 pub mod broker;
-pub mod partition;
 pub mod route;
 pub mod threaded;
 
 pub use broker::Broker;
-pub use partition::Partition;
 pub use route::{EpochGate, RouteDecision, RouteTable};
 pub use threaded::{SharedEngineCluster, ThreadedCluster, DEFAULT_MAX_BATCH};

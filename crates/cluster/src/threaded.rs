@@ -21,44 +21,40 @@
 //!   and detection on one copy of the state.
 //!
 //! Both modes drain their worker queues in **bounded micro-batches** of at
-//! most [`DEFAULT_MAX_BATCH`] (shared mode takes another bound through
-//! [`SharedEngineCluster::with_max_batch`]) rather than one item per
-//! `recv`: a worker blocks for the first item, takes whatever else is
-//! already queued, and hands the engine the whole slice
-//! (`on_events_into`), amortizing snapshot pins, detector lookups, and
-//! stats flushes. Batching never waits — an idle stream degrades to batch
-//! size 1 — and candidates are identical at any bound (the engines'
-//! batch-vs-single contract, test-enforced here too).
+//! most [`DEFAULT_MAX_BATCH`] rather than one item per `recv`: a worker
+//! blocks for the first item, takes whatever else is already queued, and
+//! hands the engine the whole slice (`on_events_into`), amortizing
+//! snapshot pins, scratch lookups, and stats flushes. Batching never
+//! waits — an idle stream degrades to batch size 1 — and candidates are
+//! identical at any batch size (the engine's batch-vs-single contract,
+//! test-enforced here too).
 
-use crate::partition::Partition;
 use crossbeam::channel;
 use magicrecs_core::ConcurrentEngine;
 use magicrecs_graph::{partition_by_source, FollowGraph, HashPartitioner};
-use magicrecs_types::{
-    Candidate, ClusterConfig, DetectorConfig, EdgeEvent, Error, PartitionId, Result,
-};
+use magicrecs_types::{Candidate, ClusterConfig, DetectorConfig, EdgeEvent, Error, Result};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// Default micro-batch bound for worker queue drains. Tuned by the
-/// hotpath bench (`batched_celebrity_events_per_sec`): past ~64 the
-/// per-batch costs (snapshot pin, detector lookup, stats flush, WAL
-/// group commit downstream) are already amortized to noise, while larger
-/// bounds only add queueing latency under bursts.
+/// Micro-batch bound for worker queue drains: past ~64 the per-batch
+/// costs (snapshot pin, scratch lookup, stats flush, WAL group commit
+/// downstream) are already amortized to noise, while larger bounds only
+/// add queueing latency under bursts.
 pub const DEFAULT_MAX_BATCH: usize = 64;
 
 /// Drains one micro-batch from `rx` into `batch`: blocks for the first
-/// item, then takes whatever is already queued up to `max`. Returns
-/// `false` once the channel is closed and empty. Batching never *waits*
-/// for a batch to fill — an idle stream degrades to batch size 1.
-fn drain_batch<T>(rx: &channel::Receiver<T>, batch: &mut Vec<T>, max: usize) -> bool {
+/// item, then takes whatever is already queued up to
+/// [`DEFAULT_MAX_BATCH`]. Returns `false` once the channel is closed and
+/// empty. Batching never *waits* for a batch to fill — an idle stream
+/// degrades to batch size 1.
+fn drain_batch<T>(rx: &channel::Receiver<T>, batch: &mut Vec<T>) -> bool {
     batch.clear();
     match rx.recv() {
         Ok(item) => batch.push(item),
         Err(_) => return false,
     }
-    while batch.len() < max {
+    while batch.len() < DEFAULT_MAX_BATCH {
         match rx.try_recv() {
             Ok(item) => batch.push(item),
             Err(_) => break,
@@ -121,10 +117,9 @@ impl ThreadedCluster {
         let mut senders = Vec::with_capacity(self.graph_parts.len());
         let mut joins = Vec::with_capacity(self.graph_parts.len());
 
-        for (i, local) in self.graph_parts.iter().enumerate() {
+        for local in &self.graph_parts {
             let (tx, rx) = channel::bounded::<EdgeEvent>(4096);
-            let partition =
-                Partition::new(PartitionId(i as u32), local.clone(), self.detector_config)?;
+            let partition = ConcurrentEngine::new(local.clone(), self.detector_config)?;
             let result_tx = result_tx.clone();
             senders.push(tx);
             joins.push(thread::spawn(move || {
@@ -133,7 +128,7 @@ impl ThreadedCluster {
                 // Micro-batch drain: one engine dispatch per queue drain
                 // instead of one per event; candidates are identical
                 // (the engine's batch-vs-single contract).
-                while drain_batch(&rx, &mut batch, DEFAULT_MAX_BATCH) {
+                while drain_batch(&rx, &mut batch) {
                     partition.on_events_into(&batch, &mut local_out);
                 }
                 // One send per worker keeps gather cheap.
@@ -182,7 +177,6 @@ pub struct SharedEngineCluster {
     graph: FollowGraph,
     workers: usize,
     detector_config: DetectorConfig,
-    max_batch: usize,
 }
 
 impl SharedEngineCluster {
@@ -200,17 +194,7 @@ impl SharedEngineCluster {
             graph: graph.clone(),
             workers,
             detector_config,
-            max_batch: DEFAULT_MAX_BATCH,
         })
-    }
-
-    /// Sets the worker queue-drain bound (≥ 1; see [`DEFAULT_MAX_BATCH`]).
-    /// `1` reproduces the one-item-per-recv transport exactly — the
-    /// hotpath bench races the two settings as
-    /// `batched_celebrity_events_per_sec`.
-    pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        self.max_batch = max_batch.max(1);
-        self
     }
 
     /// Number of worker threads.
@@ -243,15 +227,14 @@ impl SharedEngineCluster {
             let (tx, rx) = channel::bounded::<EdgeEvent>(4096);
             let engine = Arc::clone(&engine);
             let result_tx = result_tx.clone();
-            let max_batch = self.max_batch;
             senders.push(tx);
             joins.push(thread::spawn(move || {
                 let mut local_out = Vec::new();
-                let mut batch = Vec::with_capacity(max_batch);
+                let mut batch = Vec::with_capacity(DEFAULT_MAX_BATCH);
                 // Micro-batch drain: the engine pins one `S` snapshot,
-                // looks up detector scratch once, and flushes stats once
-                // per drained batch instead of per event.
-                while drain_batch(&rx, &mut batch, max_batch) {
+                // looks up its scratch once, and flushes stats once per
+                // drained batch instead of per event.
+                while drain_batch(&rx, &mut batch) {
                     engine.on_events_into(&batch, &mut local_out);
                 }
                 let _ = result_tx.send(local_out);
@@ -446,9 +429,9 @@ mod tests {
         assert!(SharedEngineCluster::new(&g, 0, DetectorConfig::example()).is_err());
     }
 
-    /// Micro-batch draining is a transport change only: the shared mode
-    /// at every `max_batch`, and the partitioned mode at its fixed
-    /// `DEFAULT_MAX_BATCH`, produce the one-item shared run's candidates.
+    /// Micro-batch draining is a transport change only: the shared and
+    /// the partitioned mode, each draining up to `DEFAULT_MAX_BATCH`,
+    /// produce the candidates of one engine fed one event at a time.
     #[test]
     fn batched_drain_matches_single_item_drain() {
         let g = GraphGen::new(GraphGenConfig::small()).generate();
@@ -461,27 +444,26 @@ mod tests {
             ..DetectorConfig::example()
         };
 
-        let shared_single = SharedEngineCluster::new(&g, 3, dc)
+        let engine = ConcurrentEngine::new(g.clone(), dc).unwrap();
+        let mut single_item: Vec<Candidate> = trace
+            .events()
+            .iter()
+            .flat_map(|&e| engine.on_event(e))
+            .collect();
+        single_item.sort_by(|a, b| {
+            (a.triggered_at, a.user, a.target).cmp(&(b.triggered_at, b.user, b.target))
+        });
+
+        let shared = SharedEngineCluster::new(&g, 3, dc)
             .unwrap()
-            .with_max_batch(1)
             .run_trace(trace.events())
             .unwrap();
-        for max_batch in [2usize, 64, 4096] {
-            let batched = SharedEngineCluster::new(&g, 3, dc)
-                .unwrap()
-                .with_max_batch(max_batch)
-                .run_trace(trace.events())
-                .unwrap();
-            assert_eq!(
-                batched.candidates, shared_single.candidates,
-                "shared, max_batch={max_batch}"
-            );
-        }
+        assert_eq!(shared.candidates, single_item, "shared");
 
         let partitioned = ThreadedCluster::new(&g, ClusterConfig::single().with_partitions(3), dc)
             .unwrap()
             .run_trace(trace.events())
             .unwrap();
-        assert_eq!(partitioned.candidates, shared_single.candidates);
+        assert_eq!(partitioned.candidates, single_item, "partitioned");
     }
 }

@@ -7,7 +7,7 @@
 //! subgraph queries. [`ConcurrentEngine`] is that shape:
 //!
 //! * **`S`** — an immutable [`FollowGraph`] behind a swappable
-//!   [`Arc`] slot. Workers clone the `Arc` per event (one brief read
+//!   [`Arc`] slot. Workers clone the `Arc` per batch (one brief read
 //!   lock), so a detection in flight keeps its snapshot while
 //!   [`ConcurrentEngine::swap_graph`] publishes the periodic offline
 //!   reload. No detection ever observes a half-loaded graph.
@@ -15,12 +15,13 @@
 //!   behind per-shard locks, mutated through `&self`. Same-target events
 //!   serialize on one shard; the firehose's spread keeps the rest
 //!   uncontended.
-//! * **Detection scratch** — each worker thread lazily materializes its own
-//!   [`DiamondDetector`] (witness/match buffers), so the hot path shares
-//!   no mutable state beyond the store shards.
+//! * **Ingest scratch** — each worker thread lazily materializes its own
+//!   [`DiamondDetector`] (witness/match buffers) plus the run and timing
+//!   buffers of batched ingest, so the hot path shares no mutable state
+//!   beyond the store shards and allocates nothing per call.
 //!
-//! The result is `on_event(&self)`: clone the engine's [`Arc`] into N
-//! threads and call it from all of them. It is also the only engine: a
+//! The result is `on_events_into(&self)`: clone the engine's [`Arc`] into
+//! N threads and call it from all of them. It is also the only engine: a
 //! single-owner caller (one partition of the paper's deployment, a
 //! replica, a recovery run) drives it from one thread, where it
 //! costs the same per event as an exclusively-owned engine. Per-event
@@ -29,18 +30,21 @@
 //! `D[target]`) — which is what hash-routing a stream by target gives a
 //! worker pool; see `magicrecs_cluster::SharedEngineCluster`.
 //!
-//! ## Batched ingest
+//! ## One ingest path
 //!
-//! [`ConcurrentEngine::on_events_into`] is the micro-batch fast path the
-//! cluster transports drain into: one pinned `S` snapshot, one detector
-//! lookup, one stats flush, and at most one shard-lock acquisition per
-//! shard per distinct-target run, for a whole slice of events.
-//! **Batch-vs-single contract**: the candidate stream, aggregate stats,
-//! and store contents are identical to calling
-//! [`ConcurrentEngine::on_event`] N times (test-enforced by differential
-//! proptests); batching changes *where fixed costs are paid*, never what
-//! is detected. The single-event entry points are thin wrappers kept for
-//! per-event callers. One caveat on a stream whose
+//! [`ConcurrentEngine::on_events_into`] is the only code that ingests
+//! and detects: one pinned `S` snapshot, one scratch lookup, one stats
+//! flush, and at most one shard-lock acquisition per shard per
+//! distinct-target run, for a whole slice of events.
+//! [`ConcurrentEngine::on_event`] and [`ConcurrentEngine::on_events`] are
+//! one-line wrappers over it, and the apply-only paths (a follower's
+//! [`ConcurrentEngine::apply_events`], recovery's
+//! [`ConcurrentEngine::apply_to_store_batch`]) share its mutation
+//! routine. **Batch-vs-single contract**: the candidate stream,
+//! aggregate stats, and store contents are identical whether a stream
+//! arrives as one batch or as N batches of one (test-enforced by
+//! differential proptests); batching changes *where fixed costs are
+//! paid*, never what is detected. One caveat on a stream whose
 //! timestamps skew heavily *across* targets: the periodic wheel expiry
 //! advances with the engine-wide newest-seen timestamp, so entries more
 //! than τ older than that high-water mark may be reclaimed while a lagging
@@ -54,9 +58,7 @@ use magicrecs_graph::{FollowGraph, GraphDelta};
 use magicrecs_obs as obs;
 use magicrecs_obs::{MetricSnapshot, Registry};
 use magicrecs_temporal::{PruneStrategy, ShardedTemporalStore, StoreStats};
-use magicrecs_types::{
-    Candidate, DetectorConfig, EdgeEvent, Histogram, Result, Snapshot, Timestamp, UserId,
-};
+use magicrecs_types::{Candidate, DetectorConfig, EdgeEvent, Result, Snapshot, Timestamp, UserId};
 use parking_lot::RwLock;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,20 +86,33 @@ fn entry_cap_for(max_witnesses: Option<usize>) -> Option<usize> {
 /// pass the lock savings are already amortized to noise.
 const MAX_RUN: usize = 64;
 
-/// Most detectors a thread caches before evicting the oldest — bounds the
-/// scratch kept alive by long-lived worker pools that outlive engines
-/// (blue/green swaps, test suites).
-const MAX_CACHED_DETECTORS: usize = 8;
+/// Most engines a thread keeps scratch for before evicting the oldest —
+/// bounds the scratch kept alive by long-lived worker pools that outlive
+/// engines (blue/green swaps, test suites).
+const MAX_CACHED_SCRATCH: usize = 8;
 
-/// Engine ids distinguish thread-local detector scratch when several
-/// engines live in one process (tests, benches, blue/green swaps).
+/// Engine ids distinguish thread-local scratch when several engines live
+/// in one process (tests, benches, blue/green swaps).
 static NEXT_ENGINE_ID: AtomicU64 = AtomicU64::new(0);
 
+/// One thread's ingest scratch for one engine: the detector's buffers
+/// plus the run and timing buffers [`ConcurrentEngine::on_events_into`]
+/// reuses from call to call.
+struct Scratch {
+    det: DiamondDetector,
+    /// A run's inserts, gathered for one `insert_batch`.
+    inserts: Vec<(UserId, UserId, Timestamp)>,
+    /// The current distinct-target run's targets.
+    run_targets: Vec<UserId>,
+    /// A run's per-event detection times, µs.
+    times: Vec<u64>,
+}
+
 thread_local! {
-    /// Per-thread detector scratch, keyed by engine id. One entry per
+    /// Per-thread ingest scratch, keyed by engine id. One entry per
     /// engine this thread has driven recently; lookup is a short linear
-    /// scan, capped at [`MAX_CACHED_DETECTORS`].
-    static DETECTORS: RefCell<Vec<(u64, DiamondDetector)>> = const { RefCell::new(Vec::new()) };
+    /// scan, capped at [`MAX_CACHED_SCRATCH`].
+    static SCRATCH: RefCell<Vec<(u64, Scratch)>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Aggregate counters for a [`ConcurrentEngine`], snapshotted at read time.
@@ -203,114 +218,115 @@ impl ConcurrentEngine {
         })
     }
 
-    /// Runs `f` against this thread's detector scratch for this engine,
-    /// creating the detector on first use.
-    fn with_detector<R>(&self, f: impl FnOnce(&mut DiamondDetector) -> R) -> R {
-        DETECTORS.with(|cell| {
-            let mut dets = cell.borrow_mut();
-            let idx = match dets.iter().position(|&(id, _)| id == self.id) {
+    /// Runs `f` against this thread's ingest scratch for this engine,
+    /// creating it on first use.
+    fn with_scratch<R>(&self, f: impl FnOnce(&mut Scratch) -> R) -> R {
+        SCRATCH.with(|cell| {
+            let mut cached = cell.borrow_mut();
+            let idx = match cached.iter().position(|&(id, _)| id == self.id) {
                 Some(i) => i,
                 None => {
                     // Evict the longest-cached entry first: a worker pool
                     // that outlives engines must not accumulate scratch
                     // for every engine it ever drove.
-                    if dets.len() >= MAX_CACHED_DETECTORS {
-                        dets.remove(0);
+                    if cached.len() >= MAX_CACHED_SCRATCH {
+                        cached.remove(0);
                     }
                     let det = DiamondDetector::new(self.config)
                         .expect("config validated at engine construction");
-                    dets.push((self.id, det));
-                    dets.len() - 1
+                    let scratch = Scratch {
+                        det,
+                        inserts: Vec::with_capacity(MAX_RUN),
+                        run_targets: Vec::with_capacity(MAX_RUN),
+                        times: Vec::with_capacity(MAX_RUN),
+                    };
+                    cached.push((self.id, scratch));
+                    cached.len() - 1
                 }
             };
-            f(&mut dets[idx].1)
+            f(&mut cached[idx].1)
         })
     }
 
-    /// Processes one event, appending any candidates to `out`. Returns the
-    /// number appended.
-    ///
-    /// Callable from any number of threads sharing one engine: the `D`
-    /// mutation takes one shard lock, the witness copy-out takes the same
-    /// lock, and detection runs lock-free against this event's `S`
-    /// snapshot.
-    pub fn on_event_into(&self, event: EdgeEvent, out: &mut Vec<Candidate>) -> usize {
-        let start = std::time::Instant::now();
-        let t = event.created_at;
-        let emitted = if !event.kind.is_insertion() {
-            self.store.remove(event.src, event.dst);
-            0
-        } else {
-            self.store.insert(event.src, event.dst, t);
-            // Snapshot `S` for the remainder of this event: a concurrent
-            // `swap_graph` must not change the graph mid-detection.
-            let graph = self.graph.read().clone();
-            self.with_detector(|det| {
-                det.detect_into(
-                    &graph,
-                    event.dst,
-                    t,
-                    |buf| {
-                        self.store.witnesses_capped_into(
-                            event.dst,
-                            t,
-                            self.config.max_witnesses,
-                            buf,
-                        )
-                    },
-                    out,
-                )
-            })
-        };
-        let elapsed = start.elapsed().as_micros() as u64;
-
-        self.events.incr();
-        self.detect_time.record(elapsed);
-        if emitted > 0 {
-            self.firing_events.incr();
-            self.candidates.add(emitted as u64);
+    /// Applies `events`' `D` mutations in stream order: inserts gather in
+    /// `inserts` and land through [`ShardedTemporalStore::insert_batch`],
+    /// flushed before each removal. Every shard therefore
+    /// sees its mutations in the order single-event calls would apply
+    /// them, so `D` and its stats, `peak_entries` included, do not depend
+    /// on how the stream was split into calls.
+    fn apply_mutations(
+        &self,
+        events: &[EdgeEvent],
+        inserts: &mut Vec<(UserId, UserId, Timestamp)>,
+    ) {
+        inserts.clear();
+        for &e in events {
+            if e.kind.is_insertion() {
+                inserts.push((e.src, e.dst, e.created_at));
+            } else {
+                self.store.insert_batch(inserts);
+                inserts.clear();
+                self.store.remove(e.src, e.dst);
+            }
         }
-
-        self.tick(t);
-        emitted
+        self.store.insert_batch(inserts);
     }
 
-    /// The wheel-expiry cadence: one tick per event, an advance every
-    /// [`ADVANCE_EVERY`] ticks. Whichever thread lands on the boundary
-    /// pays for the advance — always with the engine-wide timestamp
-    /// high-water mark, not this thread's event time (which may trail
-    /// other workers on a skewed stream).
-    fn tick(&self, t: Timestamp) {
-        self.clock.fetch_max(t.as_micros(), Ordering::Relaxed);
-        let n = self.since_advance.fetch_add(1, Ordering::Relaxed) + 1;
-        if n.is_multiple_of(ADVANCE_EVERY) {
-            self.store
-                .advance(Timestamp::from_micros(self.clock.load(Ordering::Relaxed)));
+    /// The wheel-expiry cadence: an advance every [`ADVANCE_EVERY`]
+    /// events. Reserves `events.len()` ticks up front, cuts `events` at
+    /// the boundaries that fall inside it and hands each segment to `f`;
+    /// after a segment, folds its timestamps into the clock high-water
+    /// mark and, if the segment ends on a boundary, advances — always
+    /// with the engine-wide high-water mark, never one thread's event
+    /// time (which may trail other workers on a skewed stream). So the
+    /// advance fires between the same two events whatever the batching.
+    fn for_each_segment(&self, events: &[EdgeEvent], mut f: impl FnMut(&[EdgeEvent])) {
+        let start_count = self
+            .since_advance
+            .fetch_add(events.len() as u64, Ordering::Relaxed);
+        let mut i = 0usize;
+        while i < events.len() {
+            let until_adv = ADVANCE_EVERY - ((start_count + i as u64) % ADVANCE_EVERY);
+            let seg_end = (i + until_adv as usize).min(events.len());
+            let seg = &events[i..seg_end];
+            f(seg);
+            let seg_max = seg.iter().map(|e| e.created_at.as_micros()).max();
+            self.clock
+                .fetch_max(seg_max.unwrap_or(0), Ordering::Relaxed);
+            if (start_count + seg_end as u64).is_multiple_of(ADVANCE_EVERY) {
+                self.store
+                    .advance(Timestamp::from_micros(self.clock.load(Ordering::Relaxed)));
+            }
+            i = seg_end;
         }
     }
 
-    /// Processes one event, returning any candidates.
+    /// Processes one event, returning any candidates: a one-event
+    /// [`ConcurrentEngine::on_events`].
     pub fn on_event(&self, event: EdgeEvent) -> Vec<Candidate> {
-        let mut out = Vec::new();
-        self.on_event_into(event, &mut out);
-        out
+        self.on_events(std::slice::from_ref(&event))
     }
 
     /// Processes a micro-batch in stream order through **one pinned `S`
     /// snapshot**, appending candidates (grouped by event, in event
-    /// order) to `out`; returns the number appended.
+    /// order) to `out`; returns the number appended. This is the
+    /// engine's one detecting ingest: [`ConcurrentEngine::on_event`] is
+    /// a batch of one.
     ///
     /// Batch-level costs are paid once instead of once per event: the
     /// `S` snapshot slot is read (and its `Arc` cloned) once, the
-    /// thread's detector scratch is looked up once, stats land as one
-    /// atomic add per counter and one histogram-stripe lock, and `D`
-    /// mutations for runs of *distinct-target* events take each shard
-    /// lock at most once via [`ShardedTemporalStore::insert_batch`].
+    /// thread's scratch is looked up once, counters land as one atomic
+    /// add each, and `D` mutations for runs of *distinct-target* events
+    /// take each shard lock at most once via
+    /// [`ShardedTemporalStore::insert_batch`]. The run and timing buffers
+    /// are per-thread scratch, so a call allocates nothing once its
+    /// thread is warm, and detection times land in `engine_detect_us`
+    /// one bucket increment per event with no pass over the bucket array.
     ///
     /// **Batch-vs-single contract** (test-enforced): under the same
     /// per-target single-submitter precondition the engine already
     /// documents, the candidate stream, aggregate stats, and store
-    /// contents are identical to N [`ConcurrentEngine::on_event`] calls.
+    /// contents are identical to N one-event calls.
     /// Why run batching is safe: detection for event *i* reads only
     /// `D[target_i]`, so mutations of *other* targets in the same run
     /// cannot perturb it, and a repeated target starts a new run, so no
@@ -327,56 +343,32 @@ impl ConcurrentEngine {
         let appended_start = out.len();
         // Pin `S` once for the whole batch.
         let graph = self.graph.read().clone();
-        let n = events.len() as u64;
-        // Reserve the batch's advance ticks up front; boundary positions
-        // inside the batch follow from the reserved start.
-        let start_count = self.since_advance.fetch_add(n, Ordering::Relaxed);
-
-        let mut inserts: Vec<(UserId, UserId, Timestamp)> = Vec::with_capacity(events.len());
-        let mut run_targets: Vec<UserId> = Vec::with_capacity(events.len().min(MAX_RUN));
         let mut firing = 0u64;
         let mut emitted_total = 0u64;
-        let mut times = Histogram::new();
-
-        self.with_detector(|det| {
-            let mut i = 0usize;
-            while i < events.len() {
-                // Segment: events up to (and including) the next
-                // wheel-expiry boundary — the advance must fire between
-                // the same two events it would under single-event ingest.
-                let until_adv = ADVANCE_EVERY - ((start_count + i as u64) % ADVANCE_EVERY);
-                let seg_end = (i + until_adv as usize).min(events.len());
-                let mut r = i;
-                while r < seg_end {
+        self.with_scratch(|s| {
+            self.for_each_segment(events, |seg| {
+                let mut r = 0usize;
+                while r < seg.len() {
                     // Maximal distinct-target run.
-                    run_targets.clear();
-                    inserts.clear();
+                    s.run_targets.clear();
                     let mut run_end = r;
-                    while run_end < seg_end
-                        && run_targets.len() < MAX_RUN
-                        && !run_targets.contains(&events[run_end].dst)
+                    while run_end < seg.len()
+                        && s.run_targets.len() < MAX_RUN
+                        && !s.run_targets.contains(&seg[run_end].dst)
                     {
-                        let e = events[run_end];
-                        run_targets.push(e.dst);
-                        if e.kind.is_insertion() {
-                            inserts.push((e.src, e.dst, e.created_at));
-                        }
+                        s.run_targets.push(seg[run_end].dst);
                         run_end += 1;
                     }
+                    let run = &seg[r..run_end];
                     // Mutations first — targets are pairwise distinct, so
-                    // cross-target apply order is free and each shard
-                    // lock is taken at most once.
-                    self.store.insert_batch(&inserts);
-                    for &e in &events[r..run_end] {
-                        if !e.kind.is_insertion() {
-                            self.store.remove(e.src, e.dst);
-                        }
-                    }
+                    // no detection below can see a later event's change.
+                    self.apply_mutations(run, &mut s.inserts);
                     // Then detection, per event, in stream order.
-                    for &e in &events[r..run_end] {
+                    s.times.clear();
+                    for &e in run {
                         let start = std::time::Instant::now();
                         let emitted = if e.kind.is_insertion() {
-                            det.detect_into(
+                            s.det.detect_into(
                                 &graph,
                                 e.dst,
                                 e.created_at,
@@ -393,31 +385,19 @@ impl ConcurrentEngine {
                         } else {
                             0
                         };
-                        times.record(start.elapsed().as_micros() as u64);
+                        s.times.push(start.elapsed().as_micros() as u64);
                         if emitted > 0 {
                             firing += 1;
                             emitted_total += emitted as u64;
                         }
                     }
+                    self.detect_time.record_all(&s.times);
                     r = run_end;
                 }
-                // Fold the segment into the clock high-water mark, then
-                // fire the boundary advance if the segment ends on one.
-                let mut seg_max = 0u64;
-                for &e in &events[i..seg_end] {
-                    seg_max = seg_max.max(e.created_at.as_micros());
-                }
-                self.clock.fetch_max(seg_max, Ordering::Relaxed);
-                if (start_count + seg_end as u64).is_multiple_of(ADVANCE_EVERY) {
-                    self.store
-                        .advance(Timestamp::from_micros(self.clock.load(Ordering::Relaxed)));
-                }
-                i = seg_end;
-            }
+            });
         });
 
-        self.events.add(n);
-        self.detect_time.merge_from(&times);
+        self.events.add(events.len() as u64);
         if emitted_total > 0 {
             self.firing_events.add(firing);
             self.candidates.add(emitted_total);
@@ -436,47 +416,24 @@ impl ConcurrentEngine {
     /// Applies a micro-batch's `D` mutations without running detection —
     /// the apply-only path of a replica that does not serve the batch.
     ///
-    /// Makes the same per-event `D` insert/remove calls as
-    /// [`ConcurrentEngine::on_events_into`] and ticks the wheel-expiry
-    /// cadence the same way, so `D` (and the cadence position) ends up
-    /// identical to the detecting path; only candidate emission and the
-    /// detection stats are skipped. Detection's witness query cannot
-    /// change `D` here: it trims the touched list at the very cutoff the
-    /// insert just applied.
+    /// Applies the mutations in the same per-shard order as
+    /// [`ConcurrentEngine::on_events_into`] and keeps the same
+    /// wheel-expiry cadence, so `D`, its stats and the cadence position
+    /// end up identical to the detecting path's; only candidate emission
+    /// and the detection stats are skipped. Detection's witness query
+    /// cannot change `D` there: it trims the touched list at the very
+    /// cutoff the insert just applied.
     pub fn apply_events(&self, events: &[EdgeEvent]) {
-        for &event in events {
-            self.apply_to_store(event);
-            self.tick(event.created_at);
-        }
+        self.with_scratch(|s| {
+            self.for_each_segment(events, |seg| self.apply_mutations(seg, &mut s.inserts));
+        });
     }
 
-    /// Applies an event's `D` mutation without running detection,
-    /// touching stats or ticking the expiry cadence.
-    pub fn apply_to_store(&self, event: EdgeEvent) {
-        if event.kind.is_insertion() {
-            self.store.insert(event.src, event.dst, event.created_at);
-        } else {
-            self.store.remove(event.src, event.dst);
-        }
-    }
-
-    /// [`ConcurrentEngine::apply_to_store`] for a micro-batch: insertion
-    /// runs take each shard lock at most once
-    /// ([`ShardedTemporalStore::insert_batch`]); a removal flushes the
-    /// pending run first so per-target op order is preserved. The
-    /// recovery-replay fast path.
+    /// Applies a micro-batch's `D` mutations without running detection,
+    /// touching stats or ticking the expiry cadence — the recovery-replay
+    /// path.
     pub fn apply_to_store_batch(&self, events: &[EdgeEvent]) {
-        let mut run = Vec::with_capacity(events.len());
-        for &e in events {
-            if e.kind.is_insertion() {
-                run.push((e.src, e.dst, e.created_at));
-            } else {
-                self.store.insert_batch(&run);
-                run.clear();
-                self.store.remove(e.src, e.dst);
-            }
-        }
-        self.store.insert_batch(&run);
+        self.with_scratch(|s| self.apply_mutations(events, &mut s.inserts));
     }
 
     /// Hot-swaps the static graph, returning the previous snapshot.
@@ -704,7 +661,7 @@ mod tests {
     fn on_events_matches_single_events() {
         // Same-target repeats (run splits), unfollows, and uneven chunk
         // sizes: candidate stream, stats, and store contents must equal
-        // the single-event twin's.
+        // those of an engine fed one event per call.
         let trace: Vec<EdgeEvent> = (0..600u64)
             .map(|i| {
                 if i % 31 == 0 {
@@ -718,7 +675,7 @@ mod tests {
         let batched = ConcurrentEngine::new(small_graph(), DetectorConfig::example()).unwrap();
         let mut want = Vec::new();
         for &e in &trace {
-            single.on_event_into(e, &mut want);
+            want.extend(single.on_event(e));
         }
         let mut got = Vec::new();
         for chunk in trace.chunks(41) {
@@ -734,14 +691,7 @@ mod tests {
             single.store().resident_entries(),
             batched.store().resident_entries()
         );
-        assert_eq!(
-            single.store().stats().inserted,
-            batched.store().stats().inserted
-        );
-        assert_eq!(
-            single.store().stats().unfollowed,
-            batched.store().stats().unfollowed
-        );
+        assert_eq!(single.store().stats(), batched.store().stats());
     }
 
     #[test]
@@ -776,27 +726,14 @@ mod tests {
         let single = ConcurrentEngine::new(small_graph(), DetectorConfig::example()).unwrap();
         let batched = ConcurrentEngine::new(small_graph(), DetectorConfig::example()).unwrap();
         for &e in &trace {
-            single.apply_to_store(e);
+            single.apply_to_store_batch(std::slice::from_ref(&e));
         }
         batched.apply_to_store_batch(&trace);
         assert_eq!(
             single.store().resident_entries(),
             batched.store().resident_entries()
         );
-        assert_eq!(
-            single.store().stats().inserted,
-            batched.store().stats().inserted
-        );
-    }
-
-    /// Store counters without `peak_entries`: the batched detecting path
-    /// applies a run's inserts before its removals, so its transient
-    /// high-water mark may sit above the per-event apply path's.
-    fn churn(engine: &ConcurrentEngine) -> StoreStats {
-        StoreStats {
-            peak_entries: 0,
-            ..engine.store().stats()
-        }
+        assert_eq!(single.store().stats(), batched.store().stats());
     }
 
     fn sorted_entries(engine: &ConcurrentEngine) -> Vec<(UserId, UserId, Timestamp)> {
@@ -838,7 +775,7 @@ mod tests {
             checked += 1;
         }
         assert!(checked > 3 && !fired.is_empty(), "trace must fire");
-        assert_eq!(churn(&applying), churn(&detecting));
+        assert_eq!(applying.store_stats(), detecting.store_stats());
         assert_eq!(applying.stats().events, 0, "nothing was detected");
     }
 
@@ -857,11 +794,55 @@ mod tests {
             applying.apply_events(part);
         }
         assert_eq!(sorted_entries(&applying), sorted_entries(&detecting));
-        assert_eq!(churn(&applying), churn(&detecting));
+        assert_eq!(applying.store_stats(), detecting.store_stats());
         assert!(
             applying.store().resident_targets() < 200,
             "advance must run"
         );
+    }
+
+    #[test]
+    fn follower_matches_leader_store_stats_peak_included() {
+        // Every target lives on one `D` shard. Each round unfollows the
+        // previous round's targets and follows as many new ones,
+        // alternating, so the shard holds 48 entries throughout and a
+        // path that landed a run's inserts before its removals would
+        // peak above one that keeps stream order. Every seventh target
+        // is unfollowed and followed again at once: same-target repeats
+        // that split runs.
+        let shard = |t: &UserId| magicrecs_types::route_mix(t) as usize % DEFAULT_SHARDS;
+        let targets: Vec<UserId> = (1_000..)
+            .map(u)
+            .filter(|t| shard(t) == 0)
+            .take(4 * 48)
+            .collect();
+        let target = |round: u64, i: u64| targets[(round * 48 + i) as usize];
+        let mut batches: Vec<Vec<EdgeEvent>> = vec![(0..48)
+            .map(|i| EdgeEvent::follow(u(11), target(0, i), ts(10)))
+            .collect()];
+        for round in 1..4u64 {
+            let t = ts(10 + round);
+            let mut batch = Vec::new();
+            for i in 0..48u64 {
+                batch.push(EdgeEvent::unfollow(u(11), target(round - 1, i), t));
+                batch.push(EdgeEvent::follow(u(11), target(round, i), t));
+                if i % 7 == 0 {
+                    batch.push(EdgeEvent::unfollow(u(11), target(round, i), t));
+                    batch.push(EdgeEvent::follow(u(11), target(round, i), t));
+                }
+            }
+            batches.push(batch);
+        }
+        let leader = ConcurrentEngine::new(small_graph(), DetectorConfig::example()).unwrap();
+        let follower = ConcurrentEngine::new(small_graph(), DetectorConfig::example()).unwrap();
+        let mut fired = Vec::new();
+        for batch in &batches {
+            leader.on_events_into(batch, &mut fired);
+            follower.apply_events(batch);
+        }
+        assert_eq!(sorted_entries(&follower), sorted_entries(&leader));
+        assert_eq!(follower.store_stats(), leader.store_stats());
+        assert_eq!(leader.store_stats().peak_entries, 48);
     }
 
     #[test]

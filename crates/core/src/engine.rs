@@ -7,7 +7,6 @@
 mod tests {
     use crate::ConcurrentEngine;
     use magicrecs_graph::{FollowGraph, GraphBuilder, GraphDelta};
-    use magicrecs_temporal::StoreStats;
     use magicrecs_types::{DetectorConfig, EdgeEvent, Timestamp, UserId};
 
     fn u(n: u64) -> UserId {
@@ -32,16 +31,6 @@ mod tests {
 
     fn engine(graph: FollowGraph) -> ConcurrentEngine {
         ConcurrentEngine::new(graph, DetectorConfig::example()).unwrap()
-    }
-
-    /// Store counters without `peak_entries`: the batched detecting path
-    /// applies a run's inserts before its removals, so its transient
-    /// high-water mark may sit above the per-event path's.
-    fn churn(engine: &ConcurrentEngine) -> StoreStats {
-        StoreStats {
-            peak_entries: 0,
-            ..engine.store().stats()
-        }
     }
 
     #[test]
@@ -157,7 +146,7 @@ mod tests {
             single.store().resident_entries(),
             batched.store().resident_entries()
         );
-        assert_eq!(churn(&single), churn(&batched));
+        assert_eq!(single.store_stats(), batched.store_stats());
     }
 
     #[test]
@@ -177,7 +166,7 @@ mod tests {
             single.store().resident_targets(),
             batched.store().resident_targets()
         );
-        assert_eq!(churn(&single), churn(&batched));
+        assert_eq!(single.store_stats(), batched.store_stats());
         assert!(batched.store().resident_targets() < 200, "advance must run");
     }
 
@@ -195,7 +184,7 @@ mod tests {
         let single = engine(small_graph());
         let batched = engine(small_graph());
         for &e in &trace {
-            single.apply_to_store(e);
+            single.apply_to_store_batch(std::slice::from_ref(&e));
         }
         batched.apply_to_store_batch(&trace);
         assert_eq!(

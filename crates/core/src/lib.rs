@@ -42,13 +42,17 @@
 //!   `Arc<FollowGraph>` snapshot slot (hot-swappable for the periodic
 //!   offline `S` reload), a hash-sharded `D`
 //!   ([`magicrecs_temporal::ShardedTemporalStore`]) mutated under
-//!   per-shard locks, and per-thread detector scratch. N ingest/detect
-//!   workers call `on_event(&self)` on one engine instead of cloning
-//!   share-nothing partitions — the overlap of updates and subgraph
-//!   queries that streaming-motif systems get their throughput from. The
-//!   same engine, driven from one thread, is one partition of the paper's
-//!   share-nothing deployment (`magicrecs_cluster::Partition`) and the
-//!   engine under the persistent and replicated layers.
+//!   per-shard locks, and per-thread ingest scratch. N ingest/detect
+//!   workers call `on_events_into(&self)` on one engine instead of
+//!   cloning share-nothing partitions — the overlap of updates and
+//!   subgraph queries that streaming-motif systems get their throughput
+//!   from. It is the engine's one detecting ingest: the single-event
+//!   `on_event` is a batch of one, and the apply-only paths (a
+//!   follower's `apply_events`, recovery's `apply_to_store_batch`) share
+//!   its `D` mutation routine. The same engine, driven from one thread,
+//!   is one partition of the paper's share-nothing deployment (an entry
+//!   of `magicrecs_cluster::Broker`) and the engine under the persistent
+//!   and replicated layers.
 //!
 //! ## Modules
 //!

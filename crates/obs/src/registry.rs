@@ -210,39 +210,30 @@ impl Histogram {
     /// atomics, all relaxed, all on this thread's stripe.
     #[inline]
     pub fn record(&self, value: u64) {
-        if !self.cell.enabled {
-            return;
-        }
-        let s = self.stripe();
-        s.buckets[PlainHistogram::bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        s.count.fetch_add(1, Ordering::Relaxed);
-        s.sum.fetch_add(value, Ordering::Relaxed);
-        s.min.fetch_min(value, Ordering::Relaxed);
-        s.max.fetch_max(value, Ordering::Relaxed);
+        self.record_all(std::slice::from_ref(&value));
     }
 
-    /// Bulk-merges a locally-accumulated plain histogram into this
-    /// thread's stripe — the batched-ingest flush path: the engine
-    /// records a batch into a stack-local `Histogram` and lands it here
-    /// with one pass over the nonzero buckets.
-    pub fn merge_from(&self, h: &PlainHistogram) {
-        if !self.cell.enabled || h.count() == 0 {
+    /// Records a run of raw µs values onto this thread's stripe: one
+    /// bucket `fetch_add` per value and one summary update for the whole
+    /// run — the batched-ingest flush path, which leaves the same sketch
+    /// as N [`Histogram::record`] calls.
+    #[inline]
+    pub fn record_all(&self, values: &[u64]) {
+        if !self.cell.enabled || values.is_empty() {
             return;
         }
         let s = self.stripe();
-        for (i, &c) in h.bucket_counts().iter().enumerate() {
-            if c > 0 {
-                s.buckets[i].fetch_add(c, Ordering::Relaxed);
-            }
+        let (mut sum, mut min, mut max) = (0u64, u64::MAX, 0u64);
+        for &v in values {
+            s.buckets[PlainHistogram::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+            sum += v;
+            min = min.min(v);
+            max = max.max(v);
         }
-        s.count.fetch_add(h.count(), Ordering::Relaxed);
-        s.sum.fetch_add(h.sum() as u64, Ordering::Relaxed);
-        if let Some(min) = h.min() {
-            s.min.fetch_min(min, Ordering::Relaxed);
-        }
-        if let Some(max) = h.max() {
-            s.max.fetch_max(max, Ordering::Relaxed);
-        }
+        s.count.fetch_add(values.len() as u64, Ordering::Relaxed);
+        s.sum.fetch_add(sum, Ordering::Relaxed);
+        s.min.fetch_min(min, Ordering::Relaxed);
+        s.max.fetch_max(max, Ordering::Relaxed);
     }
 
     /// Merges every stripe into a plain [`magicrecs_types::Histogram`].
@@ -454,16 +445,17 @@ mod tests {
     }
 
     #[test]
-    fn merge_from_equals_individual_records() {
+    fn record_all_equals_individual_records() {
         let r = Registry::new();
         let direct = r.histogram("direct");
         let bulk = r.histogram("bulk");
-        let mut local = PlainHistogram::new();
-        for v in [3u64, 3, 70, 4096, 12] {
+        let values = [3u64, 3, 70, 4096, 12];
+        for v in values {
             direct.record(v);
-            local.record(v);
         }
-        bulk.merge_from(&local);
+        bulk.record_all(&values[..2]);
+        bulk.record_all(&values[2..]);
+        bulk.record_all(&[]);
         let (a, b) = (direct.snapshot(), bulk.snapshot());
         assert_eq!(a.bucket_counts(), b.bucket_counts());
         assert_eq!(a.count(), b.count());

@@ -271,16 +271,6 @@ fn read_fences<R: std::io::Read>(r: &mut R, check: &mut Check, ctx: &str) -> Res
     Ok(fences)
 }
 
-/// Serializes a full checkpoint with a uniform fence (`last_seq + 1`
-/// everywhere) into `w` — the one-partition engine's shape.
-pub fn save_checkpoint<W: Write>(
-    entries: Vec<(UserId, UserId, Timestamp)>,
-    last_seq: u64,
-    w: &mut W,
-) -> Result<()> {
-    save_checkpoint_fenced(entries, last_seq, &[last_seq.saturating_add(1)], w)
-}
-
 /// Serializes a full checkpoint (`entries` in any order; sorted here)
 /// with an explicit per-partition fence vector into `w`.
 pub fn save_checkpoint_fenced<W: Write>(
@@ -323,10 +313,9 @@ pub fn save_delta_checkpoint<W: Write>(
     Ok(())
 }
 
-/// Decodes a checkpoint written by [`save_checkpoint`] /
-/// [`save_checkpoint_fenced`] (or a legacy v1 file, whose single
-/// `last_seq` becomes the uniform fence `last_seq + 1`). Any malformed
-/// shape is [`Error::Corrupt`].
+/// Decodes a checkpoint written by [`save_checkpoint_fenced`] (or a
+/// legacy v1 file, whose single `last_seq` becomes the uniform fence
+/// `last_seq + 1`). Any malformed shape is [`Error::Corrupt`].
 pub fn load_checkpoint<R: std::io::Read>(r: &mut R) -> Result<Checkpoint> {
     let ctx = "checkpoint load";
     let mut magic = [0u8; 4];
@@ -417,30 +406,6 @@ pub fn load_delta_checkpoint<R: std::io::Read>(r: &mut R) -> Result<DeltaCheckpo
         entries,
         tombstones,
     })
-}
-
-/// Writes a checkpoint file into `dir` (temp-file, **fsync**, atomic
-/// rename — a checkpoint authorizes deleting its predecessor and
-/// reclaiming WAL segments, so it must actually be on disk before it
-/// supersedes anything), then deletes any older checkpoint files.
-/// Returns the final path.
-pub fn write_checkpoint(
-    dir: &Path,
-    entries: Vec<(UserId, UserId, Timestamp)>,
-    last_seq: u64,
-) -> Result<PathBuf> {
-    write_checkpoint_with(dir, entries, last_seq, &crate::vfs::StdVfs)
-}
-
-/// [`write_checkpoint`] on an explicit I/O backend (see [`crate::Vfs`]).
-pub fn write_checkpoint_with(
-    dir: &Path,
-    entries: Vec<(UserId, UserId, Timestamp)>,
-    last_seq: u64,
-    vfs: &dyn crate::vfs::Vfs,
-) -> Result<PathBuf> {
-    let fences = [last_seq.saturating_add(1)];
-    write_checkpoint_fenced_with(dir, entries, last_seq, &fences, vfs).map(|(p, _)| p)
 }
 
 /// Writes a full fenced checkpoint file into `dir` (temp-file,
@@ -557,23 +522,6 @@ fn list_by_suffix(dir: &Path, suffix: &str) -> Result<Vec<(PathBuf, u64)>> {
     }
     out.sort_by_key(|&(_, seq)| seq);
     Ok(out)
-}
-
-/// Loads the newest **full** checkpoint in `dir` that decodes cleanly,
-/// skipping corrupt ones (a crash can only tear the newest, which the
-/// atomic rename already guards; skipping is defense in depth). `None`
-/// when no usable checkpoint exists — recovery then replays the whole
-/// WAL. Deltas are ignored; recovery uses [`load_latest_chain`].
-pub fn load_latest_checkpoint(dir: &Path) -> Result<Option<Checkpoint>> {
-    for (path, _) in list_checkpoints(dir)?.into_iter().rev() {
-        let bytes = std::fs::read(&path).map_err(|e| Error::Io(format!("checkpoint read: {e}")))?;
-        match load_checkpoint(&mut bytes.as_slice()) {
-            Ok(ck) => return Ok(Some(ck)),
-            Err(Error::Corrupt(_)) => continue,
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(None)
 }
 
 /// A resolved checkpoint chain: the newest decodable full plus every
@@ -706,6 +654,7 @@ pub fn load_latest_chain(dir: &Path) -> Result<Option<CheckpointChain>> {
 mod tests {
     use super::*;
     use crate::tempdir::TempDir;
+    use crate::vfs::StdVfs;
     use magicrecs_temporal::TemporalEdgeStore;
     use magicrecs_types::Duration;
 
@@ -732,7 +681,7 @@ mod tests {
         let mut dump = Vec::new();
         d.export_entries(&mut dump);
         let mut buf = Vec::new();
-        save_checkpoint(dump, 123, &mut buf).unwrap();
+        save_checkpoint_fenced(dump, 123, &[124], &mut buf).unwrap();
         let ck = load_checkpoint(&mut buf.as_slice()).unwrap();
         assert_eq!(ck.last_seq, 123);
         assert_eq!(ck.entries.len() as u64, d.resident_entries());
@@ -764,7 +713,7 @@ mod tests {
         // Reversal breaks per-target time order, so restrict the shuffle
         // to whole target groups: sort both stably by target and compare.
         let mut buf_a = Vec::new();
-        save_checkpoint(a, 7, &mut buf_a).unwrap();
+        save_checkpoint_fenced(a, 7, &[8], &mut buf_a).unwrap();
         let mut groups: Vec<Vec<(UserId, UserId, Timestamp)>> = Vec::new();
         b.reverse(); // back to export order
         for e in b {
@@ -776,7 +725,7 @@ mod tests {
         groups.reverse(); // permute target groups only
         let shuffled: Vec<_> = groups.into_iter().flatten().collect();
         let mut buf_b = Vec::new();
-        save_checkpoint(shuffled, 7, &mut buf_b).unwrap();
+        save_checkpoint_fenced(shuffled, 7, &[8], &mut buf_b).unwrap();
         assert_eq!(buf_a, buf_b);
     }
 
@@ -786,7 +735,7 @@ mod tests {
         let mut dump = Vec::new();
         d.export_entries(&mut dump);
         let mut buf = Vec::new();
-        save_checkpoint(dump, 9, &mut buf).unwrap();
+        save_checkpoint_fenced(dump, 9, &[10], &mut buf).unwrap();
         for len in 0..buf.len() {
             let r = load_checkpoint(&mut &buf[..len]);
             assert!(
@@ -804,14 +753,20 @@ mod tests {
         }
     }
 
+    /// A full checkpoint with the one-partition engine's uniform fence.
+    fn write_full(dir: &Path, entries: Vec<(UserId, UserId, Timestamp)>, last_seq: u64) {
+        let fences = [last_seq + 1];
+        write_checkpoint_fenced_with(dir, entries, last_seq, &fences, &StdVfs).unwrap();
+    }
+
     #[test]
     fn write_load_latest_and_pruning() {
         let t = TempDir::new("ckpt");
-        write_checkpoint(t.path(), vec![(u(1), u(2), ts(3))], 10).unwrap();
-        write_checkpoint(t.path(), vec![(u(1), u(2), ts(3)), (u(1), u(4), ts(5))], 20).unwrap();
+        write_full(t.path(), vec![(u(1), u(2), ts(3))], 10);
+        write_full(t.path(), vec![(u(1), u(2), ts(3)), (u(1), u(4), ts(5))], 20);
         // Older checkpoint pruned after the newer landed.
         assert_eq!(list_checkpoints(t.path()).unwrap().len(), 1);
-        let ck = load_latest_checkpoint(t.path()).unwrap().unwrap();
+        let ck = load_latest_chain(t.path()).unwrap().unwrap();
         assert_eq!(ck.last_seq, 20);
         assert_eq!(ck.entries.len(), 2);
     }
@@ -819,17 +774,16 @@ mod tests {
     #[test]
     fn corrupt_latest_falls_back_to_older() {
         let t = TempDir::new("ckpt");
-        write_checkpoint(t.path(), vec![(u(1), u(2), ts(3))], 10).unwrap();
+        write_full(t.path(), vec![(u(1), u(2), ts(3))], 10);
         // Hand-write a corrupt "newer" checkpoint.
         std::fs::write(t.path().join("d-ckpt-00000000000000000099.mgck"), b"junk").unwrap();
-        let ck = load_latest_checkpoint(t.path()).unwrap().unwrap();
+        let ck = load_latest_chain(t.path()).unwrap().unwrap();
         assert_eq!(ck.last_seq, 10);
     }
 
     #[test]
     fn empty_dir_has_no_checkpoint() {
         let t = TempDir::new("ckpt");
-        assert!(load_latest_checkpoint(t.path()).unwrap().is_none());
         assert!(load_latest_chain(t.path()).unwrap().is_none());
     }
 
@@ -845,7 +799,7 @@ mod tests {
         // Length mismatch refused; uniform length-1 broadcasts.
         assert!(ck.fence_vector(2).is_err());
         let mut buf = Vec::new();
-        save_checkpoint(vec![(u(1), u(2), ts(3))], 11, &mut buf).unwrap();
+        save_checkpoint_fenced(vec![(u(1), u(2), ts(3))], 11, &[12], &mut buf).unwrap();
         let ck = load_checkpoint(&mut buf.as_slice()).unwrap();
         assert_eq!(ck.fence_vector(4).unwrap(), vec![12; 4]);
     }

@@ -157,10 +157,7 @@ pub mod tempdir;
 pub mod vfs;
 pub mod wal;
 
-pub use checkpoint::{
-    load_latest_chain, load_latest_checkpoint, write_checkpoint, Checkpoint, CheckpointChain,
-    DeltaCheckpoint,
-};
+pub use checkpoint::{load_latest_chain, Checkpoint, CheckpointChain, DeltaCheckpoint};
 pub use recovery::{
     CheckpointDriver, PersistOptions, PersistentConcurrentEngine, PersistentEngine, RecoveryReport,
 };

@@ -656,9 +656,20 @@ impl PersistentConcurrentEngine {
         ))
     }
 
-    /// Processes one event durably through `&self` (callable from any
-    /// number of worker threads): WAL append to the target's route
-    /// partition first, then detection. Returns candidates appended.
+    /// Processes one event durably: a one-event
+    /// [`PersistentConcurrentEngine::on_events`].
+    pub fn on_event(&self, event: EdgeEvent) -> Result<Vec<Candidate>> {
+        self.on_events(std::slice::from_ref(&event))
+    }
+
+    /// Processes a micro-batch durably through `&self` (callable from any
+    /// number of worker threads): the whole batch is **written ahead with
+    /// one group commit** ([`SharedWal::append_batch`] — each touched
+    /// partition lock taken once, one `write(2)` and a dense
+    /// global-sequence run per partition) before any detection runs, then
+    /// the engine detects the slice against one pinned `S` snapshot
+    /// ([`ConcurrentEngine::on_events_into`]). Returns candidates
+    /// appended.
     ///
     /// **Per-target submission must be single-threaded** — the same
     /// precondition the parity contract states (see the module docs):
@@ -668,41 +679,14 @@ impl PersistentConcurrentEngine {
     /// other, and a post-crash replay would then rebuild a different
     /// `D` than the live run held. A route-sticky transport (the
     /// cluster's hash routing, where each target's events land on one
-    /// worker) provides this by construction; events for *different*
+    /// worker) provides this by construction — and batches drained from
+    /// one route's queue trivially preserve it; events for *different*
     /// targets may race freely.
-    pub fn on_event_into(&self, event: EdgeEvent, out: &mut Vec<Candidate>) -> Result<usize> {
-        // The ticket keeps the event's partition fence from cutting
+    pub fn on_events_into(&self, events: &[EdgeEvent], out: &mut Vec<Candidate>) -> Result<usize> {
+        // The ticket keeps every touched partition's fence from cutting
         // between the WAL append and the store apply — a cut in that
         // window would claim coverage of a sequence whose mutation the
         // export can't yet see.
-        let (_, ticket) = self.wal.append_tracked(event)?;
-        let emitted = self.engine.on_event_into(event, out);
-        drop(ticket);
-        Ok(emitted)
-    }
-
-    /// Convenience wrapper returning a fresh vector.
-    pub fn on_event(&self, event: EdgeEvent) -> Result<Vec<Candidate>> {
-        let mut out = Vec::new();
-        self.on_event_into(event, &mut out)?;
-        Ok(out)
-    }
-
-    /// Processes a micro-batch durably through `&self`: the whole batch
-    /// is **written ahead with one group commit**
-    /// ([`SharedWal::append_batch`] — each touched partition lock taken
-    /// once, one `write(2)` and a dense global-sequence run per
-    /// partition) before any detection runs, then the engine detects the
-    /// slice against one pinned `S` snapshot
-    /// ([`ConcurrentEngine::on_events_into`]).
-    ///
-    /// Same precondition as [`PersistentConcurrentEngine::on_event_into`]:
-    /// per-target submission must be single-threaded (a route-sticky
-    /// transport gives this by construction — and batches drained from
-    /// one route's queue trivially preserve it).
-    pub fn on_events_into(&self, events: &[EdgeEvent], out: &mut Vec<Candidate>) -> Result<usize> {
-        // Same fence-gating as the single-event path: the ticket covers
-        // every partition the batch touched until the store apply lands.
         let (_, ticket) = self.wal.append_batch_tracked(events)?;
         let emitted = self.engine.on_events_into(events, out);
         drop(ticket);
@@ -1207,7 +1191,8 @@ mod tests {
         // fresh engine created there would restart sequences at 0 and
         // the stale checkpoint would shadow its state on recovery.
         let t = TempDir::new("pe");
-        crate::checkpoint::write_checkpoint(t.path(), vec![(u(1), u(2), ts(3))], 100).unwrap();
+        let entries = vec![(u(1), u(2), ts(3))];
+        write_checkpoint_fenced_with(t.path(), entries, 100, &[101], &crate::StdVfs).unwrap();
         assert!(PersistentEngine::create(
             t.path(),
             small_graph(),
@@ -1564,7 +1549,7 @@ mod tests {
         .unwrap();
         let mut want = Vec::new();
         for &e in &events {
-            single.on_event_into(e, &mut want).unwrap();
+            want.extend(single.on_event(e).unwrap());
         }
         let mut got = Vec::new();
         for chunk in events.chunks(29) {
@@ -1943,7 +1928,7 @@ mod tests {
         let twin = ConcurrentEngine::new(small_graph(), DetectorConfig::example()).unwrap();
         let mut sink = Vec::new();
         for &e in warm.iter().chain(&mid) {
-            twin.on_event_into(e, &mut sink);
+            sink.extend(twin.on_event(e));
         }
         let (mut er, mut et) = (Vec::new(), Vec::new());
         re.engine().store().export_entries(&mut er);

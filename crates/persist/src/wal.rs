@@ -1011,11 +1011,10 @@ pub fn route_partition(dst: &UserId, parts: usize) -> usize {
 /// A non-quiescent checkpoint cuts the log one partition at a time with
 /// [`SharedWal::with_partition_fenced`]: it holds partition `p`'s lock
 /// (blocking only that partition's appends), drains the in-flight
-/// store applies ticketed by [`SharedWal::append_tracked`] /
-/// [`SharedWal::append_batch_tracked`], syncs, and hands the caller
-/// `p`'s **fence** — the first sequence the cut does *not* cover. While
-/// the callback exports partition `p`'s targets, every other partition
-/// keeps ingesting.
+/// store applies ticketed by [`SharedWal::append_batch_tracked`], syncs,
+/// and hands the caller `p`'s **fence** — the first sequence the cut
+/// does *not* cover. While the callback exports partition `p`'s
+/// targets, every other partition keeps ingesting.
 pub struct SharedWal {
     parts: Vec<Mutex<Wal>>,
     seq: AtomicU64,
@@ -1159,24 +1158,6 @@ impl SharedWal {
             .map(|(seq, _)| seq)
     }
 
-    /// [`SharedWal::append`] that additionally registers the caller's
-    /// upcoming store apply with the partition's fence: hold the
-    /// returned [`ApplyTicket`] across the store mutation. The ticket is
-    /// issued under the same partition lock that assigned the sequence,
-    /// so a fence can never observe the sequence as durable while
-    /// missing the in-flight apply.
-    pub fn append_tracked(&self, event: EdgeEvent) -> Result<(u64, ApplyTicket<'_>)> {
-        let (seq, parts) = self.append_batch_impl(std::slice::from_ref(&event), true)?;
-        Ok((seq, self.ticket(parts)))
-    }
-
-    fn ticket(&self, parts: Vec<usize>) -> ApplyTicket<'_> {
-        ApplyTicket {
-            pending: &self.pending,
-            parts,
-        }
-    }
-
     /// Returns the run `first..first + len` to the global counter after
     /// an append that landed none of it (`wal` unpoisoned), provided no
     /// later sequence was assigned since — always the case at one
@@ -1226,14 +1207,20 @@ impl SharedWal {
 
     /// [`SharedWal::append_batch`] that registers the caller's upcoming
     /// store apply with every touched partition's fence — hold the
-    /// returned [`ApplyTicket`] across the store mutation (same contract
-    /// as [`SharedWal::append_tracked`], one pending unit per touched
-    /// partition). On error no ticket is issued and any partial
-    /// registrations are withdrawn: the caller restarts through
-    /// recovery, so there is no apply for a fence to wait on.
+    /// returned [`ApplyTicket`] across the store mutation, one pending
+    /// unit per touched partition. Each ticket is issued under the same
+    /// partition lock that assigned the sequences, so a fence can never
+    /// observe them as durable while missing the in-flight apply. On
+    /// error no ticket is issued and any partial registrations are
+    /// withdrawn: the caller restarts through recovery, so there is no
+    /// apply for a fence to wait on.
     pub fn append_batch_tracked(&self, events: &[EdgeEvent]) -> Result<(u64, ApplyTicket<'_>)> {
-        let (_, touched) = self.append_batch_impl(events, true)?;
-        Ok((events.len() as u64, self.ticket(touched)))
+        let (_, parts) = self.append_batch_impl(events, true)?;
+        let ticket = ApplyTicket {
+            pending: &self.pending,
+            parts,
+        };
+        Ok((events.len() as u64, ticket))
     }
 
     /// The group commit behind every append: returns the highest
@@ -2124,9 +2111,9 @@ mod tests {
     fn tracked_appends_gate_the_fence_until_applied() {
         let t = TempDir::new("wal");
         let shared = SharedWal::create(t.path(), 4, WalOptions::default()).unwrap();
-        let (seq, ticket) = shared.append_tracked(ev(0)).unwrap();
+        let (n, ticket) = shared.append_batch_tracked(&[ev(0)]).unwrap();
         let p = route_partition(&ev(0).dst, 4);
-        assert_eq!(seq, 0);
+        assert_eq!((n, shared.next_seq()), (1, 1), "one event, sequence 0");
         assert_eq!(shared.pending[p].load(Ordering::Relaxed), 1);
         // The fence on any *other* partition is unaffected by p's ticket.
         let q = (p + 1) % 4;
@@ -2168,7 +2155,7 @@ mod tests {
         use std::sync::atomic::AtomicBool;
         let t = TempDir::new("wal");
         let shared = Arc::new(SharedWal::create(t.path(), 1, WalOptions::default()).unwrap());
-        let (_, ticket) = shared.append_tracked(ev(0)).unwrap();
+        let (_, ticket) = shared.append_batch_tracked(&[ev(0)]).unwrap();
         let fenced = Arc::new(AtomicBool::new(false));
         let handle = {
             let shared = Arc::clone(&shared);

@@ -8,7 +8,7 @@ use magicrecs_graph::{
     load_delta, load_graph, save_delta, save_graph, CapStrategy, FollowGraph, GraphBuilder,
     GraphDelta,
 };
-use magicrecs_persist::checkpoint::{load_checkpoint, save_checkpoint};
+use magicrecs_persist::checkpoint::{load_checkpoint, save_checkpoint_fenced};
 use magicrecs_persist::{FsyncPolicy, TempDir, Wal, WalOptions};
 use magicrecs_types::{EdgeEvent, Error, Timestamp, UserId};
 use proptest::prelude::*;
@@ -147,7 +147,7 @@ proptest! {
             }));
         }
         let mut buf = Vec::new();
-        save_checkpoint(flat, 77, &mut buf).unwrap();
+        save_checkpoint_fenced(flat, 77, &[78], &mut buf).unwrap();
         let reference = load_checkpoint(&mut buf.as_slice()).unwrap();
 
         let mut flipped = buf.clone();

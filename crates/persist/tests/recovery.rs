@@ -172,7 +172,7 @@ fn crash_at(
     }
     // Swap in the checkpoint that existed at crash time: the live run's
     // final checkpoint (copied by resync) covers sequences the crash has
-    // not reached, and `write_checkpoint` prunes superseded files, so the
+    // not reached, and a full checkpoint prunes superseded files, so the
     // historically-correct one comes from the archive.
     for entry in std::fs::read_dir(scratch).unwrap() {
         let entry = entry.unwrap();
@@ -235,7 +235,7 @@ fn kill_point_matrix_sequential() {
 
     // The persistent run whose directory the matrix will crash.
     // Checkpoints are manual so each can be archived the moment it
-    // exists — `write_checkpoint` prunes superseded files, but the
+    // exists — a full checkpoint prunes superseded files, but the
     // matrix must reconstruct the exact on-disk state at every k.
     let live = TempDir::new("kp-seq");
     let manual = PersistOptions {
@@ -950,9 +950,8 @@ proptest::proptest! {
         fresh.on_events_into(&stream[..crashed_fed], &mut sink);
         let probe = &stream[crashed_fed..crashed_fed + 40];
         for (i, &e) in probe.iter().enumerate() {
-            let (mut g, mut w) = (Vec::new(), Vec::new());
-            recovered.on_event_into(e, &mut g).unwrap();
-            fresh.on_event_into(e, &mut w);
+            let g = recovered.on_event(e).unwrap();
+            let w = fresh.on_event(e);
             prop_assert_eq!(g, w, "post-crash candidate divergence at probe {}", i);
         }
     }

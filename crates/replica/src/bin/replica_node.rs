@@ -1,71 +1,7 @@
 //! One replica node process: `replica_node --config <map file> --node
-//! <id> --data <dir> [--no-auto-follow]`.
-//!
-//! Reads the cluster map, starts the node (creating or re-opening its
-//! partition units), prints `READY <addr>` on stdout once the listener
-//! is bound, and parks forever — the multi-process tests and the
-//! adversity runner kill it with SIGKILL, never gracefully; surviving
-//! that *is* the point.
-
-use std::path::PathBuf;
-use std::time::Duration;
-
-use magicrecs_replica::{ClusterMap, Node, NodeConfig};
-
-fn usage() -> ! {
-    eprintln!(
-        "usage: replica_node --config <map file> --node <id> --data <dir> [--no-auto-follow]"
-    );
-    std::process::exit(2);
-}
+//! <id> --data <dir> [--no-auto-follow]` (see
+//! [`magicrecs_replica::Node::run_process`]).
 
 fn main() {
-    magicrecs_obs::recorder::install_panic_hook();
-    let mut config_path: Option<PathBuf> = None;
-    let mut node_id: Option<u32> = None;
-    let mut data_dir: Option<PathBuf> = None;
-    let mut auto_follow = true;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--config" => config_path = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--node" => node_id = args.next().and_then(|s| s.parse().ok()).or_else(|| usage()),
-            "--data" => data_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
-            "--no-auto-follow" => auto_follow = false,
-            _ => usage(),
-        }
-    }
-    let (Some(config_path), Some(node_id), Some(data_dir)) = (config_path, node_id, data_dir)
-    else {
-        usage()
-    };
-    let text = match std::fs::read_to_string(&config_path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("replica_node: cannot read {}: {e}", config_path.display());
-            std::process::exit(1);
-        }
-    };
-    let map = match ClusterMap::parse(&text) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("replica_node: bad cluster map: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut cfg = NodeConfig::new(node_id, map, data_dir);
-    cfg.auto_follow = auto_follow;
-    let handle = match Node::start(cfg) {
-        Ok(h) => h,
-        Err(e) => {
-            eprintln!("replica_node: start failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    println!("READY {}", handle.addr());
-    use std::io::Write;
-    let _ = std::io::stdout().flush();
-    loop {
-        std::thread::sleep(Duration::from_secs(3600));
-    }
+    magicrecs_replica::Node::run_process(std::env::args().skip(1));
 }

@@ -330,6 +330,66 @@ impl Node {
             acceptor: Some(acceptor),
         })
     }
+
+    /// The body of a replica node process, given its arguments after the
+    /// program name: `--config <map file> --node <id> --data <dir>
+    /// [--no-auto-follow]`. Installs the flight-recorder panic hook,
+    /// reads the cluster map, starts the node (creating or re-opening its
+    /// partition units), prints `READY <addr>` on stdout once the
+    /// listener is bound, and parks forever: the multi-process tests and
+    /// the adversity runner kill it with SIGKILL, never gracefully, and
+    /// surviving that *is* the point. Bad arguments exit with status 2,
+    /// an unreadable map or a failed start with status 1.
+    pub fn run_process(args: impl IntoIterator<Item = String>) -> ! {
+        recorder::install_panic_hook();
+        let usage = || -> ! {
+            eprintln!(
+                "usage: replica_node --config <map file> --node <id> --data <dir> \
+                 [--no-auto-follow]"
+            );
+            std::process::exit(2);
+        };
+        let fail = |what: String| -> ! {
+            eprintln!("replica_node: {what}");
+            std::process::exit(1);
+        };
+        let (mut config_path, mut node_id, mut data_dir) = (None, None, None);
+        let mut auto_follow = true;
+        let mut args = args.into_iter();
+        while let Some(arg) = args.next() {
+            match arg.as_str() {
+                "--config" => {
+                    config_path = Some(PathBuf::from(args.next().unwrap_or_else(|| usage())))
+                }
+                "--node" => {
+                    node_id = args
+                        .next()
+                        .and_then(|s| s.parse::<u32>().ok())
+                        .or_else(|| usage())
+                }
+                "--data" => data_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
+                "--no-auto-follow" => auto_follow = false,
+                _ => usage(),
+            }
+        }
+        let (Some(config_path), Some(node_id), Some(data_dir)) = (config_path, node_id, data_dir)
+        else {
+            usage()
+        };
+        let text = std::fs::read_to_string(&config_path)
+            .unwrap_or_else(|e| fail(format!("cannot read {}: {e}", config_path.display())));
+        let map =
+            ClusterMap::parse(&text).unwrap_or_else(|e| fail(format!("bad cluster map: {e}")));
+        let mut cfg = NodeConfig::new(node_id, map, data_dir);
+        cfg.auto_follow = auto_follow;
+        let handle = Node::start(cfg).unwrap_or_else(|e| fail(format!("start failed: {e}")));
+        println!("READY {}", handle.addr());
+        use std::io::Write;
+        let _ = std::io::stdout().flush();
+        loop {
+            std::thread::sleep(Duration::from_secs(3600));
+        }
+    }
 }
 
 impl NodeHandle {

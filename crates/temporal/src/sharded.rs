@@ -92,15 +92,15 @@ impl ShardedTemporalStore {
     }
 
     /// Inserts a micro-batch, taking each **touched** shard's write lock
-    /// at most once (the batched-ingest hot path). Each edge's shard is
-    /// hashed exactly once into a per-call index; only shards the batch
-    /// actually touches are visited, each with one pass over the indices
-    /// (integer compares, no re-hashing), so per-target slice order is
-    /// preserved exactly as N single [`ShardedTemporalStore::insert`]
-    /// calls would.
+    /// at most once per 64 edges (the batched-ingest hot path). Each
+    /// edge's shard is hashed exactly once into a stack index; each
+    /// touched shard is visited with one pass over the indices (integer
+    /// compares, no re-hashing), so per-target slice order is preserved
+    /// exactly as N single [`ShardedTemporalStore::insert`] calls would,
+    /// and a call allocates nothing.
     ///
     /// Tiny batches fall back to per-edge inserts — below a few edges the
-    /// index allocation costs more than the locks it saves.
+    /// index pass costs more than the locks it saves.
     pub fn insert_batch(&self, edges: &[(UserId, UserId, Timestamp)]) {
         if edges.len() <= 2 {
             for &(src, dst, at) in edges {
@@ -108,37 +108,24 @@ impl ShardedTemporalStore {
             }
             return;
         }
-        let idx: Vec<u32> = edges
-            .iter()
-            .map(|&(_, dst, _)| self.shard_of(dst) as u32)
-            .collect();
-        // Touched-shard set: a bitmap when the shard count fits a word
-        // (the common case — shard counts are small powers of two), else
-        // a small dedup'd list.
-        if self.shards.len() <= u64::BITS as usize {
-            let mut touched = 0u64;
-            for &s in &idx {
-                touched |= 1u64 << s;
+        // An edge's slot reads `DONE` once it has been inserted.
+        const DONE: u32 = u32::MAX;
+        let mut idx = [DONE; 64];
+        for chunk in edges.chunks(idx.len()) {
+            let idx = &mut idx[..chunk.len()];
+            for (i, &(_, dst, _)) in idx.iter_mut().zip(chunk) {
+                *i = self.shard_of(dst) as u32;
             }
-            while touched != 0 {
-                let s = touched.trailing_zeros();
-                touched &= touched - 1;
-                let mut guard = self.shards[s as usize].write();
-                for (&(src, dst, at), &i) in edges.iter().zip(&idx) {
-                    if i == s {
-                        guard.insert(src, dst, at);
-                    }
+            for first in 0..chunk.len() {
+                let s = idx[first];
+                if s == DONE {
+                    continue;
                 }
-            }
-        } else {
-            let mut touched: Vec<u32> = idx.clone();
-            touched.sort_unstable();
-            touched.dedup();
-            for s in touched {
                 let mut guard = self.shards[s as usize].write();
-                for (&(src, dst, at), &i) in edges.iter().zip(&idx) {
-                    if i == s {
+                for (i, &(src, dst, at)) in idx[first..].iter_mut().zip(&chunk[first..]) {
+                    if *i == s {
                         guard.insert(src, dst, at);
+                        *i = DONE;
                     }
                 }
             }
@@ -393,23 +380,29 @@ mod tests {
         // Per-target list state and witness answers must be identical
         // whether a batch goes through the lock-batched `insert_batch` or
         // N inserts.
+        // 200 edges span four 64-edge index chunks; at 128 shards a
+        // chunk's edges mostly land on distinct shards.
         let edges: Vec<(UserId, UserId, Timestamp)> = (0..200u64)
             .map(|i| (u(i % 17), u(1000 + i % 23), ts(10 + i % 40)))
             .collect();
-        let single = ShardedTemporalStore::new(Duration::from_secs(600), PruneStrategy::Wheel, 8);
-        let batched = ShardedTemporalStore::new(Duration::from_secs(600), PruneStrategy::Wheel, 8);
-        for &(src, dst, at) in &edges {
-            single.insert(src, dst, at);
-        }
-        batched.insert_batch(&edges);
-        assert_eq!(single.resident_entries(), batched.resident_entries());
-        assert_eq!(single.stats().inserted, batched.stats().inserted);
-        for t in 1000..1023u64 {
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            single.witnesses_into(u(t), ts(60), &mut a);
-            batched.witnesses_into(u(t), ts(60), &mut b);
-            assert_eq!(a, b, "target {t}");
+        for shards in [8, 128] {
+            let new = || {
+                ShardedTemporalStore::new(Duration::from_secs(600), PruneStrategy::Wheel, shards)
+            };
+            let (single, batched) = (new(), new());
+            for &(src, dst, at) in &edges {
+                single.insert(src, dst, at);
+            }
+            batched.insert_batch(&edges);
+            assert_eq!(single.resident_entries(), batched.resident_entries());
+            assert_eq!(single.stats(), batched.stats());
+            for t in 1000..1023u64 {
+                let mut a = Vec::new();
+                let mut b = Vec::new();
+                single.witnesses_into(u(t), ts(60), &mut a);
+                batched.witnesses_into(u(t), ts(60), &mut b);
+                assert_eq!(a, b, "target {t}, {shards} shards");
+            }
         }
     }
 

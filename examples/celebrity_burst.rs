@@ -85,7 +85,7 @@ fn main() {
     // Per-partition detection cost: the paper's "a few milliseconds".
     let mut worst_p99 = 0;
     for p in broker.partitions() {
-        worst_p99 = worst_p99.max(p.engine().stats().detect_time.p99_us);
+        worst_p99 = worst_p99.max(p.stats().detect_time.p99_us);
     }
     println!("Worst per-partition detection p99: {worst_p99} µs");
     assert!(

@@ -10,9 +10,8 @@
 //! everything observable.
 
 use magicrecs::baseline::BatchOracle;
-use magicrecs::cluster::{Broker, Partition, SharedEngineCluster};
+use magicrecs::cluster::{Broker, SharedEngineCluster};
 use magicrecs::prelude::*;
-use magicrecs::temporal::StoreStats;
 use proptest::prelude::*;
 
 fn u(n: u64) -> UserId {
@@ -58,16 +57,6 @@ fn chunked(events: &[EdgeEvent], splits: &[usize], mut apply: impl FnMut(&[EdgeE
     }
 }
 
-/// Store counters without `peak_entries`: the batched detecting path
-/// applies a run's inserts before its removals, so its transient
-/// high-water mark may sit above the per-event path's.
-fn churn(engine: &ConcurrentEngine) -> StoreStats {
-    StoreStats {
-        peak_entries: 0,
-        ..engine.store().stats()
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
@@ -81,8 +70,8 @@ proptest! {
         // with the brute-force oracle.
         let cfg = DetectorConfig::example().with_tau(Duration::from_secs(200));
         let reference = BatchOracle::new(cfg).unwrap().replay(&graph, &events);
-        let single = Partition::new(PartitionId(0), graph.clone(), cfg).unwrap();
-        let batched = Partition::new(PartitionId(0), graph, cfg).unwrap();
+        let single = ConcurrentEngine::new(graph.clone(), cfg).unwrap();
+        let batched = ConcurrentEngine::new(graph, cfg).unwrap();
 
         let mut want = Vec::new();
         for &e in &events {
@@ -95,14 +84,14 @@ proptest! {
         });
 
         prop_assert_eq!(got, want, "candidate stream diverged");
-        let (s, b) = (single.engine().stats(), batched.engine().stats());
+        let (s, b) = (single.stats(), batched.stats());
         prop_assert_eq!(s.events, b.events);
         prop_assert_eq!(s.candidates, b.candidates);
         prop_assert_eq!(s.firing_events, b.firing_events);
-        prop_assert_eq!(churn(single.engine()), churn(batched.engine()));
+        prop_assert_eq!(single.store_stats(), batched.store_stats());
         prop_assert_eq!(
-            single.engine().store().resident_entries(),
-            batched.engine().store().resident_entries()
+            single.store().resident_entries(),
+            batched.store().resident_entries()
         );
     }
 
@@ -120,7 +109,7 @@ proptest! {
 
         let mut want = Vec::new();
         for &e in &events {
-            single.on_event_into(e, &mut want);
+            want.extend(single.on_event(e));
         }
         prop_assert_eq!(&want, &reference, "per-event engine != oracle");
 
@@ -135,7 +124,7 @@ proptest! {
         prop_assert_eq!(s.candidates, b.candidates);
         prop_assert_eq!(s.firing_events, b.firing_events);
         prop_assert_eq!(s.detect_time.count, b.detect_time.count);
-        prop_assert_eq!(churn(&single), churn(&batched));
+        prop_assert_eq!(single.store_stats(), batched.store_stats());
         prop_assert_eq!(
             single.store().resident_entries(),
             batched.store().resident_entries()
@@ -143,10 +132,7 @@ proptest! {
     }
 
     #[test]
-    fn broker_and_shared_cluster_batch_parity(
-        (graph, events) in graph_and_trace(),
-        max_batch in 1usize..96,
-    ) {
+    fn broker_and_shared_cluster_batch_parity((graph, events) in graph_and_trace()) {
         let cfg = DetectorConfig::example().with_tau(Duration::from_secs(200));
 
         // Broker: batched fan-out equals per-event fan-out, chunk by chunk.
@@ -162,12 +148,12 @@ proptest! {
             prop_assert_eq!(batched.on_events(chunk), want, "broker diverged");
         }
 
-        // Shared cluster: any drain bound produces the oracle's stream.
+        // Shared cluster: its micro-batch drains produce the oracle's
+        // stream.
         let mut expected = BatchOracle::new(cfg).unwrap().replay(&graph, &events);
         expected.sort_by_key(|c| (c.triggered_at, c.user, c.target));
         let report = SharedEngineCluster::new(&graph, 2, cfg)
             .unwrap()
-            .with_max_batch(max_batch)
             .run_trace(&events)
             .unwrap();
         prop_assert_eq!(report.candidates, expected, "shared cluster diverged");

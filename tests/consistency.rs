@@ -214,7 +214,7 @@ proptest! {
         let single = ConcurrentEngine::new(graph.clone(), cfg).unwrap();
         let mut got_single = Vec::new();
         for &e in &events {
-            single.on_event_into(e, &mut got_single);
+            got_single.extend(single.on_event(e));
         }
         prop_assert_eq!(&got_single, &expected, "on_event diverged");
 
