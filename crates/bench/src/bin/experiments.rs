@@ -14,12 +14,12 @@ use magicrecs_baseline::{CountingBloom, PollingDetector, TwoHopBloom, TwoHopExac
 use magicrecs_bench::{
     bench_detector_config, bench_trace, fmt_bytes, fmt_rate, header, row, small_graph,
 };
-use magicrecs_cluster::{Broker, ThreadedCluster};
+use magicrecs_cluster::ThreadedCluster;
 use magicrecs_core::ConcurrentEngine;
 use magicrecs_gen::{GraphGen, GraphGenConfig};
 use magicrecs_graph::{CapStrategy, GraphBuilder, GraphStats};
 use magicrecs_temporal::{PruneStrategy, TemporalEdgeStore};
-use magicrecs_types::{ClusterConfig, DetectorConfig, Duration, EdgeEvent, Timestamp, UserId};
+use magicrecs_types::{DetectorConfig, Duration, EdgeEvent, Timestamp, UserId};
 use std::time::Instant;
 
 fn main() {
@@ -285,23 +285,20 @@ fn e6_partitions() {
             "total memory"
         ])
     );
+    // The reference: one engine over the whole of `S`.
+    let single = ConcurrentEngine::new(graph.clone(), cfg).unwrap();
+    let mut expected = single.on_events(trace.events());
+    expected.sort_by_key(|c| (c.triggered_at, c.user, c.target));
     let mut one_partition_d = None;
     for parts in [1u32, 2, 4, 8, 20] {
-        let cluster =
-            ThreadedCluster::new(&graph, ClusterConfig::single().with_partitions(parts), cfg)
-                .unwrap();
+        let cluster = ThreadedCluster::new(&graph, parts, cfg).unwrap();
         let report = cluster.run_trace(trace.events()).unwrap();
-        // Sequential broker replicates the same state for memory accounting.
-        let mut broker =
-            Broker::new(&graph, ClusterConfig::single().with_partitions(parts), cfg).unwrap();
-        let mut candidates = broker.process_trace(trace.events().iter().copied());
-        candidates.sort_by_key(|c| (c.triggered_at, c.user, c.target));
         assert_eq!(
-            report.candidates, candidates,
-            "{parts} threaded partitions diverge from the broker"
+            report.candidates, expected,
+            "{parts} threaded partitions diverge from one engine"
         );
-        let d_entries: u64 = broker
-            .partitions()
+        let d_entries: u64 = report
+            .engines
             .iter()
             .map(|p| p.store().resident_entries())
             .sum();
@@ -311,13 +308,14 @@ fn e6_partitions() {
             one * u64::from(parts),
             "every partition holds a complete D"
         );
+        let memory: usize = report.engines.iter().map(|p| p.memory_bytes()).sum();
         println!(
             "{}",
             row(&[
                 parts.to_string(),
                 fmt_rate(report.stream_events_per_sec()),
                 d_entries.to_string(),
-                fmt_bytes(broker.memory_bytes()),
+                fmt_bytes(memory),
             ])
         );
     }

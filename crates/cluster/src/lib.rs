@@ -11,22 +11,15 @@
 //!   complete `D` (the paper's acknowledged network/memory pressure point,
 //!   measured in E6/E7).
 //! * Replication (leader/follower units across OS processes, failover,
-//!   rebalance) lives in `magicrecs-replica`.
+//!   rebalance) and its routing plane (`RouteTable`, `EpochGate`) live in
+//!   `magicrecs-replica`.
 //!
-//! Modules:
+//! This crate holds the in-process runners, both in [`threaded`]:
 //!
-//! * [`broker::Broker`] — sequential fan-out/gather over partitions, each
-//!   one `magicrecs_core::ConcurrentEngine` over its local `S_p` with a
-//!   full `D` (the reference implementation used in correctness proofs:
-//!   the union of partition outputs must equal a single-node engine's
-//!   output).
-//! * [`route::RouteTable`] / [`route::EpochGate`] — movable partition
-//!   ownership with routing epochs; stale writes racing a partition move
-//!   are refused typed, never silently applied.
-//! * [`threaded::ThreadedCluster`] — real-thread deployment (one thread per
-//!   partition over crossbeam channels, each ingesting the full stream into
-//!   a private `D`): the paper's fan-out, which the scaling experiment (E6)
-//!   measures.
+//! * [`threaded::ThreadedCluster`] — the paper's fan-out on real threads
+//!   (one thread per partition over crossbeam channels, each ingesting the
+//!   full stream into a private `D`), which the scaling experiment (E6)
+//!   measures. Its gathered candidates equal a single-node engine's.
 //! * [`threaded::SharedEngineCluster`] — the shared-state alternative: N
 //!   worker threads hash-route the stream by target into one
 //!   `magicrecs_core::ConcurrentEngine` (one `S`, one sharded `D`) instead
@@ -35,10 +28,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod broker;
-pub mod route;
 pub mod threaded;
 
-pub use broker::Broker;
-pub use route::{EpochGate, RouteDecision, RouteTable};
 pub use threaded::{SharedEngineCluster, ThreadedCluster, DEFAULT_MAX_BATCH};

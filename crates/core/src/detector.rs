@@ -52,10 +52,9 @@
 //! ([`threshold_fresh`]) counts dense ids. Because interning is
 //! order-preserving, the matches come out already sorted by raw id;
 //! conversion back to [`UserId`] happens only at the [`Candidate`]
-//! emission boundary. `D` stays keyed by sparse ids —
-//! dynamic events reference an unbounded vertex set the interner has never
-//! seen (its key type is generic for closed-world deployments; see
-//! `magicrecs_temporal`).
+//! emission boundary. `D` stays keyed by sparse [`UserId`]s — dynamic
+//! events reference an unbounded vertex set the interner has never seen
+//! (see `magicrecs_temporal`).
 
 use crate::intersect::gallop_to_simd;
 use crate::threshold::{threshold_fresh, FreshScratch};

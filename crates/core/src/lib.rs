@@ -50,9 +50,9 @@
 //!   `on_event` is a batch of one, and the apply-only paths (a
 //!   follower's `apply_events`, recovery's `apply_to_store_batch`) share
 //!   its `D` mutation routine. The same engine, driven from one thread,
-//!   is one partition of the paper's share-nothing deployment (an entry
-//!   of `magicrecs_cluster::Broker`) and the engine under the persistent
-//!   and replicated layers.
+//!   is one partition of the paper's share-nothing deployment (one worker
+//!   of `magicrecs_cluster::ThreadedCluster`) and the engine under the
+//!   persistent and replicated layers.
 //!
 //! ## Modules
 //!

@@ -53,19 +53,6 @@ impl GraphGenConfig {
         }
     }
 
-    /// A medium config for benches: 100k users, ~50 followings each
-    /// (≈ 5M edges).
-    pub fn medium() -> Self {
-        GraphGenConfig {
-            users: 100_000,
-            mean_out_degree: 50.0,
-            max_out_degree: 2_000,
-            popularity_alpha: 1.0,
-            activity_alpha: 0.6,
-            seed: 0xDECAF,
-        }
-    }
-
     /// Returns a copy with a different seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;

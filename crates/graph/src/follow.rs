@@ -189,12 +189,6 @@ impl FollowGraph {
         self.inverse.neighbors(b)
     }
 
-    /// The accounts dense vertex `a` follows, as a sorted dense slice.
-    #[inline]
-    pub fn followings_dense(&self, a: DenseId) -> &[DenseId] {
-        self.forward.neighbors(a)
-    }
-
     /// Whether dense vertex `a` follows dense vertex `b`.
     #[inline]
     pub fn follows_dense(&self, a: DenseId, b: DenseId) -> bool {
@@ -231,12 +225,6 @@ impl FollowGraph {
     #[inline]
     pub fn num_follow_edges(&self) -> usize {
         self.forward.num_edges()
-    }
-
-    /// Number of users with at least one following.
-    #[inline]
-    pub fn num_followers_hosted(&self) -> usize {
-        self.forward.num_sources()
     }
 
     /// Number of interned vertices (dense vertex-space size).

@@ -48,5 +48,5 @@ pub use delta::{load_delta, save_delta, GraphDelta};
 pub use follow::{CapStrategy, FollowGraph};
 pub use intern::UserInterner;
 pub use io::{load_graph, save_graph};
-pub use partition::{partition_by_source, partition_delta_by_source, HashPartitioner, Partitioner};
+pub use partition::{partition_by_source, partition_of};
 pub use stats::{DegreeStats, GraphStats};

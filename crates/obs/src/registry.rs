@@ -328,11 +328,6 @@ impl Registry {
         }
     }
 
-    /// Whether handles from this registry record.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.enabled
-    }
-
     fn get_or_register(&self, name: &str, make: impl FnOnce(bool) -> Metric) -> Metric {
         let mut metrics = self.inner.metrics.lock().unwrap();
         if let Some((_, m)) = metrics.iter().find(|(n, _)| n == name) {

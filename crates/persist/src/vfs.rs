@@ -267,11 +267,6 @@ impl FaultPlan {
         Self::single(FaultOp::Rename, nth, FaultMode::Fail)
     }
 
-    /// Fail the `nth` file unlink.
-    pub fn fail_nth_remove(nth: u64) -> FaultPlan {
-        Self::single(FaultOp::Remove, nth, FaultMode::Fail)
-    }
-
     /// Fail the `nth` directory fsync.
     pub fn fail_nth_sync_dir(nth: u64) -> FaultPlan {
         Self::single(FaultOp::SyncDir, nth, FaultMode::Fail)

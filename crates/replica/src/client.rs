@@ -24,12 +24,13 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use magicrecs_cluster::RouteTable;
 use magicrecs_server::wire::Frame;
-use magicrecs_server::{Backoff, ClientConn, SeqLedger};
+use magicrecs_server::{Backoff, ClientConn};
 use magicrecs_types::{Candidate, EdgeEvent, Error, Result, UserId};
 
 use crate::config::ClusterMap;
+use crate::ledger::SeqLedger;
+use crate::route::RouteTable;
 
 struct NodeConn {
     conn: ClientConn,

@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 
-use magicrecs_cluster::RouteTable;
+use crate::route::RouteTable;
 use magicrecs_types::{Error, Result};
 
 /// One process in the cluster.

@@ -25,11 +25,11 @@
 //!   event is dropped; racing writers get typed `WrongLeader` and
 //!   re-route.
 //!
-//! [`SeqLedger`]: magicrecs_server::SeqLedger
+//! [`SeqLedger`]: crate::SeqLedger
 
 use std::time::{Duration, Instant};
 
-use magicrecs_cluster::RouteTable;
+use crate::route::RouteTable;
 use magicrecs_server::wire::{Frame, ReplStatus};
 use magicrecs_server::ClientConn;
 use magicrecs_types::{Error, Result};

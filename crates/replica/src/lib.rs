@@ -80,12 +80,16 @@
 pub mod client;
 pub mod config;
 pub mod coordinator;
+pub mod ledger;
 pub mod metrics;
 pub mod node;
+pub mod route;
 pub(crate) mod tail;
 
 pub use client::RoutedClient;
 pub use config::{ClusterMap, NodeSpec, PartitionSpec};
 pub use coordinator::Coordinator;
+pub use ledger::{PendingBatch, SeqLedger};
 pub use metrics::{replica_metrics, ReplicaMetrics};
 pub use node::{fixture_graph, Node, NodeConfig, NodeHandle, UnitState};
+pub use route::{EpochGate, RouteDecision, RouteTable};

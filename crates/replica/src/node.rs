@@ -59,7 +59,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use magicrecs_cluster::EpochGate;
+use crate::route::EpochGate;
 use magicrecs_gen::{GraphGen, GraphGenConfig};
 use magicrecs_graph::{CapStrategy, FollowGraph};
 use magicrecs_obs::recorder;

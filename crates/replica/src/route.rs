@@ -263,7 +263,7 @@ mod tests {
         ));
     }
 
-    /// The satellite's race: two routers on adjacent epochs hammer the
+    /// The race the gate exists for: two routers on adjacent epochs hammer the
     /// same gate while the move happens between them. Every write either
     /// lands under the epoch it was routed at or dies typed — the
     /// applied count seen by the gate equals the admitted count, so a

@@ -57,7 +57,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use magicrecs_cluster::EpochGate;
+use crate::route::EpochGate;
 use magicrecs_graph::CapStrategy;
 use magicrecs_obs::recorder;
 use magicrecs_obs::TraceKind;

@@ -12,9 +12,8 @@ use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use magicrecs_cluster::RouteTable;
 use magicrecs_core::ConcurrentEngine;
-use magicrecs_replica::{fixture_graph, ClusterMap};
+use magicrecs_replica::{fixture_graph, ClusterMap, RouteTable};
 use magicrecs_types::{Candidate, DetectorConfig, EdgeEvent, Timestamp, UserId};
 
 /// Node ports come from `[NODE_PORT_LOW, NODE_PORT_LOW + NODE_PORTS)`,

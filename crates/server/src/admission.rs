@@ -54,18 +54,6 @@ impl AdmissionConfig {
             max_read_buf: 2 * (crate::wire::MAX_FRAME_LEN + 4),
         }
     }
-
-    /// Admission tuned for overload protection at roughly
-    /// `rate` sustained events/sec per connection.
-    pub fn rate_limited(rate: f64) -> Self {
-        AdmissionConfig {
-            source_rate: rate,
-            source_burst: (rate / 4.0).max(256.0),
-            cycle_budget: 65_536,
-            max_write_queue: 4 << 20,
-            max_read_buf: 2 * (crate::wire::MAX_FRAME_LEN + 4),
-        }
-    }
 }
 
 impl Default for AdmissionConfig {

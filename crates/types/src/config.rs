@@ -1,8 +1,8 @@
-//! Configuration for the detector and the cluster.
+//! Configuration for the detector.
 //!
 //! Defaults follow the paper: `k = 3` in production (`k = 2` in the running
-//! example), 20 partitions, and a recency window on the order of minutes
-//! ("we desire timely results" — the paper leaves τ tunable).
+//! example) and a recency window on the order of minutes ("we desire
+//! timely results" — the paper leaves τ tunable).
 
 use crate::time::Duration;
 use serde::{Deserialize, Serialize};
@@ -97,47 +97,6 @@ impl Default for DetectorConfig {
     }
 }
 
-/// Parameters of the partitioned deployment.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Serialize, Deserialize)]
-pub struct ClusterConfig {
-    /// Number of partitions of the `A` vertex set (the paper runs 20).
-    pub partitions: u32,
-}
-
-impl ClusterConfig {
-    /// The paper's deployment shape: 20 partitions.
-    pub fn production() -> Self {
-        ClusterConfig { partitions: 20 }
-    }
-
-    /// A single-partition config for tests.
-    pub fn single() -> Self {
-        ClusterConfig { partitions: 1 }
-    }
-
-    /// Returns a copy with a different partition count.
-    pub fn with_partitions(mut self, n: u32) -> Self {
-        self.partitions = n;
-        self
-    }
-
-    /// Validates the configuration.
-    pub fn validate(&self) -> crate::error::Result<()> {
-        if self.partitions == 0 {
-            return Err(crate::error::Error::InvalidConfig(
-                "at least one partition required".into(),
-            ));
-        }
-        Ok(())
-    }
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig::production()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,8 +105,6 @@ mod tests {
     fn production_defaults_match_paper() {
         let d = DetectorConfig::production();
         assert_eq!(d.k, 3);
-        let c = ClusterConfig::production();
-        assert_eq!(c.partitions, 20);
         assert_eq!(DetectorConfig::example().k, 2);
     }
 
@@ -164,15 +121,6 @@ mod tests {
             ..DetectorConfig::production() // k = 3 > cap
         };
         assert!(bad_cap.validate().is_err());
-    }
-
-    #[test]
-    fn cluster_validation() {
-        assert!(ClusterConfig::production().validate().is_ok());
-        assert!(ClusterConfig::production()
-            .with_partitions(0)
-            .validate()
-            .is_err());
     }
 
     #[test]

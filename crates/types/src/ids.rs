@@ -1,4 +1,4 @@
-//! Strongly-typed identifiers for graph vertices and cluster partitions.
+//! Strongly-typed identifiers for graph vertices.
 //!
 //! Raw `u64`s are easy to transpose (is this the follower or the followee?);
 //! newtypes make the role explicit at every call site while compiling down
@@ -122,46 +122,6 @@ impl fmt::Display for DenseId {
     }
 }
 
-/// Identifies one partition of the cluster (the paper runs 20).
-///
-/// Partitions own a disjoint set of `A` vertices; see
-/// `magicrecs_cluster::Partitioner`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct PartitionId(pub u32);
-
-impl PartitionId {
-    /// Returns the raw index.
-    #[inline]
-    pub const fn raw(self) -> u32 {
-        self.0
-    }
-
-    /// Returns the index as a `usize`, for indexing partition vectors.
-    #[inline]
-    pub const fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl From<u32> for PartitionId {
-    #[inline]
-    fn from(v: u32) -> Self {
-        PartitionId(v)
-    }
-}
-
-impl fmt::Debug for PartitionId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "p{}", self.0)
-    }
-}
-
-impl fmt::Display for PartitionId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,13 +159,5 @@ mod tests {
         let mut v = vec![DenseId(5), DenseId(1), DenseId(3)];
         v.sort();
         assert_eq!(v, vec![DenseId(1), DenseId(3), DenseId(5)]);
-    }
-
-    #[test]
-    fn partition_id_roundtrip() {
-        let p = PartitionId::from(7u32);
-        assert_eq!(p.raw(), 7);
-        assert_eq!(p.index(), 7usize);
-        assert_eq!(format!("{p:?}"), "p7");
     }
 }

@@ -27,10 +27,10 @@ pub mod ids;
 pub mod metrics;
 pub mod time;
 
-pub use config::{ClusterConfig, DetectorConfig};
+pub use config::DetectorConfig;
 pub use error::{Error, Result};
 pub use event::{Candidate, EdgeEvent, EdgeKind};
 pub use hash::{route_mix, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use ids::{DenseId, PartitionId, UserId};
+pub use ids::{DenseId, UserId};
 pub use metrics::{Counter, Histogram, Snapshot};
 pub use time::{Duration, Timestamp};

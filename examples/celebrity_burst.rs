@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --release --example celebrity_burst`
 
-use magicrecs::cluster::Broker;
+use magicrecs::cluster::ThreadedCluster;
 use magicrecs::gen::{GraphGen, GraphGenConfig, Scenario, ScenarioConfig};
 use magicrecs::prelude::*;
 
@@ -28,13 +28,10 @@ fn main() {
     );
 
     // ── The paper's deployment: 20 partitions, k = 3 ────────────────────
-    let detector = DetectorConfig::production();
-    let mut broker =
-        Broker::new(&graph, ClusterConfig::production(), detector).expect("valid configs");
-    println!(
-        "Cluster: {} partitions (partitioned by A, full D per partition)",
-        broker.num_partitions()
-    );
+    let partitions = 20;
+    let cluster = ThreadedCluster::new(&graph, partitions, DetectorConfig::production())
+        .expect("valid configs");
+    println!("Cluster: {partitions} partitions (partitioned by A, full D per partition)");
 
     // ── Workload: steady background + a celebrity joining at t=noon+60s ─
     let noon = Timestamp::from_secs(12 * 3600);
@@ -60,20 +57,17 @@ fn main() {
     println!(
         "Trace: {} events over {:.0}s (burst of 400 follows to the celebrity at t=60s)",
         trace.len(),
-        trace.end().unwrap().as_secs_f64()
+        (trace.end().unwrap() - trace.start().unwrap()).as_secs_f64()
     );
 
     // ── Replay through the cluster ──────────────────────────────────────
-    let mut candidates = 0u64;
-    let mut celebrity_candidates = 0u64;
-    for &event in trace.events() {
-        for candidate in broker.on_event(event) {
-            candidates += 1;
-            if candidate.target == celebrity {
-                celebrity_candidates += 1;
-            }
-        }
-    }
+    let report = cluster.run_trace(trace.events()).expect("cluster run");
+    let candidates = report.candidates.len();
+    let celebrity_candidates = report
+        .candidates
+        .iter()
+        .filter(|c| c.target == celebrity)
+        .count();
 
     println!("\n── Results ───────────────────────────────────────────────");
     println!("Candidates:            {candidates}");
@@ -83,10 +77,12 @@ fn main() {
     );
 
     // Per-partition detection cost: the paper's "a few milliseconds".
-    let mut worst_p99 = 0;
-    for p in broker.partitions() {
-        worst_p99 = worst_p99.max(p.stats().detect_time.p99_us);
-    }
+    let worst_p99 = report
+        .engines
+        .iter()
+        .map(|p| p.stats().detect_time.p99_us)
+        .max()
+        .unwrap_or(0);
     println!("Worst per-partition detection p99: {worst_p99} µs");
     assert!(
         celebrity_candidates > 0,

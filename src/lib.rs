@@ -52,7 +52,6 @@ pub mod prelude {
     pub use magicrecs_graph::{FollowGraph, GraphBuilder};
     pub use magicrecs_temporal::{ShardedTemporalStore, TemporalEdgeStore};
     pub use magicrecs_types::{
-        Candidate, ClusterConfig, DetectorConfig, Duration, EdgeEvent, EdgeKind, PartitionId,
-        Timestamp, UserId,
+        Candidate, DetectorConfig, Duration, EdgeEvent, EdgeKind, Timestamp, UserId,
     };
 }

@@ -10,7 +10,7 @@
 //! everything observable.
 
 use magicrecs::baseline::BatchOracle;
-use magicrecs::cluster::{Broker, SharedEngineCluster};
+use magicrecs::cluster::SharedEngineCluster;
 use magicrecs::prelude::*;
 use proptest::prelude::*;
 
@@ -132,21 +132,8 @@ proptest! {
     }
 
     #[test]
-    fn broker_and_shared_cluster_batch_parity((graph, events) in graph_and_trace()) {
+    fn shared_cluster_batch_parity((graph, events) in graph_and_trace()) {
         let cfg = DetectorConfig::example().with_tau(Duration::from_secs(200));
-
-        // Broker: batched fan-out equals per-event fan-out, chunk by chunk.
-        let cc = ClusterConfig::single().with_partitions(3);
-        let mut per_event = Broker::new(&graph, cc, cfg).unwrap();
-        let mut batched = Broker::new(&graph, cc, cfg).unwrap();
-        for chunk in events.chunks(19) {
-            let mut want: Vec<Candidate> = Vec::new();
-            for &e in chunk {
-                want.extend(per_event.on_event(e));
-            }
-            want.sort_by_key(|c| (c.triggered_at, c.user, c.target));
-            prop_assert_eq!(batched.on_events(chunk), want, "broker diverged");
-        }
 
         // Shared cluster: its micro-batch drains produce the oracle's
         // stream.

@@ -1,13 +1,13 @@
 //! Cross-implementation consistency properties, driven by proptest.
 //!
 //! Two independent implementations of the motif semantics exist in this
-//! workspace (the production engine and the brute-force oracle) plus two
-//! distributions of the engine (sequential broker, threaded cluster). On
-//! arbitrary graphs and traces, at k = 2 and k = 3, they must all agree
-//! with the oracle.
+//! workspace (the production engine and the brute-force oracle) plus the
+//! engine's partitioned distribution (the threaded cluster). On arbitrary
+//! graphs and traces, at k = 2 and k = 3, they must all agree with the
+//! oracle.
 
 use magicrecs::baseline::BatchOracle;
-use magicrecs::cluster::{Broker, ThreadedCluster};
+use magicrecs::cluster::ThreadedCluster;
 use magicrecs::gen::{GraphGen, GraphGenConfig, Scenario, ScenarioConfig};
 use magicrecs::prelude::*;
 use proptest::prelude::*;
@@ -54,7 +54,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     #[test]
-    fn broker_and_threaded_agree_with_engine(
+    fn engine_and_threaded_agree_with_oracle(
         (graph, events) in graph_and_trace(),
         parts in 1u32..6,
         k in 2usize..4,
@@ -65,28 +65,14 @@ proptest! {
         };
 
         // The brute-force oracle is the reference; the single engine and
-        // both of its distributions must each reproduce it.
+        // its partitioned distribution must each reproduce it.
         let expected = sorted(BatchOracle::new(cfg).unwrap().replay(&graph, &events));
 
         let engine = ConcurrentEngine::new(graph.clone(), cfg).unwrap();
         let got_engine = sorted(engine.on_events(&events));
         prop_assert_eq!(&got_engine, &expected, "engine diverged");
 
-        let mut broker = Broker::new(
-            &graph,
-            ClusterConfig::single().with_partitions(parts),
-            cfg,
-        )
-        .unwrap();
-        let got_broker = sorted(broker.process_trace(events.iter().copied()));
-        prop_assert_eq!(&got_broker, &expected, "broker diverged");
-
-        let cluster = ThreadedCluster::new(
-            &graph,
-            ClusterConfig::single().with_partitions(parts),
-            cfg,
-        )
-        .unwrap();
+        let cluster = ThreadedCluster::new(&graph, parts, cfg).unwrap();
         let got_threaded = sorted(cluster.run_trace(&events).unwrap().candidates);
         prop_assert_eq!(&got_threaded, &expected, "threaded cluster diverged");
     }
@@ -231,10 +217,10 @@ proptest! {
     }
 }
 
-/// The broker's candidate stream on a generated workload (1,500 users, a
-/// mixed 90 s scenario at 60 events/s, 4 partitions, witness cap 8): the
-/// trace length and every candidate in emission order.
-fn broker_stream(seed: u64) -> (usize, Vec<Candidate>) {
+/// The threaded cluster's candidate stream on a generated workload (1,500
+/// users, a mixed 90 s scenario at 60 events/s, 4 partitions, witness cap
+/// 8): the trace length and every candidate, in gather order.
+fn cluster_stream(seed: u64) -> (usize, Vec<Candidate>) {
     let users = 1_500u64;
     let graph = GraphGen::new(GraphGenConfig::small().with_users(users)).generate();
     let trace = Scenario::mixed(
@@ -254,19 +240,17 @@ fn broker_stream(seed: u64) -> (usize, Vec<Candidate>) {
         max_witnesses: Some(8),
         ..DetectorConfig::example()
     };
-    let mut broker =
-        Broker::new(&graph, ClusterConfig::single().with_partitions(4), config).unwrap();
-    let mut candidates = Vec::new();
-    for &event in trace.events() {
-        candidates.extend(broker.on_event(event));
-    }
-    (trace.len(), candidates)
+    let report = ThreadedCluster::new(&graph, 4, config)
+        .unwrap()
+        .run_trace(trace.events())
+        .unwrap();
+    (trace.len(), report.candidates)
 }
 
 #[test]
 fn pipeline_is_deterministic() {
-    let (e1, c1) = broker_stream(42);
-    let (e2, c2) = broker_stream(42);
+    let (e1, c1) = cluster_stream(42);
+    let (e2, c2) = cluster_stream(42);
     assert!(e1 > 3_000, "trace too small: {e1}");
     assert!(!c1.is_empty(), "no candidates detected");
     assert_eq!(e1, e2);
@@ -275,8 +259,8 @@ fn pipeline_is_deterministic() {
 
 #[test]
 fn different_seeds_differ() {
-    let (_, c1) = broker_stream(1);
-    let (_, c2) = broker_stream(2);
+    let (_, c1) = cluster_stream(1);
+    let (_, c2) = cluster_stream(2);
     // Candidate counts coinciding exactly across different workloads would
     // suggest the seed is ignored somewhere.
     assert_ne!(

@@ -1,11 +1,10 @@
 //! Figure 1 of the paper, verified across every implementation in the
-//! workspace: the hand-coded engine, the sequential broker, the threaded
-//! cluster, the batch oracle, the polling baseline and the two-hop
-//! baselines all agree that creating `B2 → C2` recommends `C2` to `A2`
+//! workspace: the hand-coded engine, the threaded cluster, the batch
+//! oracle, the polling baseline and the two-hop baselines all agree that creating `B2 → C2` recommends `C2` to `A2`
 //! (and to no one else).
 
 use magicrecs::baseline::{BatchOracle, PollingDetector, TwoHopBloom, TwoHopExact};
-use magicrecs::cluster::{Broker, ThreadedCluster};
+use magicrecs::cluster::ThreadedCluster;
 use magicrecs::prelude::*;
 
 fn a(n: u64) -> UserId {
@@ -49,25 +48,8 @@ fn engine_reproduces_figure1() {
 }
 
 #[test]
-fn broker_reproduces_figure1() {
-    let mut broker = Broker::new(
-        &figure1_graph(),
-        ClusterConfig::single().with_partitions(5),
-        DetectorConfig::example(),
-    )
-    .unwrap();
-    let out = broker.process_trace(events());
-    assert_figure1(&out, "Broker");
-}
-
-#[test]
 fn threaded_cluster_reproduces_figure1() {
-    let cluster = ThreadedCluster::new(
-        &figure1_graph(),
-        ClusterConfig::single().with_partitions(3),
-        DetectorConfig::example(),
-    )
-    .unwrap();
+    let cluster = ThreadedCluster::new(&figure1_graph(), 3, DetectorConfig::example()).unwrap();
     let report = cluster.run_trace(&events()).unwrap();
     assert_figure1(&report.candidates, "ThreadedCluster");
 }
